@@ -26,11 +26,11 @@ test: vet lint
 
 # Race-detector pass over the concurrency-bearing packages: the parallel
 # runner, the experiment drivers that fan out through it, the persistent
-# store, the HTTP serving layer, the cluster fleet, and the CLIs.
+# store, the HTTP serving layer, and the CLIs.
 race:
 	$(GO) test -race ./internal/runner ./internal/experiments ./internal/sim \
 		./internal/store ./internal/serve ./internal/cliflag \
-		./internal/cluster ./cmd/...
+		./cmd/...
 
 # Short fuzz pass over the memoization content-address hash.
 fuzz:

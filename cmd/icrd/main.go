@@ -6,29 +6,22 @@
 //
 //	icrd -addr localhost:8080 -store /var/cache/icr -parallel 8
 //
-// With -cluster, icrd becomes the coordinator of a simulation fleet:
-// remote icrworker processes register at /cluster/v1/, pull leased tasks,
-// and upload results. Cache misses are then farmed out instead of
-// simulated in-process, while caching, ordering, and output bytes stay
-// identical to single-node mode:
-//
-//	icrd -addr :8080 -cluster -store /var/cache/icr
-//	icrworker -coordinator http://host:8080   # on each fleet machine
-//
 // A disk-backed icrd also serves its store as a shard at /store/v1/
-// (reads, write-through, and anti-stampede claims), so a fleet of icrd
-// processes can pool their results memcache-style: point front ends at
-// the fleet with -store shards:host1:8080,host2:8080,host3:8080 and keys
-// are consistent-hashed across the shard ring — each result simulated
-// once fleet-wide, hot results replicated for read spreading and
-// survival of a shard loss.
+// (reads, write-through, and claims), so a fleet of icrd processes can
+// pool their results memcache-style: point front ends at the fleet with
+// -store shards:host1:8080,host2:8080,host3:8080 and keys are
+// consistent-hashed across the shard ring — each result simulated once
+// fleet-wide, hot results replicated for read spreading and survival of
+// a shard loss. POST the same sweep to several such front ends and the
+// claims spread it across them: a node whose claim on a key answers
+// "wait" simulates the keys nobody holds meanwhile, and a node that dies
+// mid-sweep stops renewing its claims, so the survivors take its keys
+// over within the claim TTL.
 //
 // Overload is bounded: at most -queue requests are admitted concurrently
-// and the rest get 429 immediately. SIGTERM/SIGINT drains gracefully —
-// fleet-wide in cluster mode: leasing stops, workers finish and upload
-// in-flight tasks — executing simulations finish and persist, queued ones
-// are rejected, and the process exits 0 once in-flight responses are
-// written.
+// and the rest get 429 immediately. SIGTERM/SIGINT drains gracefully:
+// executing simulations finish and persist, queued ones are rejected,
+// and the process exits 0 once in-flight responses are written.
 //
 // Observability: GET /debug/vars exposes cache-tier hit counters, queue
 // state, and store stats; GET /debug/pprof serves the standard profilers.
@@ -47,8 +40,6 @@ import (
 	"time"
 
 	"repro/internal/cliflag"
-	"repro/internal/cluster"
-	"repro/internal/runner"
 	"repro/internal/serve"
 )
 
@@ -69,8 +60,6 @@ func run(args []string) error {
 		queue       = fs.Int("queue", 0, "max concurrently admitted requests before 429 (0 = 4x -parallel)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request deadline cap (0 = none)")
 		drainWait   = fs.Duration("drain-timeout", time.Minute, "max time to wait for in-flight requests on shutdown")
-		clusterMode = fs.Bool("cluster", false, "coordinate a fleet of icrworker processes instead of simulating in-process")
-		lease       = fs.Duration("lease", cluster.DefaultLeaseTTL, "cluster task lease duration before reassignment (with -cluster)")
 		showVersion = cliflag.RegisterVersion(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -81,14 +70,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	var coord *cluster.Coordinator
-	var exec runner.Executor
-	if *clusterMode {
-		coord = cluster.New(cluster.Options{LeaseTTL: *lease})
-		defer coord.Close()
-		exec = coord
-	}
-	eng, backend, err := sim.NewRunnerExecutor(nil, exec)
+	eng, backend, err := sim.NewRunner(nil)
 	if err != nil {
 		return err
 	}
@@ -97,14 +79,13 @@ func run(args []string) error {
 		return err
 	}
 	srv := serve.New(serve.Options{
-		Runner:         eng,
-		Backend:        backend,
+		Runner:  eng,
+		Backend: backend,
 		// A disk-backed icrd doubles as a shard node: other fleet members
 		// read, write, and claim through its /store/v1/ endpoints.
 		ShardAPI:       backend != nil && spec.Kind == "disk",
 		QueueDepth:     *queue,
 		RequestTimeout: *reqTimeout,
-		Cluster:        coord,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -119,9 +100,6 @@ func run(args []string) error {
 		if spec.Kind == "disk" {
 			fmt.Fprintln(os.Stderr, "icrd: shard API on at /store/v1/")
 		}
-	}
-	if coord != nil {
-		fmt.Fprintf(os.Stderr, "icrd: cluster mode on (lease %s); workers register at /cluster/v1/\n", coord.LeaseTTL())
 	}
 
 	httpSrv := &http.Server{Handler: srv.Handler()}

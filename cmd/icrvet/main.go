@@ -15,8 +15,8 @@
 //	               //icrvet:persistent
 //	allocfree      no allocation in code reachable from the steady-state
 //	               loop ((*cpu.Core).Run/RunWarming and //icrvet:hot roots)
-//	wirecoverage   the key, cluster-wire, and metrics-schema codecs cover
-//	               every config/report field
+//	wirecoverage   the report schema goldens cover every metrics.Report
+//	               field
 //	ctxflow        context.Context plumbing discipline
 //
 // Findings print as "path:line:col: [pass] message" and make the process

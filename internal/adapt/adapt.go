@@ -26,6 +26,7 @@ package adapt
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -74,10 +75,10 @@ func ParsePredictor(s string) (PredictorKind, error) {
 }
 
 // Config parameterizes the runtime controller. The zero value disables
-// it. All fields are plain values: the struct rides the cluster wire
-// verbatim and runner.KeyFor fingerprints every field, so adaptive runs
-// never collide with static ones (or with differently tuned adaptive
-// ones) in the memo cache, the disk store, or the fleet.
+// it. All fields are plain values, and runner.KeyFor fingerprints every
+// field, so adaptive runs never collide with static ones (or with
+// differently tuned adaptive ones) in the memo cache, the disk store, or
+// the fleet.
 type Config struct {
 	// Predictor selects the driving predictor; PredictorNone disables
 	// the controller entirely.
@@ -187,6 +188,11 @@ func Parse(v string) (Config, error) {
 		n, err := strconv.ParseUint(val, 10, 64)
 		if err != nil {
 			return Config{}, fmt.Errorf("bad adapt value %q: %w", part, err)
+		}
+		if (key == "hysteresis" || key == "maxreplicas") && n > math.MaxInt32 {
+			// Larger values would wrap negative as an int and silently
+			// fall back to the default.
+			return Config{}, fmt.Errorf("bad adapt value %q: out of range", part)
 		}
 		switch key {
 		case "epoch":

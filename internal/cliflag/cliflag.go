@@ -188,20 +188,13 @@ func (sp StoreSpec) Backend(prog *metrics.Progress) (store.Backend, error) {
 // store or a shard fleet). The returned Backend is nil unless one was
 // built; the caller owns wiring it into shutdown paths (Drain).
 //
+// When the backend is a shard fleet, its claim protocol extends the
+// runner's singleflight fleet-wide, and nodes given the same sweep
+// spread its keys between them.
+//
 // prog may be nil; the runner then allocates its own counters,
 // reachable via Runner.Progress.
 func (s *Sim) NewRunner(prog *metrics.Progress) (*runner.Runner, store.Backend, error) {
-	return s.NewRunnerExecutor(prog, nil)
-}
-
-// NewRunnerExecutor is NewRunner with an execution backend: exec, when
-// non-nil, replaces in-process simulation on every cache miss (icrd's
-// cluster coordinator farming runs out to remote workers). The cache
-// stack, worker pool, and ordering guarantees are identical either way —
-// results stay byte-for-byte those of local execution. When the backend
-// is a shard fleet, its claim protocol extends the runner's singleflight
-// fleet-wide.
-func (s *Sim) NewRunnerExecutor(prog *metrics.Progress, exec runner.Executor) (*runner.Runner, store.Backend, error) {
 	if prog == nil {
 		prog = metrics.NewProgress()
 	}
@@ -241,7 +234,6 @@ func (s *Sim) NewRunnerExecutor(prog *metrics.Progress, exec runner.Executor) (*
 		Cache:     cache,
 		Timeout:   s.Timeout,
 		Progress:  prog,
-		Executor:  exec,
 		Claimer:   claimer,
 	})
 	return eng, backend, nil

@@ -66,6 +66,24 @@ type FaultConfig struct {
 	Seed int64
 }
 
+// Validate reports a fault configuration the injector cannot run: a
+// probability outside [0, 1], or injection enabled (Prob > 0) without a
+// known Model. A zero Model is not defaulted here: only TwoTier
+// normalizes its fault model, and the run-level Model is part of the
+// run's cache key as given.
+func (f FaultConfig) Validate() error {
+	if f.Prob == 0 {
+		return nil
+	}
+	if !(f.Prob > 0 && f.Prob <= 1) {
+		return fmt.Errorf("config: fault probability %v outside [0, 1]", f.Prob)
+	}
+	if _, err := fault.ParseModel(f.Model.String()); err != nil {
+		return fmt.Errorf("config: fault injection at probability %v needs a model (direct, adjacent, column, random), got %s", f.Prob, f.Model)
+	}
+	return nil
+}
+
 // Run describes one simulation: a benchmark under a scheme with replication
 // parameters, an instruction budget, and optional fault injection.
 type Run struct {

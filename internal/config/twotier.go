@@ -85,6 +85,9 @@ func (t TwoTier) Validate() error {
 	if t.CrossTier && !t.Replicate {
 		return fmt.Errorf("config: cross-tier placement requires in-tier replication (replicate=true)")
 	}
+	if p := t.Fault.Prob; p != 0 && !(p > 0 && p <= 1) {
+		return fmt.Errorf("config: two-tier fault probability %v outside [0, 1]", p)
+	}
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 // cancellable contexts across network and fleet boundaries. A bare Sleep
 // in a ctx-carrying function there stalls shutdown for the full sleep —
 // the SIGTERM drain tests only catch it when the timing happens to align.
-var sleepPaths = []string{"internal/serve", "internal/cluster", "internal/runner", "internal/store"}
+var sleepPaths = []string{"internal/serve", "internal/runner", "internal/store"}
 
 // runCtxFlow enforces context.Context plumbing discipline:
 //
@@ -24,8 +24,8 @@ var sleepPaths = []string{"internal/serve", "internal/cluster", "internal/runner
 //     this analyzer never loads): library code that conjures a root
 //     context detaches itself from the caller's cancellation. The nil-ctx
 //     compatibility seams keep their justified suppressions;
-//   - no time.Sleep inside a ctx-carrying function in the serving, cluster,
-//     and runner layers — sleep cannot be cancelled; select on ctx.Done()
+//   - no time.Sleep inside a ctx-carrying function in the serving, runner,
+//     and store layers — sleep cannot be cancelled; select on ctx.Done()
 //     with a timer instead.
 func runCtxFlow(_ *Analysis, pkg *Package, r *Reporter) {
 	inCmd := pkg.Rel == "cmd" || strings.HasPrefix(pkg.Rel, "cmd/")

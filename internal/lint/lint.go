@@ -18,11 +18,10 @@
 //     field is cross-run state contamination through the instance pool
 //   - allocfree: no allocation-inducing constructs in functions statically
 //     reachable from the simulator's steady-state loop
-//   - wirecoverage: config and report structs must be covered by all three
-//     codecs that have to agree (KeyFor, the metrics JSON schema, the
-//     cluster wire codec)
-//   - ctxflow: context.Context plumbing discipline in the serving and
-//     cluster layers
+//   - wirecoverage: every metrics.Report field must be pinned by the
+//     committed report schema goldens
+//   - ctxflow: context.Context plumbing discipline in the serving, runner
+//     and store layers
 //
 // Findings can be suppressed with a justified directive on the flagged
 // line or the line above:
@@ -114,11 +113,11 @@ func Passes() []Pass {
 		{Name: "keycoverage", Doc: "KeyFor must cover every exported config field", Module: runKeyCoverage},
 		{Name: "syncmisuse", Doc: "copied locks/atomics and misaligned 64-bit atomics", Package: runSyncMisuse},
 		{Name: "floatorder", Doc: "float accumulation in map-iteration order", Package: runFloatOrder},
-		{Name: "droppederr", Doc: "discarded error returns in cmd/ and the runner/store/serve/cluster layers", Package: runDroppedErr},
+		{Name: "droppederr", Doc: "discarded error returns in cmd/ and the runner/store/serve layers", Package: runDroppedErr},
 		{Name: "resetcoverage", Doc: "pooled types must Reset every field or declare it persistent", Module: runResetCoverage},
 		{Name: "allocfree", Doc: "no allocation in functions reachable from the steady-state loop", Module: runAllocFree},
-		{Name: "wirecoverage", Doc: "key, wire, and schema codecs must cover every config/report field", Module: runWireCoverage},
-		{Name: "ctxflow", Doc: "context.Context plumbing discipline in serving and cluster layers", Package: runCtxFlow},
+		{Name: "wirecoverage", Doc: "the report schema goldens must cover every metrics.Report field", Module: runWireCoverage},
+		{Name: "ctxflow", Doc: "context.Context plumbing discipline in the serving, runner and store layers", Package: runCtxFlow},
 	}
 }
 
@@ -150,9 +149,7 @@ type Options struct {
 
 // DefaultHotPaths is the simulation hot path: packages whose behaviour
 // must be a pure function of (Machine, Run) for results to be reproducible
-// and memoizable. The cluster layer is included because a wall-clock or
-// global-rand dependence there breaks the byte-identical fleet/single-node
-// equivalence the cluster smoke test asserts.
+// and memoizable.
 func DefaultHotPaths() []string {
 	return []string{
 		"internal/sim", "internal/cpu", "internal/cache",
@@ -160,7 +157,7 @@ func DefaultHotPaths() []string {
 		"internal/metrics",
 		"internal/branch", "internal/ecc", "internal/rcache",
 		"internal/fault", "internal/isa", "internal/config",
-		"internal/cluster", "internal/adapt",
+		"internal/adapt",
 	}
 }
 
@@ -168,14 +165,13 @@ func DefaultHotPaths() []string {
 // observe failures), the parallel runner (a swallowed error there turns
 // into a silently wrong figure), the persistent result store (a swallowed
 // I/O error turns into silent data loss), the HTTP serving layer (a
-// swallowed error turns into a wrong response), the cluster fleet (a
-// swallowed error there turns into a lost task or a silently incomplete
-// sweep), and the model packages themselves — a swallowed error in branch
+// swallowed error turns into a wrong response), and the model packages
+// themselves — a swallowed error in branch
 // or fault construction turns into a silently misconfigured simulation.
 func DefaultErrPaths() []string {
 	return []string{
 		"cmd", "internal/runner", "internal/store", "internal/serve",
-		"internal/cluster", "internal/adapt",
+		"internal/adapt",
 		"internal/branch", "internal/ecc", "internal/rcache",
 		"internal/fault", "internal/isa", "internal/config",
 	}

@@ -25,7 +25,6 @@ var fixtures = []string{
 	"resetnested",
 	"allocfree",
 	"allochot",
-	"wirecov",
 	"wireschema",
 	"ctxflow",
 	"ctxsleep",
@@ -44,7 +43,6 @@ var fixturePass = map[string]string{
 	"resetnested":   "resetcoverage",
 	"allocfree":     "allocfree",
 	"allochot":      "allocfree",
-	"wirecov":       "wirecoverage",
 	"wireschema":    "wirecoverage",
 	"ctxflow":       "ctxflow",
 	"ctxsleep":      "ctxflow",

@@ -1,6 +1,6 @@
-// Package cluster seeds the uncancellable-sleep violation: a bare
-// time.Sleep inside a context-carrying function in the fleet layer.
-package cluster
+// Package serve seeds the uncancellable-sleep violation: a bare
+// time.Sleep inside a context-carrying function in the serving layer.
+package serve
 
 import (
 	"context"

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"go/ast"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -11,114 +10,15 @@ import (
 	"strings"
 )
 
-// runWireCoverage verifies that the three codecs which must agree on the
-// configuration and report surface actually cover it, turning the runtime
-// drift tripwires into a static gate:
-//
-//  1. The cluster wire codec: every field that is JSON-visible under
-//     cluster.Spec (after the wire wrappers' shadowing is resolved with
-//     encoding/json's embedding rules) must be statically JSON-encodable —
-//     a func-, chan-, or interface-typed field that leaks into the wire
-//     format would marshal as null or fail at runtime, on a worker, mid-
-//     sweep. Conversely every field the wrappers shadow OUT of the wire
-//     format must be referenced by EncodeSpec, DecodeSpec, or KeyFor: the
-//     codec has to either translate it (wireHints) or refuse to ship runs
-//     that set it (KeyFor's EachCycle/Halt nil-checks). An unreferenced
-//     shadowed field is a knob that silently vanishes in distributed runs.
-//  2. The metrics JSON schema: every JSON-visible field of metrics.Report
-//     (and the structs it nests) must appear as a key in the committed
-//     schema goldens (internal/metrics/testdata/report_schema*.json), so a
-//     new counter cannot ship without the serving/storage schema test
-//     seeing it.
-//
-// The third codec, KeyFor's hash coverage, is enforced field-by-field by
-// the keycoverage pass; this pass closes the loop by letting KeyFor
-// references double as the refusal gate for shadowed wire fields.
+// runWireCoverage verifies that the metrics JSON schema covers the report
+// surface: every JSON-visible field of metrics.Report (and the structs it
+// nests) must appear as a key in the committed schema goldens
+// (internal/metrics/testdata/report_schema*.json), so a new counter cannot
+// ship without the serving/storage schema test seeing it. KeyFor's hash
+// coverage, the other codec that must agree on the configuration
+// surface, is enforced field-by-field by the keycoverage pass.
 func runWireCoverage(a *Analysis, r *Reporter) {
-	refs := codecRefs(a)
-	wireLeg(a, r, refs)
 	schemaLeg(a, r)
-}
-
-// codecRefs unions the field references of every codec function — any
-// module-level EncodeSpec, DecodeSpec (method or function), or KeyFor —
-// gathered transitively through same-package helpers.
-func codecRefs(a *Analysis) map[string]bool {
-	refs := make(map[string]bool)
-	for _, pkg := range a.Mod.Packages {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				switch fd.Name.Name {
-				case "EncodeSpec", "DecodeSpec", keyFuncName:
-					for k := range coveredFields(pkg, fd) {
-						refs[k] = true
-					}
-				}
-			}
-		}
-	}
-	return refs
-}
-
-// wireSpecType locates the cluster wire codec's root struct.
-func wireSpecType(mod *Module) *types.Named {
-	pkg := mod.Lookup("internal/cluster")
-	if pkg == nil {
-		return nil
-	}
-	tn, ok := pkg.Types.Scope().Lookup("Spec").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return named
-}
-
-// wireLeg checks visibility and encodability under cluster.Spec.
-func wireLeg(a *Analysis, r *Reporter, refs map[string]bool) {
-	spec := wireSpecType(a.Mod)
-	if spec == nil {
-		return
-	}
-	seen := make(map[*types.Named]bool)
-	var visit func(named *types.Named)
-	visit = func(named *types.Named) {
-		if seen[named] {
-			return
-		}
-		seen[named] = true
-		winners, shadowed := jsonEffectiveFields(named)
-		for _, w := range winners {
-			if bad := unencodablePart(a.Mod, w.f.Type()); bad != "" {
-				r.Reportf(w.f.Pos(),
-					"field %s is JSON-visible under cluster.Spec but contains %s, which does not marshal; shadow it in the wire wrapper and refuse or translate it in the codec",
-					fieldKey(w.owner, w.f.Name()), bad)
-			}
-			for _, sub := range namedStructsIn(w.f.Type()) {
-				if inModule(a.Mod, sub) {
-					visit(sub)
-				}
-			}
-		}
-		for _, s := range shadowed {
-			if !refs[fieldKey(s.owner, s.f.Name())] {
-				r.Reportf(s.f.Pos(),
-					"field %s is shadowed out of the cluster wire format but no codec (EncodeSpec, DecodeSpec, KeyFor) references it: the knob would silently vanish on distributed runs; translate it or nil-check and refuse",
-					fieldKey(s.owner, s.f.Name()))
-			}
-		}
-	}
-	visit(spec)
 }
 
 // jsonField is one candidate field in a struct's JSON encoding.
@@ -133,9 +33,9 @@ type jsonField struct {
 // jsonEffectiveFields resolves one struct's JSON field set under
 // encoding/json's embedding rules: fields of embedded structs promote one
 // depth down, the shallowest candidate for a name wins, a tagged candidate
-// beats untagged at equal depth, and a tie drops the name entirely (those
-// candidates are reported as shadowed too — they don't marshal).
-func jsonEffectiveFields(root *types.Named) (winners, shadowed []jsonField) {
+// beats untagged at equal depth, and a tie drops the name entirely (none
+// of those candidates marshal).
+func jsonEffectiveFields(root *types.Named) (winners []jsonField) {
 	byName := make(map[string][]jsonField)
 	var order []string
 	type item struct {
@@ -210,79 +110,15 @@ func jsonEffectiveFields(root *types.Named) (winners, shadowed []jsonField) {
 				winner = taggedAt
 			}
 		}
-		for _, c := range cands {
-			if winner >= 0 && c == atMin[winner] {
-				winners = append(winners, c)
-			} else {
-				shadowed = append(shadowed, c)
-			}
+		if winner >= 0 {
+			winners = append(winners, atMin[winner])
 		}
 	}
-	return winners, shadowed
-}
-
-// unencodablePart returns a description of the first statically
-// un-marshalable component of t ("" when t is JSON-encodable). Interfaces
-// count as unencodable: even when the dynamic value would marshal, the
-// decoder cannot reconstruct it, so interface-typed knobs must be
-// translated through a concrete wire representation. In-module named
-// structs are skipped here — the wire walk visits them with the JSON
-// shadowing rules applied, so a wrapper's shadow fields are not
-// double-reported through the raw embedded struct.
-func unencodablePart(mod *Module, t types.Type) string {
-	return unencodableWalk(mod, t, make(map[types.Type]bool))
-}
-
-func unencodableWalk(mod *Module, t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named := asNamedStruct(t); named != nil && inModule(mod, named) {
-		return "" // visited separately with shadowing resolved
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		if u.Kind() == types.UnsafePointer || u.Kind() == types.Complex64 || u.Kind() == types.Complex128 {
-			return "a " + u.String() + " value"
-		}
-		return ""
-	case *types.Signature:
-		return "a func value"
-	case *types.Chan:
-		return "a channel"
-	case *types.Interface:
-		return "an interface value (the decoder cannot rebuild the dynamic type)"
-	case *types.Pointer:
-		return unencodableWalk(mod, u.Elem(), seen)
-	case *types.Slice:
-		return unencodableWalk(mod, u.Elem(), seen)
-	case *types.Array:
-		return unencodableWalk(mod, u.Elem(), seen)
-	case *types.Map:
-		if bad := unencodableWalk(mod, u.Elem(), seen); bad != "" {
-			return bad
-		}
-		return ""
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			tag := reflect.StructTag(u.Tag(i)).Get("json")
-			tagName, _, _ := strings.Cut(tag, ",")
-			if tagName == "-" || (!f.Exported() && !f.Anonymous()) {
-				continue
-			}
-			if bad := unencodableWalk(mod, f.Type(), seen); bad != "" {
-				return bad
-			}
-		}
-		return ""
-	}
-	return ""
+	return winners
 }
 
 // namedStructsIn collects the named struct types inside t (through
-// pointers, slices, arrays, and map values) for wire-walk descent.
+// pointers, slices, arrays, and map values) for schema-walk descent.
 func namedStructsIn(t types.Type) []*types.Named {
 	var out []*types.Named
 	var walk func(t types.Type, depth int)
@@ -346,7 +182,7 @@ func schemaLeg(a *Analysis, r *Reporter) {
 			return
 		}
 		seen[named] = true
-		winners, _ := jsonEffectiveFields(named)
+		winners := jsonEffectiveFields(named)
 		for _, w := range winners {
 			if !keys[w.name] {
 				r.Reportf(w.f.Pos(),

@@ -31,7 +31,6 @@ type Progress struct {
 	cacheErrors  atomic.Uint64
 	putErrors    atomic.Uint64
 	evictions    atomic.Uint64
-	remote       atomic.Uint64
 	instructions atomic.Uint64
 	startNanos   atomic.Int64
 
@@ -110,11 +109,6 @@ func (p *Progress) AddPutError(n uint64) { p.putErrors.Add(n) }
 // disk) to respect its capacity.
 func (p *Progress) AddEviction(n uint64) { p.evictions.Add(n) }
 
-// AddRemote records a simulation executed by a remote cluster worker
-// rather than in this process. Such runs are also counted by AddStarted
-// and AddCompleted; this counter tags how many of them went remote.
-func (p *Progress) AddRemote(n uint64) { p.remote.Add(n) }
-
 // ProgressSnapshot is a consistent-enough point-in-time view of the
 // counters (each field is individually atomic).
 type ProgressSnapshot struct {
@@ -129,7 +123,6 @@ type ProgressSnapshot struct {
 	CacheErrors  uint64
 	PutErrors    uint64
 	Evictions    uint64
-	Remote       uint64
 	Instructions uint64
 	Elapsed      time.Duration
 }
@@ -152,7 +145,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		CacheErrors:  p.cacheErrors.Load(),
 		PutErrors:    p.putErrors.Load(),
 		Evictions:    p.evictions.Load(),
-		Remote:       p.remote.Load(),
 		Instructions: p.instructions.Load(),
 		Elapsed:      elapsed,
 	}

@@ -28,9 +28,6 @@ const (
 	SourceShard = "shard"
 	// SourceSimulated marks a run that actually executed in this process.
 	SourceSimulated = "simulated"
-	// SourceRemote marks a run executed by a remote worker through a
-	// cluster executor (internal/cluster).
-	SourceRemote = "remote"
 )
 
 // Cache is a pluggable content-addressed report store consulted by the

@@ -21,10 +21,15 @@
 //     restarts. A singleflight layer coalesces concurrent identical
 //     submissions either way. Cached reports are copied on return; callers
 //     can never corrupt each other.
+//   - Worker slots: a run takes one of the pool's slots only to execute.
+//     Joining an identical in-flight run and looking the key up in the
+//     cache stack happen before the slot, so hits never queue behind
+//     simulations, and a fleet claim that answers "wait" gives the slot
+//     back while it waits (see Options.Claimer).
 //   - Draining: Drain moves the runner into shutdown mode — runs already
-//     holding a worker slot finish (and persist), runs still queued settle
-//     immediately with ErrDraining. The serving layer uses this for
-//     graceful SIGTERM handling.
+//     holding a worker slot finish (and persist), runs still queued or
+//     waiting on a fleet claim settle immediately with ErrDraining. The
+//     serving layer uses this for graceful SIGTERM handling.
 //   - Observability: progress, throughput, and per-tier cache counters are
 //     exposed via internal/metrics.Progress for CLI progress lines and the
 //     daemon's expvar page.
@@ -45,32 +50,17 @@ import (
 )
 
 // ErrDraining is the settlement error for runs that were still queued
-// (waiting for a worker slot) when Drain was called, and for runs
-// submitted after it.
+// (waiting for a worker slot or on a fleet claim) when Drain was called,
+// and for runs submitted after it.
 var ErrDraining = errors.New("runner draining: queued run rejected")
 
 // SimulateFunc executes one simulation. The default is
 // sim.SimulateContext; tests substitute stubs.
 type SimulateFunc func(ctx context.Context, m config.Machine, r config.Run) (*metrics.Report, error)
 
-// Executor is the seam between the runner and whatever actually executes a
-// simulation that missed every cache tier. The tier result names where the
-// work happened (SourceSimulated for in-process execution, SourceRemote for
-// a cluster worker) and becomes the Pending's Source. Implementations must
-// be safe for concurrent use; the runner's worker pool bounds how many
-// Execute calls are in flight at once.
-type Executor interface {
-	Execute(ctx context.Context, m config.Machine, r config.Run) (*metrics.Report, string, error)
-}
-
-// simExecutor adapts a SimulateFunc to the Executor seam: plain in-process
-// execution.
-type simExecutor struct{ fn SimulateFunc }
-
-func (e simExecutor) Execute(ctx context.Context, m config.Machine, r config.Run) (*metrics.Report, string, error) {
-	rep, err := e.fn(ctx, m, r)
-	return rep, SourceSimulated, err
-}
+// claimRetry is the wait before re-asking for a fleet claim when the
+// shard's "wait" answer carries no retry hint.
+const claimRetry = 25 * time.Millisecond
 
 // Options configure a Runner.
 type Options struct {
@@ -98,20 +88,18 @@ type Options struct {
 	Progress *metrics.Progress
 
 	// Simulate substitutes the simulation function (tests). Nil means
-	// sim.SimulateContext. Ignored when Executor is set.
+	// sim.SimulateContext.
 	Simulate SimulateFunc
 
-	// Executor substitutes the whole execution seam — cache misses are
-	// handed to it instead of the in-process simulator. The cluster
-	// coordinator plugs in here to dispatch runs to remote workers. Nil
-	// means in-process execution via Simulate.
-	Executor Executor
-
 	// Claimer, when non-nil, extends the in-process singleflight across a
-	// fleet: before executing a cache miss, the flight owner asks the
-	// Claimer (the sharded store) who should simulate the key. A cold
+	// fleet: holding a worker slot for a cache miss, the flight owner asks
+	// the Claimer (the sharded store) who should simulate the key. A cold
 	// popular key then triggers exactly one simulation fleet-wide, not one
-	// per front end. Nil keeps coalescing process-local.
+	// per front end. A "wait" answer hands the slot back: the run waits
+	// the retry hint outside it, looks the key up again and rejoins the
+	// back of the slot queue, so nodes given the same sweep each take the
+	// keys nobody else holds. A granted claim is renewed every TTL/3 while
+	// the run executes. Nil keeps coalescing process-local.
 	Claimer store.Claimer
 }
 
@@ -125,7 +113,7 @@ type Runner struct {
 	claimer   store.Claimer
 	timeout   time.Duration
 	prog      *metrics.Progress
-	executor  Executor
+	simFn     SimulateFunc
 	drain     chan struct{}
 	drainOnce sync.Once
 }
@@ -152,36 +140,32 @@ func New(o Options) *Runner {
 	if cache != nil {
 		flight = newFlightGroup()
 	}
-	executor := o.Executor
-	if executor == nil {
-		simFn := o.Simulate
-		if simFn == nil {
-			simFn = sim.SimulateContext
-		}
-		executor = simExecutor{fn: simFn}
+	simFn := o.Simulate
+	if simFn == nil {
+		simFn = sim.SimulateContext
 	}
 	var claimer store.Claimer
 	if cache != nil {
 		claimer = o.Claimer
 	}
 	return &Runner{
-		slots:    make(chan struct{}, workers),
-		cache:    cache,
-		flight:   flight,
-		claimer:  claimer,
-		timeout:  o.Timeout,
-		prog:     prog,
-		executor: executor,
-		drain:    make(chan struct{}),
+		slots:   make(chan struct{}, workers),
+		cache:   cache,
+		flight:  flight,
+		claimer: claimer,
+		timeout: o.Timeout,
+		prog:    prog,
+		simFn:   simFn,
+		drain:   make(chan struct{}),
 	}
 }
 
 // Drain moves the runner into shutdown mode, once: submissions that have
-// not yet acquired a worker slot — queued now or submitted later — settle
-// immediately with ErrDraining, while runs already executing are
-// unaffected and finish normally (persisting their results through the
-// cache stack). Waiters coalesced onto an executing run still receive its
-// result.
+// not yet acquired a worker slot — queued now, waiting on a fleet claim,
+// or submitted later — settle immediately with ErrDraining, while runs
+// already executing are unaffected and finish normally (persisting their
+// results through the cache stack). Waiters coalesced onto an executing
+// run still receive its result.
 func (r *Runner) Drain() {
 	r.drainOnce.Do(func() { close(r.drain) })
 }
@@ -218,16 +202,17 @@ func (p *Pending) Wait() (*metrics.Report, error) {
 }
 
 // Source reports where a successful result came from: SourceSimulated,
-// SourceRemote, SourceMemory, or SourceDisk. It blocks until the
+// SourceMemory, SourceDisk, or SourceShard. It blocks until the
 // simulation settles and returns "" for failed runs.
 func (p *Pending) Source() string {
 	<-p.done
 	return p.src
 }
 
-// Submit enqueues one simulation and returns immediately. The run starts
-// as soon as a worker slot frees up; a context cancelled before then
-// settles the Pending without the simulation ever starting.
+// Submit enqueues one simulation and returns immediately. A cache hit
+// settles without a worker slot; a miss starts as soon as a slot frees
+// up, and a context cancelled before then settles the Pending without
+// the simulation ever starting.
 func (r *Runner) Submit(ctx context.Context, m config.Machine, run config.Run) *Pending {
 	if ctx == nil {
 		ctx = context.Background() //icrvet:ignore ctxflow nil-ctx compatibility seam: Submit's documented default for non-cancellable callers
@@ -236,31 +221,6 @@ func (r *Runner) Submit(ctx context.Context, m config.Machine, run config.Run) *
 	r.prog.AddSubmitted(1)
 	go func() {
 		defer close(p.done)
-		// Explicit pre-checks: when the context is already cancelled (or
-		// the runner already draining) the select below could still win
-		// the slot branch by chance, and such a run must never start.
-		if err := ctx.Err(); err != nil {
-			p.err = fmt.Errorf("runner: %s: %w", run.Name(), err)
-			r.prog.AddFailed(1)
-			return
-		}
-		if r.Draining() {
-			p.err = fmt.Errorf("runner: %s: %w", run.Name(), ErrDraining)
-			r.prog.AddFailed(1)
-			return
-		}
-		select {
-		case r.slots <- struct{}{}:
-			defer func() { <-r.slots }()
-		case <-ctx.Done():
-			p.err = fmt.Errorf("runner: %s: %w", run.Name(), ctx.Err())
-			r.prog.AddFailed(1)
-			return
-		case <-r.drain:
-			p.err = fmt.Errorf("runner: %s: %w", run.Name(), ErrDraining)
-			r.prog.AddFailed(1)
-			return
-		}
 		rep, src, err := r.simulate(ctx, m, run)
 		if err != nil {
 			p.err = fmt.Errorf("runner: %s: %w", run.Name(), err)
@@ -309,74 +269,30 @@ func Collect(pendings []*Pending) ([]*metrics.Report, error) {
 // simulate executes one run through the cache stack (when eligible),
 // reporting where the result came from.
 func (r *Runner) simulate(ctx context.Context, m config.Machine, run config.Run) (*metrics.Report, string, error) {
+	// A run submitted after Drain, or under an already-cancelled context,
+	// settles without a cache lookup or a slot.
+	if err := r.admissible(ctx); err != nil {
+		return nil, "", err
+	}
 	if r.cache == nil {
-		return r.exec(ctx, m, run)
+		return r.execSlot(ctx, m, run)
 	}
 	key, ok := KeyFor(m, run)
 	if !ok {
 		// Opaque inputs (function hooks, unknown hint policies) cannot be
 		// content-addressed; run uncached.
-		return r.exec(ctx, m, run)
+		return r.execSlot(ctx, m, run)
 	}
 	for {
 		e, owner := r.flight.claim(key)
 		if owner {
-			if rep, tier, err := r.cacheGet(ctx, key); err == nil {
-				r.flight.settle(key, e, rep, nil)
-				// The cache keeps its own copy; hand the caller another
-				// so later hits never observe caller mutations.
-				return copyReport(rep), tier, nil
-			} else if !errors.Is(err, store.ErrMiss) {
-				// A sick layer (disk I/O trouble, dead shard) degrades to
-				// execution — visible in the counter, fatal to nothing.
-				r.prog.AddCacheError(1)
-			}
-			r.prog.AddCacheMiss(1)
-
-			// Fleet-wide anti-stampede: ask the sharded store who should
-			// simulate this key. Only the flight owner gets here, so one
-			// process issues at most one claim per key.
-			var release func()
-			if r.claimer != nil {
-				owned, rel, cerr := r.claimer.Claim(ctx, key.String())
-				switch {
-				case cerr != nil:
-					// Claim errors only surface for caller cancellation
-					// (shard trouble degrades to owned=true inside the
-					// claimer).
-					r.flight.settle(key, e, nil, cerr)
-					return nil, "", cerr
-				case !owned:
-					// Another fleet member simulated it; its result should
-					// now be one Get away.
-					if rep, tier, err := r.cacheGet(ctx, key); err == nil {
-						r.flight.settle(key, e, rep, nil)
-						return copyReport(rep), tier, nil
-					}
-					// Not visible (replica lag, shard loss): simulate
-					// locally — duplicate work, never wrong results.
-				default:
-					release = rel
-				}
-			}
-
-			rep, tier, err := r.exec(ctx, m, run)
-			if err == nil {
-				if perr := r.cache.Put(ctx, key, rep); perr != nil {
-					r.prog.AddPutError(1)
-					if release != nil {
-						// The Put that would have cleared the fleet claim
-						// never landed; free the waiters explicitly.
-						release()
-					}
-				}
-			} else if release != nil {
-				release()
-			}
+			rep, tier, err := r.fill(ctx, key, m, run)
 			r.flight.settle(key, e, rep, err)
 			if err != nil {
 				return nil, "", err
 			}
+			// The cache keeps its own copy; hand the caller another so
+			// later hits never observe caller mutations.
 			return copyReport(rep), tier, nil
 		}
 		select {
@@ -398,6 +314,169 @@ func (r *Runner) simulate(ctx context.Context, m config.Machine, run config.Run)
 	}
 }
 
+// fill produces the report for a key this process's flight owns: a
+// cache lookup, then — on a miss — a worker slot, the fleet claim, and
+// execution with write-back.
+func (r *Runner) fill(ctx context.Context, key Key, m config.Machine, run config.Run) (*metrics.Report, string, error) {
+	rep, tier, err := r.cacheGet(ctx, key)
+	if err == nil {
+		return rep, tier, nil
+	}
+	if !errors.Is(err, store.ErrMiss) {
+		// A sick layer (disk I/O trouble, dead shard) degrades to
+		// execution — visible in the counter, fatal to nothing.
+		r.prog.AddCacheError(1)
+	}
+	r.prog.AddCacheMiss(1)
+	for {
+		if err := r.acquire(ctx); err != nil {
+			return nil, "", err
+		}
+		// Fleet claim: only the flight owner gets here, so one process
+		// holds at most one claim request per key at a time. Without a
+		// Claimer the zero answer falls through to execution.
+		var c store.ClaimResponse
+		if r.claimer != nil {
+			if c, err = r.claimer.Claim(ctx, key.String(), ""); err != nil {
+				r.release()
+				return nil, "", err
+			}
+		}
+		switch c.State {
+		case store.ClaimWait:
+			// Another node simulates it. Free the slot for a key nobody
+			// holds, wait outside it, then look again and requeue.
+			r.release()
+			if err := r.await(ctx, c.RetryAfterMS); err != nil {
+				return nil, "", err
+			}
+			if rep, tier, err := r.cacheGet(ctx, key); err == nil {
+				return rep, tier, nil
+			}
+			continue
+		case store.ClaimDone:
+			// Another node simulated it; its result should now be one Get
+			// away.
+			if rep, tier, err := r.cacheGet(ctx, key); err == nil {
+				r.release()
+				return rep, tier, nil
+			}
+			// Not visible (replica lag, shard loss): simulate locally —
+			// duplicate work, never wrong results.
+			c = store.ClaimResponse{}
+		}
+		stop := r.renew(ctx, key.String(), c)
+		rep, err := r.exec(ctx, m, run)
+		stop()
+		r.release()
+		if err == nil {
+			if err := r.cache.Put(ctx, key, rep); err != nil {
+				r.prog.AddPutError(1)
+				// The Put that would have cleared the fleet claim never
+				// landed; free the waiters explicitly.
+				r.unclaim(ctx, key.String(), c)
+			}
+			return rep, SourceSimulated, nil
+		}
+		r.unclaim(ctx, key.String(), c)
+		return nil, "", err
+	}
+}
+
+// renew keeps a granted claim alive while its run executes: every TTL/3
+// it renews with the holder token, stopping at the first answer that is
+// not a grant — the claim lapsed and may now be another node's. The run
+// itself goes on either way: its result is the same bytes whoever Puts
+// them. The returned stop ends renewal and waits for it to finish.
+func (r *Runner) renew(ctx context.Context, key string, c store.ClaimResponse) (stop func()) {
+	if c.Token == "" || c.TTLMS <= 0 {
+		return func() {}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Duration(c.TTLMS) * time.Millisecond / 3)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+			case <-ctx.Done():
+				return
+			}
+			got, err := r.claimer.Claim(ctx, key, c.Token)
+			if err != nil || got.State != store.ClaimGranted {
+				return
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
+// unclaim releases a granted claim whose result will not land.
+func (r *Runner) unclaim(ctx context.Context, key string, c store.ClaimResponse) {
+	if c.Token == "" {
+		return
+	}
+	r.claimer.Unclaim(ctx, key, c.Token) //icrvet:ignore droppederr best-effort release; waiters fall back to the claim TTL
+}
+
+// admissible reports why a run must not start now: a cancelled context
+// or a draining runner.
+func (r *Runner) admissible(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if r.Draining() {
+		return ErrDraining
+	}
+	return nil
+}
+
+// acquire takes a worker slot, or fails with the context's error or
+// ErrDraining.
+func (r *Runner) acquire(ctx context.Context) error {
+	// Explicit pre-check: when the context is already cancelled (or the
+	// runner already draining) the select below could still win the slot
+	// branch by chance, and such a run must never start.
+	if err := r.admissible(ctx); err != nil {
+		return err
+	}
+	select {
+	case r.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-r.drain:
+		return ErrDraining
+	}
+}
+
+// release frees a worker slot taken by acquire.
+func (r *Runner) release() { <-r.slots }
+
+// await sleeps out a claim's retry hint, or fails with the context's
+// error or ErrDraining.
+func (r *Runner) await(ctx context.Context, retryMS int64) error {
+	d := time.Duration(retryMS) * time.Millisecond
+	if d <= 0 {
+		d = claimRetry
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-r.drain:
+		return ErrDraining
+	}
+}
+
 // cacheGet reads the cache stack and accounts the hit to its tier.
 func (r *Runner) cacheGet(ctx context.Context, key Key) (*metrics.Report, string, error) {
 	rep, tier, err := r.cache.Get(ctx, key)
@@ -415,21 +494,32 @@ func (r *Runner) cacheGet(ctx context.Context, key Key) (*metrics.Report, string
 	return rep, tier, nil
 }
 
-// exec hands one run to the executor with the per-run timeout applied.
-func (r *Runner) exec(ctx context.Context, m config.Machine, run config.Run) (*metrics.Report, string, error) {
+// execSlot executes an uncached run on a worker slot.
+func (r *Runner) execSlot(ctx context.Context, m config.Machine, run config.Run) (*metrics.Report, string, error) {
+	if err := r.acquire(ctx); err != nil {
+		return nil, "", err
+	}
+	defer r.release()
+	rep, err := r.exec(ctx, m, run)
+	if err != nil {
+		return nil, "", err
+	}
+	return rep, SourceSimulated, nil
+}
+
+// exec runs one simulation with the per-run timeout applied. The caller
+// holds a worker slot.
+func (r *Runner) exec(ctx context.Context, m config.Machine, run config.Run) (*metrics.Report, error) {
 	if r.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.timeout)
 		defer cancel()
 	}
 	r.prog.AddStarted(1)
-	rep, tier, err := r.executor.Execute(ctx, m, run)
+	rep, err := r.simFn(ctx, m, run)
 	if err != nil {
-		return nil, "", err
-	}
-	if tier == SourceRemote {
-		r.prog.AddRemote(1)
+		return nil, err
 	}
 	r.prog.AddCompleted(rep.Instructions)
-	return rep, tier, nil
+	return rep, nil
 }

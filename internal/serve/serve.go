@@ -7,12 +7,9 @@
 //	                       metrics.Report JSON and the cache tier that
 //	                       served it ("simulated", "memory", "disk")
 //	POST /v1/figures/{id}  one experiment driver (experiments.IDs)
-//	POST /cluster/v1/...   coordinator endpoints for icrworker fleets
-//	                       (register, heartbeat, lease, renew, complete;
-//	                       mounted only when Options.Cluster is set)
 //	GET  /store/v1/{key}   shard read: the stored report or 404
 //	PUT  /store/v1/{key}   shard write-through (also clears the claim)
-//	POST /store/v1/claim/{key}   anti-stampede claim: granted|wait|done
+//	POST /store/v1/claim/{key}   claim or renew: granted|wait|done
 //	DELETE /store/v1/claim/{key} claim release (simulation failed)
 //	                       (store endpoints mounted only with
 //	                       Options.ShardAPI; see internal/store.Remote for
@@ -52,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -98,12 +94,6 @@ type Options struct {
 	// RequestTimeout caps every request's context (0 = no cap). A
 	// request's own timeout_ms can only shorten it further.
 	RequestTimeout time.Duration
-
-	// Cluster, when non-nil, mounts the coordinator's /cluster/v1/...
-	// endpoints, adds fleet stats to /debug/vars, and includes the
-	// coordinator in Drain. Pair it with a Runner built over the
-	// coordinator as its Executor (cliflag.Sim.NewRunnerExecutor).
-	Cluster *cluster.Coordinator
 }
 
 // Server is the icrd HTTP service. Create with New, expose via Handler,
@@ -112,7 +102,6 @@ type Server struct {
 	eng        *runner.Runner
 	backend    store.Backend
 	claims     *store.ClaimTable
-	coord      *cluster.Coordinator
 	admit      chan struct{}
 	storeAdmit chan struct{}
 	reqTimeout time.Duration
@@ -153,14 +142,10 @@ func New(o Options) *Server {
 	s := &Server{
 		eng:        o.Runner,
 		backend:    o.Backend,
-		coord:      o.Cluster,
 		admit:      make(chan struct{}, depth),
 		storeAdmit: make(chan struct{}, storeDepth),
 		reqTimeout: o.RequestTimeout,
 		mux:        http.NewServeMux(),
-	}
-	if s.coord != nil {
-		s.mux.Handle("POST /cluster/v1/", s.coord.Handler())
 	}
 	if o.ShardAPI {
 		if s.backend == nil {
@@ -198,15 +183,9 @@ func New(o Options) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain moves the runner into shutdown mode: executing simulations finish
-// and persist, queued ones are rejected. With a cluster coordinator, the
-// drain is fleet-wide: leasing stops, queued tasks settle with
-// ErrDraining, and workers finish and upload in-flight work. Safe to call
-// more than once.
+// and persist, queued ones are rejected. Safe to call more than once.
 func (s *Server) Drain() {
 	s.eng.Drain()
-	if s.coord != nil {
-		s.coord.Drain()
-	}
 	if s.backend != nil {
 		// The disk store's Drain is a no-op by contract (executing
 		// simulations must still persist); remote backends release their
@@ -221,6 +200,7 @@ func (s *Server) stats() map[string]any {
 	snap := s.eng.Progress().Snapshot()
 	out := map[string]any{
 		"submitted":    snap.Submitted,
+		"started":      snap.Started,
 		"completed":    snap.Completed,
 		"failed":       snap.Failed,
 		"memory_hits":  snap.MemoHits,
@@ -230,7 +210,6 @@ func (s *Server) stats() map[string]any {
 		"cache_errors": snap.CacheErrors,
 		"put_errors":   snap.PutErrors,
 		"evictions":    snap.Evictions,
-		"remote":       snap.Remote,
 		"inflight":     s.inflight.Load(),
 		"admitted":     s.admitted.Load(),
 		"rejected":     s.rejected.Load(),
@@ -260,13 +239,11 @@ func (s *Server) stats() map[string]any {
 			"claims_held":    s.claims.Len(),
 			"claims_granted": s.claims.Granted(),
 			"claims_waited":  s.claims.Waited(),
+			"claims_expired": s.claims.Expired(),
 			"inflight":       s.storeInflight.Load(),
 			"rejected":       s.storeRejected.Load(),
 			"queue_depth":    cap(s.storeAdmit),
 		}
-	}
-	if s.coord != nil {
-		out["cluster"] = s.coord.StatsSnapshot()
 	}
 	return out
 }

@@ -11,9 +11,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/metrics"
@@ -109,17 +111,19 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.claims != nil {
-		s.claims.Release(key)
+		s.claims.Release(key, "")
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleClaim serves POST /store/v1/claim/{key}: the fleet-wide
-// anti-stampede election. If the result already exists the answer is
-// "done" (re-Get it); otherwise the first claimant is "granted" and
-// everyone else "wait"s with a poll hint. A granted claim is cleared by
-// the winner's PUT, an explicit DELETE, or the claim TTL (crashed
-// winner).
+// handleClaim serves POST /store/v1/claim/{key}: the fleet-wide claim
+// election. If the result already exists the answer is "done" (re-Get
+// it). A request without a token asks for a new claim: the first
+// claimant is "granted" a holder token and the claim TTL, everyone else
+// "wait"s with a poll hint. A request carrying the holder's token renews
+// the claim by one TTL ("granted") or learns it was lost ("wait"). A
+// granted claim is cleared by a PUT of the result, the holder's DELETE,
+// or the TTL running out on a holder that stopped renewing.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.tryAdmitStore(w)
 	if !ok {
@@ -130,6 +134,11 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	req, err := decodeClaimRequest(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if _, err := s.backend.Get(r.Context(), key); err == nil {
 		writeJSON(w, http.StatusOK, store.ClaimResponse{State: store.ClaimDone})
 		return
@@ -137,19 +146,26 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	granted, _ := s.claims.Claim(key)
-	if granted {
-		writeJSON(w, http.StatusOK, store.ClaimResponse{State: store.ClaimGranted})
+	token := req.Token
+	if token == "" {
+		token, _ = s.claims.Claim(key)
+	} else if !s.claims.Renew(key, token) {
+		token = ""
+	}
+	if token == "" {
+		writeJSON(w, http.StatusOK, store.ClaimResponse{State: store.ClaimWait, RetryAfterMS: claimRetryHintMS})
 		return
 	}
 	writeJSON(w, http.StatusOK, store.ClaimResponse{
-		State:        store.ClaimWait,
-		RetryAfterMS: claimRetryHintMS,
+		State: store.ClaimGranted,
+		Token: token,
+		TTLMS: s.claims.TTL().Milliseconds(),
 	})
 }
 
-// handleUnclaim serves DELETE /store/v1/claim/{key}: the winner's
-// simulation failed, free the waiters early.
+// handleUnclaim serves DELETE /store/v1/claim/{key}: the holder's
+// simulation failed, free the waiters early. Only the holder's token
+// releases the claim.
 func (s *Server) handleUnclaim(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.tryAdmitStore(w)
 	if !ok {
@@ -160,6 +176,44 @@ func (s *Server) handleUnclaim(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.claims.Release(key)
+	req, err := decodeClaimRequest(w, r)
+	if err == nil && req.Token == "" {
+		err = errors.New("claim release needs the holder token")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.claims.Release(key, req.Token)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// decodeClaimRequest strictly decodes a claim request body of at most
+// store.MaxClaimBody bytes: empty, or — up to JSON whitespace — exactly
+// the encoding of a store.ClaimRequest whose token is well-formed.
+// Unknown or duplicate fields, other spellings of the field name,
+// escapes, null, and trailing data are all malformed.
+func decodeClaimRequest(w http.ResponseWriter, r *http.Request) (store.ClaimRequest, error) {
+	var req store.ClaimRequest
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, store.MaxClaimBody))
+	if err != nil {
+		return req, fmt.Errorf("reading claim body: %w", err)
+	}
+	if len(body) == 0 {
+		return req, nil
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		return req, fmt.Errorf("decoding claim body: %w", err)
+	}
+	if err := json.Unmarshal(compact.Bytes(), &req); err != nil {
+		return req, fmt.Errorf("decoding claim body: %w", err)
+	}
+	if canon, err := json.Marshal(req); err != nil || !bytes.Equal(canon, compact.Bytes()) {
+		return req, errors.New(`decoding claim body: want {"token":"<32 hex digits>"} or {}`)
+	}
+	if req.Token != "" && !store.ValidClaimToken(req.Token) {
+		return req, fmt.Errorf("malformed claim token %q", req.Token)
+	}
+	return req, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,7 +23,7 @@ import (
 
 // newShardServer spins up one icrd shard: a disk store behind the
 // /store/v1/ endpoints.
-func newShardServer(t *testing.T) (*Server, *httptest.Server, *store.Store) {
+func newShardServer(t testing.TB) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -68,20 +69,35 @@ func TestShardAPIRoundTrip(t *testing.T) {
 
 	// Claim lifecycle on a second, cold key.
 	key2 := shardKey(1)
-	cr, err := rc.Claim(ctx, key2)
-	if err != nil || cr.State != store.ClaimGranted {
-		t.Fatalf("first claim = %+v, %v, want granted", cr, err)
+	held, err := rc.Claim(ctx, key2, "")
+	if err != nil || held.State != store.ClaimGranted || !store.ValidClaimToken(held.Token) ||
+		held.TTLMS != store.DefaultClaimTTL.Milliseconds() {
+		t.Fatalf("first claim = %+v, %v, want granted with a token and the default TTL", held, err)
 	}
-	cr, err = rc.Claim(ctx, key2)
+	cr, err := rc.Claim(ctx, key2, "")
 	if err != nil || cr.State != store.ClaimWait || cr.RetryAfterMS <= 0 {
 		t.Fatalf("second claim = %+v, %v, want wait with hint", cr, err)
+	}
+	cr, err = rc.Claim(ctx, key2, held.Token)
+	if err != nil || cr.State != store.ClaimGranted || cr.Token != held.Token {
+		t.Fatalf("renewal = %+v, %v, want granted under the holder token", cr, err)
 	}
 	if err := rc.Put(ctx, key2, shardReport()); err != nil {
 		t.Fatal(err)
 	}
-	cr, err = rc.Claim(ctx, key2)
+	cr, err = rc.Claim(ctx, key2, "")
 	if err != nil || cr.State != store.ClaimDone {
 		t.Fatalf("claim after put = %+v, %v, want done", cr, err)
+	}
+
+	// A holder's release frees the key at once.
+	key3 := shardKey(2)
+	held, _ = rc.Claim(ctx, key3, "")
+	if err := rc.Unclaim(ctx, key3, held.Token); err != nil {
+		t.Fatal(err)
+	}
+	if cr, _ := rc.Claim(ctx, key3, ""); cr.State != store.ClaimGranted {
+		t.Fatalf("claim after the holder's release = %+v, want granted", cr)
 	}
 }
 
@@ -141,11 +157,10 @@ func TestShardAPIDrainDiscipline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned, release, err := sh.Claim(ctx, shardKey(0))
-	if err != nil || !owned {
-		t.Fatalf("claim against draining shard: owned=%v err=%v, want local degradation", owned, err)
+	cr, err := sh.Claim(ctx, shardKey(0), "")
+	if err != nil || cr.State != store.ClaimGranted || cr.Token != "" {
+		t.Fatalf("claim against draining shard: %+v err=%v, want a token-less local grant", cr, err)
 	}
-	release()
 }
 
 // TestShardAPIStoreQueueBound: requests beyond StoreQueueDepth get 429 +
@@ -262,4 +277,191 @@ func TestFleetAntiStampede(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("%d simulations executed fleet-wide for one cold key, want exactly 1", got)
 	}
+}
+
+// shardClock is a manually advanced clock for the shard's claim table.
+type shardClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *shardClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *shardClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// TestClaimStaleHolderAfterTakeover is the injected failure "a claimant
+// that dies while holding a claim", on a fake clock: the holder stops
+// renewing, another claimant takes the key over after one TTL, the stale
+// holder's late renewal is refused, and its late PUT is harmless — the
+// bytes are the same content-addressed result, and the new holder's
+// next renewal and every waiter just learn the result is done.
+func TestClaimStaleHolderAfterTakeover(t *testing.T) {
+	s, ts, st := newShardServer(t)
+	clk := &shardClock{t: time.Unix(1000, 0)}
+	const ttl = 15 * time.Second
+	s.claims = store.NewClaimTableClock(ttl, clk.now)
+	rc := store.NewRemote(ts.URL, nil)
+	ctx := context.Background()
+	key := shardKey(3)
+
+	stale, err := rc.Claim(ctx, key, "")
+	if err != nil || stale.State != store.ClaimGranted || stale.TTLMS != ttl.Milliseconds() {
+		t.Fatalf("first claim = %+v, %v", stale, err)
+	}
+	clk.advance(ttl)
+	heir, err := rc.Claim(ctx, key, "")
+	if err != nil || heir.State != store.ClaimGranted || heir.Token == stale.Token {
+		t.Fatalf("claim after one unrenewed TTL = %+v, %v, want a takeover under a new token", heir, err)
+	}
+	if cr, _ := rc.Claim(ctx, key, stale.Token); cr.State == store.ClaimGranted {
+		t.Fatal("stale holder's late renewal granted")
+	}
+	if cr, _ := rc.Claim(ctx, key, ""); cr.State != store.ClaimWait {
+		t.Fatalf("waiter during the takeover = %+v, want wait", cr)
+	}
+
+	// The stale holder finishes anyway and PUTs its result.
+	if err := rc.Put(ctx, key, shardReport()); err != nil {
+		t.Fatalf("stale holder's late PUT: %v", err)
+	}
+	for _, tok := range []string{heir.Token, ""} {
+		if cr, _ := rc.Claim(ctx, key, tok); cr.State != store.ClaimDone {
+			t.Errorf("claim (token %q) after the late PUT = %+v, want done", tok, cr)
+		}
+	}
+	// The new holder's own PUT of the same result changes nothing.
+	if err := rc.Put(ctx, key, shardReport()); err != nil {
+		t.Fatalf("new holder's PUT: %v", err)
+	}
+	rep, err := st.Get(ctx, key)
+	if err != nil || rep.Cycles != shardReport().Cycles {
+		t.Fatalf("stored report after both PUTs = %+v, %v", rep, err)
+	}
+	if n := s.claims.Expired(); n != 1 {
+		t.Errorf("claims expired = %d, want 1", n)
+	}
+}
+
+// claimStatus sends one claim request with the given method and raw body.
+func claimStatus(t testing.TB, url, method string, body []byte) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestClaimBodyStrict: the claim endpoint accepts an empty body or the
+// canonical token object, and answers 400 to everything else.
+func TestClaimBodyStrict(t *testing.T) {
+	_, ts, _ := newShardServer(t)
+	url := ts.URL + store.ClaimPathPrefix + shardKey(4)
+	tok := strings.Repeat("ab", 16)
+	for _, body := range []string{"", "{}", ` { "token" : "` + tok + `" } `} {
+		if code := claimStatus(t, url, http.MethodPost, []byte(body)); code != http.StatusOK {
+			t.Errorf("POST %q = %d, want 200", body, code)
+		}
+	}
+	for _, body := range []string{
+		" ", "null", "[]", `"x"`, "{", `{"token":5}`, `{"token":null}`, `{"token":""}`,
+		`{"TOKEN":"` + tok + `"}`, `{"token":"` + tok + `","x":1}`, `{"token":"abc"}`,
+		`{"token":"` + strings.ToUpper(tok) + `"}`, `{"token":"` + tok + `"}{}`,
+		`{"token":"` + tok + `","token":"` + tok + `"}`, `{"token":"\u0061` + tok[1:] + `"}`,
+		`{"token":"` + tok + `"` + strings.Repeat(" ", store.MaxClaimBody) + `}`,
+	} {
+		if code := claimStatus(t, url, http.MethodPost, []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("POST %q = %d, want 400", body, code)
+		}
+	}
+	if code := claimStatus(t, url, http.MethodDelete, nil); code != http.StatusBadRequest {
+		t.Errorf("DELETE without a token = %d, want 400", code)
+	}
+	if code := claimStatus(t, url, http.MethodDelete, []byte(`{"token":"`+tok+`"}`)); code != http.StatusNoContent {
+		t.Errorf("DELETE with a token = %d, want 204", code)
+	}
+}
+
+// wellFormedClaimBody is the fuzz oracle for claim bodies, written
+// independently of the handler: empty, or — after removing JSON
+// whitespace outside strings — exactly {} or {"token":"<32 hex>"}.
+func wellFormedClaimBody(body []byte) bool {
+	if len(body) == 0 {
+		return true
+	}
+	if len(body) > store.MaxClaimBody {
+		return false
+	}
+	var b []byte
+	inString, escaped := false, false
+	for _, c := range body {
+		switch {
+		case inString:
+			b = append(b, c)
+			if escaped {
+				escaped = false
+			} else if c == '\\' {
+				escaped = true
+			} else if c == '"' {
+				inString = false
+			}
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		default:
+			b = append(b, c)
+			if c == '"' {
+				inString = true
+			}
+		}
+	}
+	if string(b) == "{}" {
+		return true
+	}
+	const pre, post = `{"token":"`, `"}`
+	if len(b) != len(pre)+32+len(post) || string(b[:len(pre)]) != pre || string(b[len(b)-len(post):]) != post {
+		return false
+	}
+	for _, c := range b[len(pre) : len(pre)+32] {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzClaimBody: whatever body arrives on the claim endpoint, the
+// handler never panics, answers 200 to a well-formed body and 400 to
+// any other.
+func FuzzClaimBody(f *testing.F) {
+	tok := strings.Repeat("0f", 16)
+	for _, seed := range []string{"", "{}", `{"token":"` + tok + `"}`, ` {"token" :"` + tok + `"}` + "\n",
+		"null", `{"token":""}`, `{"Token":"` + tok + `"}`, `{"token":"` + tok + `"}{}`, "\x00", `{"token":"\u0030"}`} {
+		f.Add([]byte(seed))
+	}
+	s, _, _ := newShardServer(f)
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, store.ClaimPathPrefix+shardKey(5), bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		want := http.StatusBadRequest
+		if wellFormedClaimBody(body) {
+			want = http.StatusOK
+		}
+		if rec.Code != want {
+			t.Fatalf("POST %q = %d, want %d (%s)", body, rec.Code, want, rec.Body.Bytes())
+		}
+	})
 }

@@ -57,6 +57,9 @@ func SimulateContext(ctx context.Context, m config.Machine, r config.Run) (*metr
 	if err := r.TwoTier.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if err := r.Fault.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	// Canonicalize before shapeOf so equal-after-defaulting configs share
 	// a pool shape.
 	r.Adapt = r.Adapt.Normalized()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -115,6 +116,41 @@ func TestTwoTierValidation(t *testing.T) {
 	r.TwoTier = config.TwoTier{Replicate: true} // replication needs a detector
 	if _, err := Simulate(m, r); err == nil {
 		t.Error("replicate-without-protect accepted")
+	}
+}
+
+// TestSimulateRejectsBadFault: a run-level fault configuration the
+// injector cannot run is an error from SimulateContext, not a panic deep
+// inside the injector.
+func TestSimulateRejectsBadFault(t *testing.T) {
+	m := config.Default()
+	for _, tc := range []struct {
+		name  string
+		fc    config.FaultConfig
+		valid bool
+	}{
+		{"off", config.FaultConfig{}, true},
+		{"off-without-model", config.FaultConfig{Seed: 3}, true},
+		{"random", config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 3}, true},
+		{"certain", config.FaultConfig{Model: fault.Direct, Prob: 1, Seed: 3}, true},
+		{"prob-without-model", config.FaultConfig{Prob: 1e-3, Seed: 3}, false},
+		{"unknown-model", config.FaultConfig{Model: fault.Model(99), Prob: 1e-3}, false},
+		{"prob-above-one", config.FaultConfig{Model: fault.Random, Prob: 2}, false},
+		{"negative-prob", config.FaultConfig{Model: fault.Random, Prob: -1e-3}, false},
+		{"nan-prob", config.FaultConfig{Model: fault.Random, Prob: math.NaN()}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := config.NewRun("gzip", core.BaseP())
+			r.Instructions = 2000
+			r.Fault = tc.fc
+			_, err := Simulate(m, r)
+			if tc.valid && err != nil {
+				t.Fatalf("valid fault config rejected: %v", err)
+			}
+			if !tc.valid && err == nil {
+				t.Fatal("invalid fault config accepted")
+			}
+		})
 	}
 }
 

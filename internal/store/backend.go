@@ -39,17 +39,26 @@ type Backend interface {
 	Drain()
 }
 
-// Claimer is the optional fleet-wide anti-stampede seam: a Backend that
-// can coordinate "who simulates this key" across every client of the
-// fleet (the Sharded backend, via the owning shard's claim endpoint).
+// Claimer is the optional fleet-wide claim seam: a Backend that can
+// decide "who simulates this key" across every client of the fleet (the
+// Sharded backend, via the owning shard's claim endpoint).
 //
-// Claim blocks until the caller either owns the simulation for key
-// (owned=true: simulate, Put, and call release once if the Put never
-// happens) or the result was produced by someone else meanwhile
-// (owned=false: re-Get). release is always non-nil when owned and
-// idempotent. An unreachable owner degrades to owned=true with a no-op
-// release: duplicate simulation is wasted work, not wrong results,
-// because keys are content-addressed.
+// Claim asks once and never waits. With token "" it asks for a new
+// claim: ClaimGranted (simulate, Put, and renew with the returned Token
+// every TTL/3 meanwhile), ClaimWait (another client holds it: poll again
+// after RetryAfterMS, without holding a worker slot), or ClaimDone (the
+// result exists: re-Get). With the holder's token it renews the claim;
+// any answer but ClaimGranted means the claim is lost. One shard node
+// (a Shard) returns transport errors as errors; the Sharded fleet view
+// grants a claimant that cannot reach the owner locally, with no token
+// — wasted work at worst, never a wrong result, because keys are
+// content-addressed — so its error is non-nil only for the caller's
+// cancellation.
+//
+// Unclaim releases a claim held under token, best-effort: the
+// simulation failed or its Put never landed, so waiters need not ride
+// out the TTL.
 type Claimer interface {
-	Claim(ctx context.Context, key string) (owned bool, release func(), err error)
+	Claim(ctx context.Context, key, token string) (ClaimResponse, error)
+	Unclaim(ctx context.Context, key, token string) error
 }

@@ -6,12 +6,17 @@
 //
 //	GET    /store/v1/{key}        200 report | 404 miss | 503 draining
 //	PUT    /store/v1/{key}        204 stored (also clears any claim)
-//	POST   /store/v1/claim/{key}  200 {"state":"granted"|"wait"|"done",
+//	POST   /store/v1/claim/{key}  body {"token":T} or empty
+//	                              200 {"state":"granted"|"wait"|"done",
+//	                                   "token":T,"ttl_ms":N,
 //	                                   "retry_after_ms":N}
-//	DELETE /store/v1/claim/{key}  204 released
+//	DELETE /store/v1/claim/{key}  body {"token":T}; 204 released
 //
-// 429/503 responses carry Retry-After, the same admission discipline as
-// the simulation and cluster endpoints.
+// A claim POST without a token asks for a new claim; with the holder's
+// token it renews the claim (granted) or reports it lost (wait or
+// done). Malformed claim bodies are 400. 429/503 responses carry
+// Retry-After, the same admission discipline as the simulation
+// endpoints.
 package store
 
 import (
@@ -47,9 +52,25 @@ const (
 	ClaimDone ClaimState = "done"
 )
 
-// ClaimResponse is the POST /store/v1/claim/{key} reply body.
+// ClaimRequest is the POST and DELETE /store/v1/claim/{key} request
+// body. Token is "" (or the body empty) to ask for a new claim, and the
+// holder's token to renew or release one.
+type ClaimRequest struct {
+	Token string `json:"token,omitempty"`
+}
+
+// MaxClaimBody bounds a claim request body. A well-formed one is a
+// 32-digit token in a one-member object; the bound leaves room for
+// whitespace, not for payloads.
+const MaxClaimBody = 256
+
+// ClaimResponse is the POST /store/v1/claim/{key} reply body. Token and
+// TTLMS accompany a grant: the holder renews with Token every TTLMS/3.
+// RetryAfterMS accompanies a wait.
 type ClaimResponse struct {
 	State        ClaimState `json:"state"`
+	Token        string     `json:"token,omitempty"`
+	TTLMS        int64      `json:"ttl_ms,omitempty"`
 	RetryAfterMS int64      `json:"retry_after_ms,omitempty"`
 }
 
@@ -168,11 +189,12 @@ func (r *Remote) Put(ctx context.Context, key string, rep *metrics.Report) error
 	return nil
 }
 
-// Claim asks the shard's claim endpoint who should simulate key.
-func (r *Remote) Claim(ctx context.Context, key string) (ClaimResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+ClaimPathPrefix+key, nil)
+// Claim asks the shard's claim endpoint who should simulate key (token
+// "") or renews the claim held under token.
+func (r *Remote) Claim(ctx context.Context, key, token string) (ClaimResponse, error) {
+	req, err := r.claimRequest(ctx, http.MethodPost, key, token)
 	if err != nil {
-		return ClaimResponse{}, fmt.Errorf("store: shard %s: %w", r.base, err)
+		return ClaimResponse{}, err
 	}
 	resp, err := r.hc.Do(req)
 	if err != nil {
@@ -189,13 +211,13 @@ func (r *Remote) Claim(ctx context.Context, key string) (ClaimResponse, error) {
 	return cr, nil
 }
 
-// Unclaim releases a previously granted claim (the simulation failed and
+// Unclaim releases the claim held under token (the simulation failed and
 // no Put will clear it). Best-effort: an error just means waiters ride
 // out the claim TTL.
-func (r *Remote) Unclaim(ctx context.Context, key string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, r.base+ClaimPathPrefix+key, nil)
+func (r *Remote) Unclaim(ctx context.Context, key, token string) error {
+	req, err := r.claimRequest(ctx, http.MethodDelete, key, token)
 	if err != nil {
-		return fmt.Errorf("store: shard %s: %w", r.base, err)
+		return err
 	}
 	resp, err := r.hc.Do(req)
 	if err != nil {
@@ -203,6 +225,27 @@ func (r *Remote) Unclaim(ctx context.Context, key string) error {
 	}
 	drainClose(resp.Body)
 	return nil
+}
+
+// claimRequest builds a claim endpoint request; a non-empty token rides
+// in the ClaimRequest body.
+func (r *Remote) claimRequest(ctx context.Context, method, key, token string) (*http.Request, error) {
+	var body io.Reader
+	if token != "" {
+		b, err := json.Marshal(ClaimRequest{Token: token})
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, r.base+ClaimPathPrefix+key, body)
+	if err != nil {
+		return nil, fmt.Errorf("store: shard %s: %w", r.base, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return req, nil
 }
 
 // Stats reports the client-side counters for this shard. Entries/Bytes

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -17,11 +18,11 @@ import (
 type shardHandler struct {
 	mu     sync.Mutex
 	data   map[string][]byte
-	claims map[string]bool
+	claims *ClaimTable
 }
 
 func newShardHandler() *shardHandler {
-	return &shardHandler{data: make(map[string][]byte), claims: make(map[string]bool)}
+	return &shardHandler{data: make(map[string][]byte), claims: NewClaimTable(time.Minute)}
 }
 
 func (h *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -30,20 +31,30 @@ func (h *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case strings.HasPrefix(r.URL.Path, ClaimPathPrefix):
 		key := strings.TrimPrefix(r.URL.Path, ClaimPathPrefix)
+		var req ClaimRequest
+		if r.ContentLength != 0 {
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+		}
 		switch r.Method {
 		case http.MethodPost:
-			cr := ClaimResponse{State: ClaimGranted}
+			cr := ClaimResponse{State: ClaimWait, RetryAfterMS: 5}
+			granted := ClaimResponse{State: ClaimGranted, Token: req.Token, TTLMS: h.claims.TTL().Milliseconds()}
 			if _, ok := h.data[key]; ok {
 				cr = ClaimResponse{State: ClaimDone}
-			} else if h.claims[key] {
-				cr = ClaimResponse{State: ClaimWait, RetryAfterMS: 5}
-			} else {
-				h.claims[key] = true
+			} else if req.Token != "" {
+				if h.claims.Renew(key, req.Token) {
+					cr = granted
+				}
+			} else if granted.Token, _ = h.claims.Claim(key); granted.Token != "" {
+				cr = granted
 			}
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(cr) //nolint // test server
 		case http.MethodDelete:
-			delete(h.claims, key)
+			h.claims.Release(key, req.Token)
 			w.WriteHeader(http.StatusNoContent)
 		default:
 			w.WriteHeader(http.StatusMethodNotAllowed)
@@ -67,7 +78,7 @@ func (h *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			body, _ := json.Marshal(&rep)
 			h.data[key] = body
-			delete(h.claims, key)
+			h.claims.Release(key, "")
 			w.WriteHeader(http.StatusNoContent)
 		default:
 			w.WriteHeader(http.StatusMethodNotAllowed)
@@ -109,34 +120,42 @@ func TestRemoteClaimProtocol(t *testing.T) {
 	r := NewRemote(srv.URL, srv.Client())
 	key := keyN(1)
 
-	cr, err := r.Claim(ctx, key)
-	if err != nil || cr.State != ClaimGranted {
-		t.Fatalf("first claim = %+v, %v; want granted", cr, err)
+	held, err := r.Claim(ctx, key, "")
+	if err != nil || held.State != ClaimGranted || !ValidClaimToken(held.Token) || held.TTLMS <= 0 {
+		t.Fatalf("first claim = %+v, %v; want granted with a token and a TTL", held, err)
 	}
-	cr, err = r.Claim(ctx, key)
+	cr, err := r.Claim(ctx, key, "")
 	if err != nil || cr.State != ClaimWait {
 		t.Fatalf("second claim = %+v, %v; want wait", cr, err)
 	}
 	if cr.RetryAfterMS <= 0 {
 		t.Error("wait response carried no retry hint")
 	}
+	// The holder's token renews; a foreign token does not.
+	if cr, err := r.Claim(ctx, key, held.Token); err != nil || cr.State != ClaimGranted || cr.Token != held.Token {
+		t.Fatalf("renewal = %+v, %v; want granted under the same token", cr, err)
+	}
+	if cr, _ := r.Claim(ctx, key, newClaimToken()); cr.State == ClaimGranted {
+		t.Fatal("renewal under a foreign token granted")
+	}
 	// The result landing clears the claim: claims now answer done.
 	if err := r.Put(ctx, key, testReport(1)); err != nil {
 		t.Fatal(err)
 	}
-	cr, err = r.Claim(ctx, key)
+	cr, err = r.Claim(ctx, key, "")
 	if err != nil || cr.State != ClaimDone {
 		t.Fatalf("claim after result = %+v, %v; want done", cr, err)
 	}
 	// Unclaim releases an orphaned claim.
 	key2 := keyN(2)
-	if cr, _ := r.Claim(ctx, key2); cr.State != ClaimGranted {
+	held, _ = r.Claim(ctx, key2, "")
+	if held.State != ClaimGranted {
 		t.Fatal("setup claim not granted")
 	}
-	if err := r.Unclaim(ctx, key2); err != nil {
+	if err := r.Unclaim(ctx, key2, held.Token); err != nil {
 		t.Fatal(err)
 	}
-	if cr, _ := r.Claim(ctx, key2); cr.State != ClaimGranted {
+	if cr, _ := r.Claim(ctx, key2, ""); cr.State != ClaimGranted {
 		t.Error("released claim not re-granted")
 	}
 }
@@ -157,7 +176,7 @@ func TestRemoteServerErrorsSurface(t *testing.T) {
 	if err := r.Put(ctx, key, testReport(1)); err == nil {
 		t.Fatal("Put against 503 succeeded")
 	}
-	if _, err := r.Claim(ctx, key); err == nil {
+	if _, err := r.Claim(ctx, key, ""); err == nil {
 		t.Fatal("Claim against 503 succeeded")
 	}
 	st := r.Stats()

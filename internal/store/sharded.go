@@ -12,11 +12,11 @@
 //     top-most-requested keys into the hot set (promotion at
 //     PromoteHits, demotion at the lower DemoteHits — hysteresis, so a
 //     key does not flap at the threshold).
-//   - Anti-stampede: Claim coordinates "who simulates this key" through
-//     the owning shard's claim endpoint, generalizing the runner's
-//     in-process singleflight to the whole fleet: a cold popular key
-//     triggers exactly one simulation no matter how many front ends miss
-//     on it concurrently.
+//   - Claims: Claim asks the owning shard's claim endpoint "who simulates
+//     this key", generalizing the runner's in-process singleflight to the
+//     whole fleet: a cold popular key triggers exactly one simulation no
+//     matter how many front ends miss on it concurrently, and nodes given
+//     the same sweep spread its keys between them.
 //
 // Failure model: a dead or draining shard degrades service, never
 // correctness. Gets surface an error (the runner counts it and
@@ -42,8 +42,7 @@ type Shard interface {
 	Name() string
 	Get(ctx context.Context, key string) (*metrics.Report, error)
 	Put(ctx context.Context, key string, rep *metrics.Report) error
-	Claim(ctx context.Context, key string) (ClaimResponse, error)
-	Unclaim(ctx context.Context, key string) error
+	Claimer
 }
 
 var _ Shard = (*Remote)(nil)
@@ -65,9 +64,6 @@ type ShardedOptions struct {
 	// WindowOps: accesses between decay sweeps, which halve every
 	// counter (<= 0 = 4096).
 	WindowOps uint64
-	// ClaimBackoff is the poll interval while waiting on another
-	// client's claim when the server supplies no hint (<= 0 = 25ms).
-	ClaimBackoff time.Duration
 }
 
 func (o *ShardedOptions) setDefaults() {
@@ -85,9 +81,6 @@ func (o *ShardedOptions) setDefaults() {
 	}
 	if o.WindowOps == 0 {
 		o.WindowOps = 4096
-	}
-	if o.ClaimBackoff <= 0 {
-		o.ClaimBackoff = 25 * time.Millisecond
 	}
 }
 
@@ -224,65 +217,40 @@ func (s *Sharded) Put(ctx context.Context, key string, rep *metrics.Report) erro
 	return nil
 }
 
-// Claim implements Claimer: ask the owning shard who simulates key, and
-// wait out other claimants. See the Claimer contract for the return
-// shape. An unreachable or draining owner degrades to owned=true with a
-// no-op release — local simulation beats a stalled fleet.
-func (s *Sharded) Claim(ctx context.Context, key string) (bool, func(), error) {
-	owner := s.shards[s.ring.Owner(key)]
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
+// Claim implements Claimer: one request to the key's owning shard. An
+// unreachable owner, or one answering a state this client does not
+// know, degrades to a grant with no token — local simulation beats a
+// stalled fleet.
+func (s *Sharded) Claim(ctx context.Context, key, token string) (ClaimResponse, error) {
+	resp, err := s.shards[s.ring.Owner(key)].Claim(ctx, key, token)
+	if err != nil {
+		if ctx.Err() != nil {
+			return ClaimResponse{}, ctx.Err()
 		}
-	}()
-	for {
-		resp, err := owner.Claim(ctx, key)
-		if err != nil {
-			if ctx.Err() != nil {
-				return false, nil, ctx.Err()
-			}
-			s.readErrors.Add(1)
-			return true, func() {}, nil
-		}
-		switch resp.State {
-		case ClaimGranted:
-			s.claims.Add(1)
-			var once sync.Once
-			release := func() {
-				once.Do(func() {
-					// The simulation failed; free waiters early instead of
-					// letting them ride out the claim TTL. Detached context:
-					// the failed run's ctx may already be cancelled.
-					rctx, cancel := context.WithTimeout(context.Background(), 2*time.Second) //icrvet:ignore ctxflow claim release must outlive the failed run's cancelled context
-					defer cancel()
-					owner.Unclaim(rctx, key) //icrvet:ignore droppederr best-effort release; waiters fall back to the claim TTL
-				})
-			}
-			return true, release, nil
-		case ClaimDone:
-			return false, nil, nil
-		case ClaimWait:
-			s.claimWaits.Add(1)
-			d := time.Duration(resp.RetryAfterMS) * time.Millisecond
-			if d <= 0 {
-				d = s.opts.ClaimBackoff
-			}
-			if timer == nil {
-				timer = time.NewTimer(d)
-			} else {
-				timer.Reset(d)
-			}
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				return false, nil, ctx.Err()
-			}
-		default:
-			// A newer server speaking an unknown state: simulate locally.
-			return true, func() {}, nil
-		}
+		s.readErrors.Add(1)
+		return ClaimResponse{State: ClaimGranted}, nil
 	}
+	switch resp.State {
+	case ClaimGranted:
+		if token == "" {
+			s.claims.Add(1)
+		}
+	case ClaimWait:
+		s.claimWaits.Add(1)
+	case ClaimDone:
+	default:
+		return ClaimResponse{State: ClaimGranted}, nil
+	}
+	return resp, nil
+}
+
+// Unclaim implements Claimer. It runs on a context detached from the
+// caller's cancellation — the failed run's context may already be done —
+// and bounded to a few seconds.
+func (s *Sharded) Unclaim(ctx context.Context, key, token string) error {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+	defer cancel()
+	return s.shards[s.ring.Owner(key)].Unclaim(ctx, key, token)
 }
 
 // Stats implements Backend: the client-side fleet counters.

@@ -21,7 +21,8 @@ type fakeShard struct {
 
 	mu     sync.Mutex
 	data   map[string]*metrics.Report
-	claims map[string]bool
+	claims map[string]string // key -> holder token
+	issued int
 
 	down atomic.Bool // every call fails (SIGKILLed shard)
 
@@ -34,7 +35,7 @@ func newFakeShard(name string) *fakeShard {
 	return &fakeShard{
 		name:   name,
 		data:   make(map[string]*metrics.Report),
-		claims: make(map[string]bool),
+		claims: make(map[string]string),
 	}
 }
 
@@ -68,8 +69,11 @@ func (f *fakeShard) Put(ctx context.Context, key string, rep *metrics.Report) er
 	return nil
 }
 
-func (f *fakeShard) Claim(ctx context.Context, key string) (ClaimResponse, error) {
+func (f *fakeShard) Claim(ctx context.Context, key, token string) (ClaimResponse, error) {
 	f.claimReqs.Add(1)
+	if err := ctx.Err(); err != nil {
+		return ClaimResponse{}, err
+	}
 	if f.down.Load() {
 		return ClaimResponse{}, errShardDown
 	}
@@ -78,20 +82,27 @@ func (f *fakeShard) Claim(ctx context.Context, key string) (ClaimResponse, error
 	if _, ok := f.data[key]; ok {
 		return ClaimResponse{State: ClaimDone}, nil
 	}
-	if f.claims[key] {
+	if holder, held := f.claims[key]; held || token != "" {
+		if held && holder == token {
+			return ClaimResponse{State: ClaimGranted, Token: token, TTLMS: 1000}, nil
+		}
 		return ClaimResponse{State: ClaimWait, RetryAfterMS: 1}, nil
 	}
-	f.claims[key] = true
-	return ClaimResponse{State: ClaimGranted}, nil
+	f.issued++
+	token = fmt.Sprintf("%032x", f.issued)
+	f.claims[key] = token
+	return ClaimResponse{State: ClaimGranted, Token: token, TTLMS: 1000}, nil
 }
 
-func (f *fakeShard) Unclaim(ctx context.Context, key string) error {
+func (f *fakeShard) Unclaim(ctx context.Context, key, token string) error {
 	if f.down.Load() {
 		return errShardDown
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.claims, key)
+	if f.claims[key] == token {
+		delete(f.claims, key)
+	}
 	return nil
 }
 
@@ -280,7 +291,7 @@ func TestHotSetCapacity(t *testing.T) {
 }
 
 // TestClaimExactlyOneWinner is the fleet-wide anti-stampede guarantee:
-// N concurrent claimants for one cold key get exactly one owned=true.
+// N concurrent claimants polling for one cold key get exactly one grant.
 func TestClaimExactlyOneWinner(t *testing.T) {
 	s, _ := testFleet(t, 3, ShardedOptions{})
 	key := syntheticKey(0)
@@ -296,19 +307,25 @@ func TestClaimExactlyOneWinner(t *testing.T) {
 			<-start
 			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			owned, release, err := s.Claim(cctx, key)
-			if err != nil {
-				t.Errorf("Claim: %v", err)
-				return
-			}
-			if owned {
-				owners.Add(1)
-				// Simulate, then Put — which releases the claim
-				// server-side and turns the waiters' polls into done.
-				if err := s.Put(cctx, key, testReport(1)); err != nil {
-					t.Errorf("winner Put: %v", err)
+			for {
+				cr, err := s.Claim(cctx, key, "")
+				if err != nil {
+					t.Errorf("Claim: %v", err)
+					return
 				}
-				_ = release // success path: the Put released the claim
+				switch cr.State {
+				case ClaimGranted:
+					owners.Add(1)
+					// Simulate, then Put — which releases the claim
+					// server-side and turns the waiters' polls into done.
+					if err := s.Put(cctx, key, testReport(1)); err != nil {
+						t.Errorf("winner Put: %v", err)
+					}
+					return
+				case ClaimDone:
+					return
+				}
+				time.Sleep(time.Duration(cr.RetryAfterMS) * time.Millisecond)
 			}
 		}()
 	}
@@ -330,12 +347,12 @@ func TestClaimDoneAfterResult(t *testing.T) {
 	if err := s.Put(ctx, key, testReport(1)); err != nil {
 		t.Fatal(err)
 	}
-	owned, _, err := s.Claim(ctx, key)
+	cr, err := s.Claim(ctx, key, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owned {
-		t.Fatal("claim granted for a key whose result already exists")
+	if cr.State != ClaimDone {
+		t.Fatalf("claim for a key whose result already exists = %+v, want done", cr)
 	}
 }
 
@@ -344,58 +361,58 @@ func TestClaimDoneAfterResult(t *testing.T) {
 func TestClaimReleaseFreesWaiters(t *testing.T) {
 	s, _ := testFleet(t, 3, ShardedOptions{})
 	key := syntheticKey(0)
-	owned, release, err := s.Claim(ctx, key)
-	if err != nil || !owned {
-		t.Fatalf("first claim: owned=%v err=%v", owned, err)
+	held, err := s.Claim(ctx, key, "")
+	if err != nil || held.State != ClaimGranted {
+		t.Fatalf("first claim: %+v err=%v", held, err)
 	}
-	release()
-	release() // idempotent
-	owned, _, err = s.Claim(ctx, key)
-	if err != nil || !owned {
-		t.Fatalf("claim after release: owned=%v err=%v, want granted", owned, err)
+	if cr, _ := s.Claim(ctx, key, ""); cr.State != ClaimWait {
+		t.Fatalf("second claim while held = %+v, want wait", cr)
+	}
+	if err := s.Unclaim(ctx, key, held.Token); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Unclaim(ctx, key, held.Token); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	cr, err := s.Claim(ctx, key, "")
+	if err != nil || cr.State != ClaimGranted {
+		t.Fatalf("claim after release: %+v err=%v, want granted", cr, err)
 	}
 }
 
 // TestClaimOwnerDownDegrades: an unreachable owner must not stall the
-// fleet — the claimant simulates locally (owned=true, no-op release).
+// fleet — the claimant is granted with no token and simulates locally.
 func TestClaimOwnerDownDegrades(t *testing.T) {
 	s, fakes := testFleet(t, 3, ShardedOptions{})
 	nodes := byName(fakes)
 	key := syntheticKey(0)
 	nodes[s.Ring().Owner(key)].down.Store(true)
 
-	owned, release, err := s.Claim(ctx, key)
+	cr, err := s.Claim(ctx, key, "")
 	if err != nil {
 		t.Fatalf("claim with owner down errored: %v", err)
 	}
-	if !owned {
-		t.Fatal("claim with owner down did not degrade to local simulation")
+	if cr.State != ClaimGranted || cr.Token != "" {
+		t.Fatalf("claim with owner down = %+v, want a token-less local grant", cr)
 	}
-	release() // must not panic
 }
 
-// TestClaimHonoursContext: a cancelled context ends a claim wait.
+// TestClaimHonoursContext: Claim never waits — a held key answers wait
+// at once — and a cancelled context is the caller's error, not a
+// degraded grant.
 func TestClaimHonoursContext(t *testing.T) {
-	s, _ := testFleet(t, 3, ShardedOptions{ClaimBackoff: time.Minute})
+	s, _ := testFleet(t, 3, ShardedOptions{})
 	key := syntheticKey(0)
-	if owned, _, err := s.Claim(ctx, key); err != nil || !owned {
-		t.Fatalf("first claim: owned=%v err=%v", owned, err)
+	if cr, err := s.Claim(ctx, key, ""); err != nil || cr.State != ClaimGranted {
+		t.Fatalf("first claim: %+v err=%v", cr, err)
+	}
+	if cr, err := s.Claim(ctx, key, ""); err != nil || cr.State != ClaimWait || cr.RetryAfterMS <= 0 {
+		t.Fatalf("claim on a held key = %+v err=%v, want an immediate wait with a retry hint", cr, err)
 	}
 	cctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := s.Claim(cctx, key)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiting claim returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiting claim ignored cancellation")
+	if _, err := s.Claim(cctx, key, ""); !errors.Is(err, context.Canceled) {
+		t.Fatalf("claim under a cancelled context returned %v, want context.Canceled", err)
 	}
 }
 

@@ -270,8 +270,8 @@ func (s *Store) Get(ctx context.Context, key string) (*metrics.Report, error) {
 //
 // Re-putting identical bytes is detected and skipped (recency still
 // refreshes). Content addressing makes this the common shape of a
-// duplicate: at-least-once cluster execution or two processes sharing the
-// directory produce byte-identical reports for the same key, and skipping
+// duplicate: a claim taken over from a holder that finished late, or two
+// processes sharing the directory, produce byte-identical reports for the same key, and skipping
 // the rewrite avoids both the write amplification and a quarantine window
 // for concurrent readers.
 func (s *Store) Put(ctx context.Context, key string, rep *metrics.Report) error {

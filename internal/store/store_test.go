@@ -492,9 +492,9 @@ func TestPutOverwriteRefreshesEntry(t *testing.T) {
 	}
 }
 
-// TestPutIdenticalBytesSkipsRewrite: re-putting the same report (the
-// at-least-once cluster case: two workers execute one content-addressed
-// task and both upload) must not rewrite the file — only refresh recency —
+// TestPutIdenticalBytesSkipsRewrite: re-putting the same report (a
+// taken-over claim whose stale holder finishes late: two nodes execute
+// one content-addressed key and both upload) must not rewrite the file — only refresh recency —
 // while a genuinely different payload still overwrites.
 func TestPutIdenticalBytesSkipsRewrite(t *testing.T) {
 	dir := t.TempDir()

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the full tier-1 verification pipeline in one command:
 #
-#   build -> vet -> icrvet -> test -> bench -> race -> smoke -> shards -> adaptive -> twotier -> cluster
+#   build -> vet -> icrvet -> test -> bench -> race -> smoke -> shards -> adaptive -> twotier -> steal
 #
 # Each stage is announced and the script stops at the first failure, so CI
 # logs read top-to-bottom. Everything is standard-library Go: no network
@@ -64,7 +64,7 @@ stage race
 # Explicit timeout: the detector is a 10-20x slowdown on the heavier
 # packages (experiments, sim) and this may run on a single-core host.
 $GO test -race -timeout 30m ./internal/runner ./internal/experiments ./internal/sim \
-    ./internal/store ./internal/serve ./internal/cliflag ./internal/cluster \
+    ./internal/store ./internal/serve ./internal/cliflag \
     ./cmd/...
 
 # End-to-end smoke test of the serving layer: build icrd, start it on a
@@ -436,100 +436,106 @@ TT_S3_PID=
 trap - EXIT INT TERM
 twotier_cleanup
 
-# End-to-end cluster test: the same figure sweep run single-node and then
-# through a coordinator with two workers — one of which is SIGKILLed
-# mid-sweep — must produce byte-identical JSON. Exercises lease expiry and
-# reassignment, at-least-once dedup, and fleet-wide SIGTERM drain with the
-# real binaries over loopback HTTP.
-stage cluster
-CL_DIR=$(mktemp -d)
-CL_ICRD_PID=
-CL_W1_PID=
-CL_W2_PID=
-cluster_cleanup() {
-    for p in "$CL_ICRD_PID" "$CL_W1_PID" "$CL_W2_PID"; do
+# End-to-end work-stealing test: one figure sweep POSTed to two icrd
+# nodes that share one disk shard through their -store, with one node
+# SIGKILLed mid-sweep, must leave the survivor with JSON byte-identical to
+# a single-node run. Exercises fleet claims with the real binaries over
+# loopback HTTP: a node whose claim answers "wait" gives its slot back
+# and takes an unclaimed key, the dead node's claims lapse after one
+# claim TTL and the survivor takes them over, and every survivor drains
+# cleanly on SIGTERM.
+stage steal
+ST_DIR=$(mktemp -d)
+ST_SHARD_PID=
+ST_N1_PID=
+ST_N2_PID=
+steal_cleanup() {
+    for p in "$ST_SHARD_PID" "$ST_N1_PID" "$ST_N2_PID"; do
         [ -n "$p" ] && kill -9 "$p" 2>/dev/null
     done
-    rm -rf "$CL_DIR"
+    rm -rf "$ST_DIR"
 }
-trap cluster_cleanup EXIT INT TERM
+trap steal_cleanup EXIT INT TERM
 
-clfail() {
-    echo "cluster: $*" >&2
-    for f in icrd.err w1.err w2.err; do
+stfail() {
+    echo "steal: $*" >&2
+    for f in base.err shard.err n1.err n2.err; do
         echo "--- $f ---" >&2
-        cat "$CL_DIR/$f" >&2 2>/dev/null
+        cat "$ST_DIR/$f" >&2 2>/dev/null
     done
     exit 1
 }
 
-# Start icrd with the given extra flags and scrape its address.
-cluster_start_icrd() {
-    : >"$CL_DIR/icrd.out"
-    "$CL_DIR/icrd" -addr localhost:0 -parallel 4 "$@" \
-        >"$CL_DIR/icrd.out" 2>"$CL_DIR/icrd.err" &
-    CL_ICRD_PID=$!
+# Start an icrd (name, then flags), scrape its address into ST_ADDR and
+# its pid into ST_PID.
+steal_start_icrd() {
+    st_name=$1
+    shift
+    : >"$ST_DIR/$st_name.out"
+    "$ST_DIR/icrd" -addr localhost:0 -parallel 2 "$@" \
+        >"$ST_DIR/$st_name.out" 2>"$ST_DIR/$st_name.err" &
+    ST_PID=$!
     i=0
-    while ! grep -q '^listening on ' "$CL_DIR/icrd.out" 2>/dev/null; do
+    while ! grep -q '^listening on ' "$ST_DIR/$st_name.out" 2>/dev/null; do
         i=$((i + 1))
-        [ "$i" -gt 100 ] && clfail "icrd did not start"
-        kill -0 "$CL_ICRD_PID" 2>/dev/null || clfail "icrd exited early"
+        [ "$i" -gt 100 ] && stfail "$st_name did not start"
+        kill -0 "$ST_PID" 2>/dev/null || stfail "$st_name exited early"
         sleep 0.1
     done
-    CL_ADDR=$(sed -n 's/^listening on //p' "$CL_DIR/icrd.out")
+    ST_ADDR=$(sed -n 's/^listening on //p' "$ST_DIR/$st_name.out")
 }
 
-cluster_stop_icrd() {
-    kill -TERM "$CL_ICRD_PID"
-    if ! wait "$CL_ICRD_PID"; then
-        CL_ICRD_PID=
-        clfail "icrd SIGTERM drain exited non-zero"
-    fi
-    CL_ICRD_PID=
-}
+ST_FIG='fig2'
+ST_BODY='{"instructions":2000000,"seed":1}'
 
-CL_FIG='fig2'
-CL_BODY='{"instructions":2000000,"seed":1}'
+$GO build -o "$ST_DIR/icrd" ./cmd/icrd
 
-$GO build -o "$CL_DIR/icrd" ./cmd/icrd
-$GO build -o "$CL_DIR/icrworker" ./cmd/icrworker
+# Single-node baseline on a local disk store.
+steal_start_icrd base -store "disk:$ST_DIR/base"
+ST_N1_PID=$ST_PID
+curl -sS -X POST -d "$ST_BODY" "http://$ST_ADDR/v1/figures/$ST_FIG" \
+    >"$ST_DIR/single.json" || stfail "single-node figure failed"
+kill -TERM "$ST_N1_PID"
+wait "$ST_N1_PID" || stfail "baseline icrd drain exited non-zero"
+ST_N1_PID=
 
-# Single-node baseline.
-cluster_start_icrd
-curl -sS -X POST -d "$CL_BODY" "http://$CL_ADDR/v1/figures/$CL_FIG" \
-    >"$CL_DIR/single.json" || clfail "single-node figure failed"
-cluster_stop_icrd
+# One disk shard and two simulating nodes sharing it.
+steal_start_icrd shard -store "disk:$ST_DIR/shard"
+ST_SHARD_PID=$ST_PID
+ST_RING="shards:$ST_ADDR"
+steal_start_icrd n1 -store "$ST_RING"
+ST_N1_PID=$ST_PID
+ST_N1_ADDR=$ST_ADDR
+steal_start_icrd n2 -store "$ST_RING"
+ST_N2_PID=$ST_PID
+ST_N2_ADDR=$ST_ADDR
 
-# The same sweep through coordinator + 2 workers, one killed mid-sweep.
-cluster_start_icrd -cluster -lease 2s
-"$CL_DIR/icrworker" -coordinator "http://$CL_ADDR" -id w1 -parallel 2 \
-    2>"$CL_DIR/w1.err" &
-CL_W1_PID=$!
-"$CL_DIR/icrworker" -coordinator "http://$CL_ADDR" -id w2 -parallel 2 \
-    2>"$CL_DIR/w2.err" &
-CL_W2_PID=$!
-
-curl -sS -X POST -d "$CL_BODY" "http://$CL_ADDR/v1/figures/$CL_FIG" \
-    >"$CL_DIR/fleet.json" &
-CL_CURL_PID=$!
+# The same sweep POSTed to both nodes; n2 is SIGKILLed mid-sweep, and its
+# request dies with it.
+curl -sS -X POST -d "$ST_BODY" "http://$ST_N1_ADDR/v1/figures/$ST_FIG" \
+    >"$ST_DIR/n1.json" &
+ST_CURL1_PID=$!
+curl -sS -X POST -d "$ST_BODY" "http://$ST_N2_ADDR/v1/figures/$ST_FIG" \
+    >"$ST_DIR/n2.json" 2>/dev/null &
+ST_CURL2_PID=$!
 sleep 1
-kill -9 "$CL_W1_PID" 2>/dev/null || clfail "worker w1 was not running mid-sweep"
-CL_W1_PID=
-wait "$CL_CURL_PID" || clfail "fleet figure request failed"
+kill -9 "$ST_N2_PID" 2>/dev/null || stfail "node n2 was not running mid-sweep"
+ST_N2_PID=
+wait "$ST_CURL2_PID" || true
+wait "$ST_CURL1_PID" || stfail "survivor figure request failed"
 
-grep -q '"error"' "$CL_DIR/fleet.json" && clfail "fleet sweep errored: $(cat "$CL_DIR/fleet.json")"
-cmp -s "$CL_DIR/single.json" "$CL_DIR/fleet.json" \
-    || clfail "fleet figure JSON differs from single-node run"
+grep -q '"error"' "$ST_DIR/n1.json" && stfail "survivor sweep errored: $(cat "$ST_DIR/n1.json")"
+cmp -s "$ST_DIR/single.json" "$ST_DIR/n1.json" \
+    || stfail "survivor figure JSON differs from single-node run"
 
-# Fleet-wide drain: surviving worker and coordinator both exit 0.
-kill -TERM "$CL_W2_PID"
-if ! wait "$CL_W2_PID"; then
-    CL_W2_PID=
-    clfail "icrworker SIGTERM drain exited non-zero"
-fi
-CL_W2_PID=
-cluster_stop_icrd
+# Every survivor drains cleanly.
+for p in "$ST_N1_PID" "$ST_SHARD_PID"; do
+    kill -TERM "$p"
+    wait "$p" || stfail "drain exited non-zero (pid $p)"
+done
+ST_N1_PID=
+ST_SHARD_PID=
 trap - EXIT INT TERM
-cluster_cleanup
+steal_cleanup
 
 stage ok
