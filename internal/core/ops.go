@@ -18,12 +18,12 @@ import (
 func (c *Cache) Load(now uint64, addr uint64) uint64 {
 	ba := c.blockAddr(addr)
 	c.stats.Reads++
-	c.noteAccess(ba, addr)
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddL1Read(1)
 	}
 
 	if ln := c.lookupPrimary(ba); ln != nil {
+		c.noteAccess(ln, addr)
 		c.stats.ReadHits++
 		if ln.prefetched {
 			ln.prefetched = false
@@ -116,15 +116,17 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 func (c *Cache) Store(now uint64, addr uint64) uint64 {
 	ba := c.blockAddr(addr)
 	c.stats.Writes++
-	c.noteAccess(ba, addr)
+	ln := c.lookupPrimary(ba)
+	if ln != nil {
+		c.noteAccess(ln, addr)
+	}
 	c.storeSeq++
 	value := storeValue(addr, c.storeSeq)
 
 	if c.cfg.WritePolicy == cache.WriteThrough {
-		return c.storeWriteThrough(now, addr, ba, value)
+		return c.storeWriteThrough(now, addr, ba, ln, value)
 	}
 
-	ln := c.lookupPrimary(ba)
 	if ln != nil {
 		c.stats.WriteHits++
 		if ln.prefetched {
@@ -185,8 +187,9 @@ func (c *Cache) Store(now uint64, addr uint64) uint64 {
 // storeWriteThrough implements the §5.8 comparison point: every store is
 // forwarded to the next level (through the coalescing write buffer when
 // configured), lines never become dirty, and write misses do not allocate.
-func (c *Cache) storeWriteThrough(now uint64, addr, ba, value uint64) uint64 {
-	if ln := c.lookupPrimary(ba); ln != nil {
+// ln is the block's resident primary, or nil.
+func (c *Cache) storeWriteThrough(now uint64, addr, ba uint64, ln *line, value uint64) uint64 {
+	if ln != nil {
 		c.stats.WriteHits++
 		c.writeWord(ln, addr, value)
 		c.touch(ln, now)
@@ -278,11 +281,9 @@ func (c *Cache) depositDuplicate(ln *line) {
 }
 
 // noteAccess records the most recently touched word for the Direct fault
-// model.
-func (c *Cache) noteAccess(ba, addr uint64) {
-	if ln := c.lookupPrimary(ba); ln != nil {
-		c.lastWord = ln.idx*c.wordsPerLine + (int(addr)&(c.cfg.BlockSize-1))/8
-	}
+// model; only hits on a resident primary ln count.
+func (c *Cache) noteAccess(ln *line, addr uint64) {
+	c.lastWord = ln.idx*c.wordsPerLine + (int(addr)&(c.cfg.BlockSize-1))/8
 }
 
 // loadHitLatency returns the scheme latency for an error-free load hit.

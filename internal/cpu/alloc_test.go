@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -30,5 +31,24 @@ func TestRunSteadyStateAllocFree(t *testing.T) {
 	// a small constant, not a per-cycle budget.
 	if got > 3 {
 		t.Errorf("steady-state run of 1000 instructions allocates %.0f objects, want <= 3", got)
+	}
+}
+
+// A memory-bound run, reset in place between repetitions, allocates
+// nothing at all: no generator is involved, and the idle-cycle skip works
+// on the core's fixed arrays.
+func TestRunMemoryBoundAllocFree(t *testing.T) {
+	const instrs = 20_000
+	stream := isa.NewSliceStream(memoryBoundStream(instrs))
+	c := New(DefaultConfig(), stream, perfectICache{}, &fixedDCache{loadLat: 80, storeLat: 1})
+	got := testing.AllocsPerRun(5, func() {
+		stream.Reset()
+		c.Reset(DefaultConfig(), stream)
+		if s := c.Run(instrs); s.Instructions != instrs {
+			t.Fatalf("committed %d, want %d", s.Instructions, instrs)
+		}
+	})
+	if got != 0 {
+		t.Errorf("memory-bound run allocates %.0f objects, want 0", got)
 	}
 }

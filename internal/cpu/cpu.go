@@ -64,12 +64,19 @@ type Config struct {
 
 	RASDepth int
 
-	// EachCycle, if non-nil, is invoked once per simulated cycle (used by
-	// the fault-injection scheduler).
-	EachCycle func(now uint64)
+	// EachCycle, if non-nil, is the per-cycle hook (fault injection,
+	// scrubbing, adaptive epochs). It returns the next cycle at which it
+	// must run again; a hook that returns now+1 runs every cycle. The core
+	// calls it first at cycle 0 and then at the first simulated cycle at
+	// or after the returned one. The hook must change no state at the
+	// cycles in between, because the core may skip them: a cycle in which
+	// no pipeline stage makes progress jumps the clock to the next event,
+	// and never past the hook's next cycle.
+	EachCycle func(now uint64) (next uint64)
 
-	// Halt, if non-nil, is polled once per cycle; when it reports true the
-	// run stops early with whatever has committed so far. The cancellable
+	// Halt, if non-nil, is polled once per simulated (not skipped) cycle
+	// and every 256 warmed instructions; when it reports true the run
+	// stops early with whatever has committed so far. The cancellable
 	// simulator entry point (sim.SimulateContext) installs an atomic-flag
 	// check here; the flag is set when the run's context is cancelled.
 	Halt func() bool
@@ -127,15 +134,26 @@ func (s *Stats) IPC() float64 {
 
 const neverDone = math.MaxUint64
 
+// noProducer is the producer seq of a source operand that was ready at
+// dispatch. Sequence numbers count up from 1, so no slot ever holds it.
+const noProducer = math.MaxUint64
+
 // entry is one RUU slot.
 type entry struct {
-	valid    bool
 	inst     isa.Inst
 	seq      uint64
 	issued   bool
 	doneAt   uint64 // cycle the result is available (neverDone until issued)
 	mispred  bool
 	resolved bool // mispredict redirect accounted
+	src      [2]producer
+}
+
+// producer locates the instruction a source operand waits for: its RUU
+// slot and its seq, captured at dispatch.
+type producer struct {
+	slot int
+	seq  uint64
 }
 
 // Core is the out-of-order engine.
@@ -199,6 +217,8 @@ type Core struct {
 
 	commitStall uint64 // commit blocked until this cycle (write-buffer stalls)
 	maxInstrs   uint64 // commit budget for the current Run
+
+	hookNext uint64 // cycle at which cfg.EachCycle must next run
 }
 
 type fqEntry struct {
@@ -252,17 +272,86 @@ func (c *Core) Run(maxInstructions uint64) Stats {
 		if c.cfg.Halt != nil && c.cfg.Halt() {
 			break
 		}
-		c.commit()
-		c.issue()
-		c.dispatch()
-		c.fetch()
-		if c.cfg.EachCycle != nil {
-			c.cfg.EachCycle(c.now)
-		}
-		c.now++
-		c.stats.Cycles = c.now
+		c.cycle(true)
 	}
 	return c.stats
+}
+
+// cycle simulates the cycle at c.now (fetch only when withFetch) and
+// advances the clock past it.
+//
+// A cycle in which no stage changes any state and the hook is not due is
+// idle, and every cycle after it repeats it exactly until one of the
+// timestamps the stages compare now against comes due (nextEvent). The
+// clock therefore jumps straight there, crediting each skipped cycle with
+// the idle cycle's stall counts.
+func (c *Core) cycle(withFetch bool) {
+	fetchStalls, ruuFull := c.stats.FetchStalls, c.stats.RUUFull
+	lsqFull, mshrStalls := c.stats.LSQFull, c.stats.MSHRStalls
+
+	busy := c.commit()
+	busy = c.issue() || busy
+	busy = c.dispatch() || busy
+	if withFetch {
+		busy = c.fetch() || busy
+	}
+	if c.cfg.EachCycle != nil && c.now >= c.hookNext {
+		c.hookNext = c.cfg.EachCycle(c.now)
+		busy = true
+	}
+
+	next := c.now + 1
+	if !busy {
+		if ev := c.nextEvent(); ev > next && ev != neverDone {
+			skip := ev - next
+			c.stats.FetchStalls += skip * (c.stats.FetchStalls - fetchStalls)
+			c.stats.RUUFull += skip * (c.stats.RUUFull - ruuFull)
+			c.stats.LSQFull += skip * (c.stats.LSQFull - lsqFull)
+			c.stats.MSHRStalls += skip * (c.stats.MSHRStalls - mshrStalls)
+			next = ev
+		}
+	}
+	c.now = next
+	c.stats.Cycles = next
+}
+
+// nextEvent returns the earliest cycle after now at which a stage decision
+// can change: every such decision compares now with one of the timestamps
+// gathered here. It returns neverDone when nothing is pending.
+func (c *Core) nextEvent() uint64 {
+	t := c.now
+	next := after(t, neverDone, c.commitStall)
+	next = after(t, next, c.fetchStall)
+	next = after(t, next, c.intDivBusy)
+	next = after(t, next, c.fpDivBusy)
+	if c.cfg.EachCycle != nil {
+		next = after(t, next, c.hookNext)
+	}
+	if c.fqCount > 0 {
+		next = after(t, next, c.fetchQ[c.fqHead].readyAt)
+	}
+	for _, x := range c.portFreeAt {
+		next = after(t, next, x)
+	}
+	for _, x := range c.missBusyUntil {
+		next = after(t, next, x)
+	}
+	i := c.ruuHead
+	for n := 0; n < c.ruuCount; n++ {
+		next = after(t, next, c.ruu[i].doneAt)
+		if i++; i == len(c.ruu) {
+			i = 0
+		}
+	}
+	return next
+}
+
+// after returns x if it lies after t and before next, else next.
+func after(t, next, x uint64) uint64 {
+	if x > t && x < next {
+		return x
+	}
+	return next
 }
 
 // ---------------------------------------------------------------------------
@@ -288,22 +377,27 @@ func (c *Core) nextInst() (isa.Inst, bool) {
 
 // fqPush appends to the fetch-queue ring; the caller has checked capacity.
 func (c *Core) fqPush(fe fqEntry) {
-	c.fetchQ[(c.fqHead+c.fqCount)%len(c.fetchQ)] = fe
+	i := c.fqHead + c.fqCount
+	if i >= len(c.fetchQ) {
+		i -= len(c.fetchQ)
+	}
+	c.fetchQ[i] = fe
 	c.fqCount++
 }
 
-func (c *Core) fetch() {
+// fetch runs the fetch stage and reports whether it changed any state.
+func (c *Core) fetch() bool {
 	if c.now < c.fetchStall {
 		c.stats.FetchStalls++
-		return
+		return false
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.fqCount >= len(c.fetchQ) {
-			return
+		if c.fqCount >= len(c.fetchQ) || (c.streamDone && !c.havePending) {
+			return n > 0
 		}
 		in, ok := c.nextInst()
 		if !ok {
-			return
+			return true // the stream just ended
 		}
 		// Instruction-cache access once per new block.
 		blk := in.PC / 32 // Table 1: 32-byte iL1 blocks
@@ -315,7 +409,7 @@ func (c *Core) fetch() {
 				c.fetchStall = c.now + lat
 				c.pendingInst = in
 				c.havePending = true
-				return
+				return true
 			}
 		}
 		c.seqCounter++
@@ -328,16 +422,17 @@ func (c *Core) fetch() {
 				// when the branch resolves (see issue()).
 				c.fetchStall = neverDone
 				c.fqPush(fe)
-				return
+				return true
 			}
 			if in.Taken {
 				// Can't fetch past a predicted-taken branch this cycle.
 				c.fqPush(fe)
-				return
+				return true
 			}
 		}
 		c.fqPush(fe)
 	}
+	return true
 }
 
 // predict runs the front-end predictors for a control instruction and
@@ -395,29 +490,36 @@ func (c *Core) resolveBranch(e *entry) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-func (c *Core) dispatch() {
+// dispatch moves ready fetch-queue entries into the RUU and reports
+// whether it moved any.
+func (c *Core) dispatch() bool {
 	for n := 0; n < c.cfg.FetchWidth; n++ {
 		if c.fqCount == 0 || c.fetchQ[c.fqHead].readyAt > c.now {
-			return
+			return n > 0
 		}
 		if c.ruuCount >= c.cfg.RUUSize {
 			c.stats.RUUFull++
-			return
+			return n > 0
 		}
 		fe := c.fetchQ[c.fqHead]
 		if fe.inst.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize {
 			c.stats.LSQFull++
-			return
+			return n > 0
 		}
-		c.fqHead = (c.fqHead + 1) % len(c.fetchQ)
+		if c.fqHead++; c.fqHead == len(c.fetchQ) {
+			c.fqHead = 0
+		}
 		c.fqCount--
-		idx := (c.ruuHead + c.ruuCount) % c.cfg.RUUSize
+		idx := c.ruuHead + c.ruuCount
+		if idx >= len(c.ruu) {
+			idx -= len(c.ruu)
+		}
 		c.ruu[idx] = entry{
-			valid:   true,
 			inst:    fe.inst,
 			seq:     fe.seq,
 			doneAt:  neverDone,
 			mispred: fe.mispred,
+			src:     [2]producer{c.producerOf(idx, fe.seq, fe.inst.SrcDist1), c.producerOf(idx, fe.seq, fe.inst.SrcDist2)},
 		}
 		c.ruuCount++
 		c.unissued = append(c.unissued, idx)
@@ -428,33 +530,37 @@ func (c *Core) dispatch() {
 			}
 		}
 	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
 // Issue / execute
 // ---------------------------------------------------------------------------
 
-// producerDone reports whether the producer `dist` instructions before seq
-// has its result available. Producers no longer in the window have
-// committed and are surely done.
-//
-// The RUU holds a contiguous seq range (sequence numbers are assigned at
-// fetch, dispatched in order, and retired only from the head), so the
-// producer's slot — if it is still in the window — is at a fixed offset
-// from the head: an O(1) index computation instead of the O(RUU) scan
-// that used to dominate the whole simulator's profile.
-func (c *Core) producerDone(seq uint64, dist uint16) bool {
-	if dist == 0 || c.ruuCount == 0 {
-		return true
+// producerOf locates, for instruction seq being dispatched into slot idx,
+// the producer `dist` instructions before it. The RUU holds a contiguous
+// seq range (seqs are assigned at fetch, dispatched in order, and retired
+// only from the head), so a producer still in the window sits dist slots
+// behind idx. One outside the window (dist 0, or older than the head) has
+// committed or predates the stream, and is ready for good.
+func (c *Core) producerOf(idx int, seq uint64, dist uint16) producer {
+	d := int(dist)
+	if d == 0 || d > c.ruuCount {
+		return producer{seq: noProducer}
 	}
-	p := seq - uint64(dist) // may wrap; a wrapped p falls outside the window
-	head := c.ruu[c.ruuHead].seq
-	if p < head || p-head >= uint64(c.ruuCount) {
-		// Not in the window: committed long ago (or predates the stream).
-		return true
+	slot := idx - d
+	if slot < 0 {
+		slot += len(c.ruu)
 	}
-	e := &c.ruu[(c.ruuHead+int(p-head))%c.cfg.RUUSize]
-	return e.doneAt <= c.now
+	return producer{slot: slot, seq: seq - uint64(d)}
+}
+
+// ready reports whether a source's producer has its result by now: it has
+// left its slot (committed, perhaps with the slot reused under a later
+// seq) or it has finished executing.
+func (c *Core) ready(p producer) bool {
+	e := &c.ruu[p.slot]
+	return e.seq != p.seq || e.doneAt <= c.now
 }
 
 // earlierStoreConflict reports whether an older, not-yet-committed store
@@ -467,14 +573,13 @@ func (c *Core) earlierStoreConflict(loadIdx int) bool {
 		return false
 	}
 	word := c.ruu[loadIdx].inst.Addr &^ 7
-	pos := loadIdx - c.ruuHead
-	if pos < 0 {
-		pos += c.cfg.RUUSize
-	}
-	for i := 0; i < pos; i++ {
-		e := &c.ruu[(c.ruuHead+i)%c.cfg.RUUSize]
+	for i := c.ruuHead; i != loadIdx; {
+		e := &c.ruu[i]
 		if e.inst.Op == isa.OpStore && e.inst.Addr&^7 == word {
 			return true
+		}
+		if i++; i == len(c.ruu) {
+			i = 0
 		}
 	}
 	return false
@@ -527,7 +632,8 @@ func (c *Core) freePort() int {
 	return -1
 }
 
-func (c *Core) issue() {
+// issue starts ready instructions and reports whether it started any.
+func (c *Core) issue() bool {
 	issued := 0
 	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
 	intMD, fpMD := c.cfg.IntMulDiv, c.cfg.FPMulDiv
@@ -541,7 +647,7 @@ func (c *Core) issue() {
 			break
 		}
 		e := &c.ruu[idx]
-		if !c.producerDone(e.seq, e.inst.SrcDist1) || !c.producerDone(e.seq, e.inst.SrcDist2) {
+		if !c.ready(e.src[0]) || !c.ready(e.src[1]) {
 			keep = append(keep, idx)
 			continue
 		}
@@ -637,23 +743,26 @@ func (c *Core) issue() {
 		issued++
 	}
 	c.unissued = keep
+	return issued > 0
 }
 
 // ---------------------------------------------------------------------------
 // Commit
 // ---------------------------------------------------------------------------
 
-func (c *Core) commit() {
+// commit retires completed instructions from the RUU head and reports
+// whether it retired any.
+func (c *Core) commit() bool {
 	if c.now < c.commitStall {
-		return
+		return false
 	}
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		if c.ruuCount == 0 || c.stats.Instructions >= c.maxInstrs {
-			return
+			return n > 0
 		}
 		e := &c.ruu[c.ruuHead]
 		if !e.issued || e.doneAt > c.now {
-			return
+			return n > 0
 		}
 		if e.inst.Op == isa.OpStore {
 			lat := c.dcache.Store(c.now, e.inst.Addr)
@@ -681,14 +790,16 @@ func (c *Core) commit() {
 		} else if e.inst.Op == isa.OpLoad {
 			c.lsqCount--
 		}
-		e.valid = false
-		c.ruuHead = (c.ruuHead + 1) % c.cfg.RUUSize
+		if c.ruuHead++; c.ruuHead == len(c.ruu) {
+			c.ruuHead = 0
+		}
 		c.ruuCount--
 		c.stats.Instructions++
 		if c.now < c.commitStall {
-			return
+			return true
 		}
 	}
+	return true
 }
 
 // Reset restores the core to its post-construction state for a new run —
@@ -756,4 +867,5 @@ func (c *Core) Reset(cfg Config, stream isa.Stream) {
 	c.missBusyUntil = c.missBusyUntil[:0]
 	c.commitStall = 0
 	c.maxInstrs = 0
+	c.hookNext = 0
 }

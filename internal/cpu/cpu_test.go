@@ -293,13 +293,31 @@ func TestWorkloadDrivenSmoke(t *testing.T) {
 }
 
 func TestEachCycleHook(t *testing.T) {
+	// A hook that asks for every cycle runs on every cycle.
 	cfg := DefaultConfig()
 	var calls uint64
-	cfg.EachCycle = func(now uint64) { calls++ }
+	cfg.EachCycle = func(now uint64) uint64 { calls++; return now + 1 }
 	c := New(cfg, isa.NewSliceStream(seqInsts(100)), perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
 	s := c.Run(1 << 20)
 	if calls != s.Cycles {
 		t.Errorf("hook called %d times for %d cycles", calls, s.Cycles)
+	}
+
+	// A hook with a period runs exactly at the cycles it asks for, even
+	// across the idle stretches of a memory-bound stream.
+	const period = 37
+	cfg = DefaultConfig()
+	var at []uint64
+	cfg.EachCycle = func(now uint64) uint64 { at = append(at, now); return now + period }
+	c = New(cfg, isa.NewSliceStream(loadChain(200)), perfectICache{}, &fixedDCache{loadLat: 40, storeLat: 1})
+	s = c.Run(1 << 20)
+	if want := (s.Cycles + period - 1) / period; uint64(len(at)) != want {
+		t.Fatalf("hook ran %d times in %d cycles, want %d", len(at), s.Cycles, want)
+	}
+	for i, now := range at {
+		if now != uint64(i)*period {
+			t.Fatalf("call %d at cycle %d, want %d", i, now, uint64(i)*period)
+		}
 	}
 }
 

@@ -23,15 +23,15 @@ type WarmStream interface {
 // issue and timing entirely.
 //
 // The pipeline is first drained in place (commit/issue/dispatch with fetch
-// stopped) so no instruction is half-simulated across the mode switch;
-// drained instructions count toward the target. The clock then advances at
-// the estimated CPI (cpiNum cycles per cpiDen instructions, a fixed-point
-// pace; callers pass the cumulative cycles/instructions of the detailed
-// windows measured so far, or 0/0 for the 1.0 default before the first
-// measurement) so cycle-driven machinery — fault injection, scrubbing,
-// decay, replica-cache timestamps — sees a clock consistent with the
-// timing estimate. Both hooks installed by sim.SimulateContext handle
-// jumped clocks.
+// stopped, skipping idle cycles as Run does) so no instruction is
+// half-simulated across the mode switch; drained instructions count toward
+// the target. The clock then advances at the estimated CPI (cpiNum cycles
+// per cpiDen instructions, a fixed-point pace; callers pass the cumulative
+// cycles/instructions of the detailed windows measured so far, or 0/0 for
+// the 1.0 default before the first measurement) so cycle-driven machinery
+// — fault injection, scrubbing, decay, replica-cache timestamps — sees a
+// clock consistent with the timing estimate. Both hooks installed by
+// sim.SimulateContext handle jumped clocks.
 func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 	c.maxInstrs = target
 	for c.ruuCount > 0 || c.fqCount > 0 {
@@ -41,14 +41,7 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 		if c.cfg.Halt != nil && c.cfg.Halt() {
 			return c.stats
 		}
-		c.commit()
-		c.issue()
-		c.dispatch()
-		if c.cfg.EachCycle != nil {
-			c.cfg.EachCycle(c.now)
-		}
-		c.now++
-		c.stats.Cycles = c.now
+		c.cycle(false)
 	}
 
 	if cpiDen == 0 || cpiNum == 0 {
@@ -124,11 +117,11 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 			d := acc / cpiDen
 			acc -= d * cpiDen
 			c.now += d
-			if c.cfg.EachCycle != nil {
+			if c.cfg.EachCycle != nil && c.now-1 >= c.hookNext {
 				// Hooks are written for jumped clocks: the fault hook
 				// catches up every injection due in the skipped range, the
 				// scrub ticker fires once per jump.
-				c.cfg.EachCycle(c.now - 1)
+				c.hookNext = c.cfg.EachCycle(c.now - 1)
 			}
 		}
 	}

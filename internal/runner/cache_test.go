@@ -157,7 +157,7 @@ func TestCacheMissCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	mOpaque, runOpaque := baseInputs()
-	mOpaque.CPU.EachCycle = func(uint64) {}
+	mOpaque.CPU.EachCycle = func(uint64) uint64 { return 0 }
 	if _, err := r.Run(context.Background(), mOpaque, runOpaque); err != nil {
 		t.Fatal(err)
 	}

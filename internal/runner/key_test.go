@@ -187,7 +187,7 @@ func TestKeyForNonMemoizableInputs(t *testing.T) {
 		prep func(*config.Machine, *config.Run)
 	}{
 		{"EachCycle hook", func(m *config.Machine, r *config.Run) {
-			m.CPU.EachCycle = func(uint64) {}
+			m.CPU.EachCycle = func(uint64) uint64 { return 0 }
 		}},
 		{"Halt hook", func(m *config.Machine, r *config.Run) {
 			m.CPU.Halt = func() bool { return false }

@@ -450,7 +450,7 @@ func TestMemoBypassForOpaqueInputs(t *testing.T) {
 	fn, calls := countingSim()
 	r := newTestRunner(t, Options{Simulate: fn})
 	m, run := baseInputs()
-	m.CPU.EachCycle = func(uint64) {}
+	m.CPU.EachCycle = func(uint64) uint64 { return 0 }
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run(context.Background(), m, run); err != nil {
 			t.Fatal(err)

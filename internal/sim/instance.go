@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -220,7 +221,7 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 	in.reset(r)
 
 	cpucfg := m.CPU
-	var hooks []func(uint64)
+	var hooks []func(uint64) uint64
 	var injector *fault.Injector
 	if r.Fault.Prob > 0 {
 		wordsPerRow := m.DL1Assoc * m.DL1Block / 8
@@ -228,11 +229,12 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		next := injector.NextAfter(0)
 		dl1 := in.dl1
 		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
-		hooks = append(hooks, func(now uint64) {
+		hooks = append(hooks, func(now uint64) uint64 {
 			for now >= next {
 				dl1.Inject(injector)
 				next = injector.NextAfter(now)
 			}
+			return next
 		})
 	}
 	var tierInjector *fault.Injector
@@ -244,11 +246,12 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		prot := in.tier
 		inj := tierInjector
 		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
-		hooks = append(hooks, func(now uint64) {
+		hooks = append(hooks, func(now uint64) uint64 {
 			for now >= tnext {
 				prot.Inject(inj)
 				tnext = inj.NextAfter(now)
 			}
+			return tnext
 		})
 	}
 	if r.ScrubInterval > 0 {
@@ -259,10 +262,11 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		tick := newScrubTicker(r.ScrubInterval)
 		dl1 := in.dl1
 		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
-		hooks = append(hooks, func(now uint64) {
+		hooks = append(hooks, func(now uint64) uint64 {
 			if tick.due(now) {
 				dl1.Scrub(now, lines)
 			}
+			return tick.next
 		})
 	}
 	if in.ctrl != nil {
@@ -270,10 +274,11 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		epoch := newScrubTicker(in.ctrl.EpochCycles())
 		ctrl := in.ctrl
 		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
-		hooks = append(hooks, func(now uint64) {
+		hooks = append(hooks, func(now uint64) uint64 {
 			if epoch.due(now) {
 				ctrl.Epoch(now)
 			}
+			return epoch.next
 		})
 	}
 	switch len(hooks) {
@@ -282,10 +287,12 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		cpucfg.EachCycle = hooks[0]
 	default:
 		//icrvet:hot the fan-out hook installed behind Config.EachCycle
-		cpucfg.EachCycle = func(now uint64) {
+		cpucfg.EachCycle = func(now uint64) uint64 {
+			next := uint64(math.MaxUint64)
 			for _, h := range hooks {
-				h(now)
+				next = min(next, h(now))
 			}
+			return next
 		}
 	}
 

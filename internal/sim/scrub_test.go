@@ -2,8 +2,9 @@ package sim
 
 import "testing"
 
-// With a stride-1 clock (how the core actually drives EachCycle) the ticker
-// fires exactly once per interval boundary — identical to the old loop.
+// With a stride-1 clock the ticker fires exactly once per interval boundary
+// — identical to the old loop. The detailed core never jumps past the
+// ticker's next due cycle, so it sees the same firings.
 func TestScrubTickerStrideOne(t *testing.T) {
 	tick := newScrubTicker(100)
 	fired := 0
