@@ -32,9 +32,16 @@ race:
 		./internal/store ./internal/serve ./internal/cliflag \
 		./cmd/...
 
-# Short fuzz pass over the memoization content-address hash.
+# Short fuzz pass over every Fuzz* target in the module, 10s each.
+# Targets are found with `go test -list`, so a new one joins on its own.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzKeyFor -fuzztime=30s ./internal/runner
+	@for pkg in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for t in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "==> $$pkg $$t"; \
+			$(GO) test -run=NONE -fuzz="^$$t\$$" -fuzztime=10s $$pkg || exit 1; \
+		done; \
+	done
 
 # Benchmark baseline: micro-benches over the hot packages (sim kernel,
 # ICR cache, OoO core) plus the per-figure harness, captured as a

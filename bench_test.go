@@ -11,7 +11,6 @@ package repro
 // full-budget runs.
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -20,9 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/experiments"
-	"repro/internal/isa"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -260,44 +257,6 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := g.Next(); !ok {
 			b.Fatal("stream ended")
-		}
-	}
-}
-
-func BenchmarkTraceRoundTrip(b *testing.B) {
-	g := workload.MustNew(workload.Vpr(), 1)
-	insts := make([]isa.Inst, 1000)
-	for i := range insts {
-		insts[i], _ = g.Next()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, in := range insts {
-			if err := w.Write(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		r, err := trace.NewReader(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-			n++
-		}
-		if n != len(insts) {
-			b.Fatalf("round trip lost records: %d", n)
 		}
 	}
 }

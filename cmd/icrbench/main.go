@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/cliflag"
+	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
@@ -90,7 +91,7 @@ func run(ctx context.Context, args []string) error {
 		Seed:         sim.Seed,
 		Runner:       eng,
 	}
-	if opts.Sample, err = sim.SampleConfig(); err != nil {
+	if opts.Sample, err = config.ParseSample(sim.Sample); err != nil {
 		return err
 	}
 	if *progress {

@@ -5,6 +5,7 @@ import (
 
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +67,17 @@ func TestRunMultiSeed(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-fig", "fig10", "-seeds", "1,x"}); err == nil {
 		t.Error("bad seed list should fail")
+	}
+}
+
+// TestRunOptionFlagsNotRegistered: the figure drivers fix each run's
+// scheme options themselves, so icrbench rejects -adapt and -twotier at
+// parsing rather than accepting and ignoring them.
+func TestRunOptionFlagsNotRegistered(t *testing.T) {
+	for _, args := range [][]string{{"-twotier", "ecc"}, {"-adapt", "decay"}} {
+		err := run(context.Background(), append(args, "-list"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("icrbench %v: err = %v, want an undefined-flag error", args, err)
+		}
 	}
 }

@@ -52,8 +52,10 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("icrd", flag.ContinueOnError)
+	// Requests carry their own budget, seed, and run options, so icrd
+	// registers only the runner and cache flags.
 	var sim cliflag.Sim
-	sim.Register(fs)
+	sim.RegisterRunner(fs)
 	sim.RegisterCache(fs)
 	var (
 		addr        = fs.String("addr", "localhost:8080", "listen address (port 0 picks a free port, printed on stdout)")

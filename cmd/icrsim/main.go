@@ -21,9 +21,9 @@ import (
 	"repro/internal/cliflag"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -37,84 +37,103 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+// options is icrsim's parsed command line. req holds every run flag as
+// the POST /v1/runs body it mirrors, so icrsim and icrd build a run from
+// the same values through the same serve.BuildRun.
+type options struct {
+	sim          cliflag.Sim
+	req          serve.RunRequest
+	csv, all     bool
+	printVersion bool
+}
+
+// parseFlags parses args. Each run flag defaults to the zero value of the
+// RunRequest field it fills (-instructions and -seed default to the
+// values BuildRun gives a zero field).
+func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("icrsim", flag.ContinueOnError)
-	var sf cliflag.Sim
-	sf.Register(fs)
+	var o options
+	o.sim.Register(fs)
 	var (
 		bench        = fs.String("bench", "vpr", "benchmark: "+strings.Join(workload.Names(), ", "))
 		schemeName   = fs.String("scheme", "ICR-P-PS(S)", "scheme name, e.g. BaseP, BaseECC, BaseECC-spec, ICR-ECC-PS(S)")
 		window       = fs.Uint64("window", 0, "dead-block decay window in cycles (0 = dead immediately)")
-		victim       = fs.String("victim", "dead-only", "replica victim policy: dead-only, dead-first, replica-first, replica-only")
+		victim       = fs.String("victim", "", "replica victim policy: dead-only (default), dead-first, replica-first, replica-only")
 		distances    = fs.String("distances", "", "comma-separated replica set offsets (default N/2)")
-		replicas     = fs.Int("replicas", 1, "replicas maintained per block")
+		replicas     = fs.Int("replicas", 0, "replicas maintained per block (0 = 1)")
 		leave        = fs.Bool("leave", false, "leave replicas resident when the primary is evicted (§5.6)")
 		writeThrough = fs.Bool("writethrough", false, "write-through dL1 with 8-entry coalescing write buffer (§5.8)")
 		faultProb    = fs.Float64("fault-prob", 0, "per-cycle error-injection probability (0 = off)")
-		faultModel   = fs.String("fault-model", "random", "injection model: direct, adjacent, column, random")
-		faultSeed    = fs.Int64("fault-seed", 7, "injection RNG seed")
-		csv          = fs.Bool("csv", false, "emit a CSV row instead of the text report")
-		all          = fs.Bool("all", false, "run every scheme on the benchmark and print a comparison table")
-		showVersion  = cliflag.RegisterVersion(fs)
+		faultModel   = fs.String("fault-model", "", "injection model: direct, adjacent, column, random (default random)")
+		faultSeed    = fs.Int64("fault-seed", 0, "injection RNG seed")
+		adaptSpec    = fs.String("adapt", "",
+			`ICR-ADAPT runtime replication controller: "decay", "ehc", or `+
+				`"predictor=decay|ehc[,epoch=N][,hysteresis=N][,maxreplicas=N]`+
+				`[,minwindow=N][,maxwindow=N]" (empty = static replication)`)
+		twoTier = fs.String("twotier", "",
+			`second-tier protection: "parity", "ecc", "icr", "icr-ecc", or `+
+				`"protect=P|ECC[,replicate=BOOL][,victim=NAME][,decay=N][,cross=BOOL]`+
+				`[,latency=N][,fault=MODEL][,prob=F][,faultseed=N]" (empty = plain timing L2)`)
 	)
+	fs.BoolVar(&o.csv, "csv", false, "emit a CSV row instead of the text report")
+	fs.BoolVar(&o.all, "all", false, "run every scheme on the benchmark and print a comparison table")
+	showVersion := cliflag.RegisterVersion(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
-	if *showVersion {
-		fmt.Println(cliflag.Version("icrsim"))
-		return nil
+	o.printVersion = *showVersion
+	o.req = serve.RunRequest{
+		Benchmark:     *bench,
+		Scheme:        *schemeName,
+		Instructions:  o.sim.Instructions,
+		Seed:          o.sim.Seed,
+		DecayWindow:   *window,
+		Victim:        *victim,
+		Replicas:      *replicas,
+		LeaveReplicas: *leave,
+		WriteThrough:  *writeThrough,
+		FaultModel:    *faultModel,
+		FaultProb:     *faultProb,
+		FaultSeed:     *faultSeed,
+		Sample:        o.sim.Sample,
+		Adapt:         *adaptSpec,
+		TwoTier:       *twoTier,
 	}
+	if *distances != "" {
+		var err error
+		if o.req.Distances, err = cliflag.Ints(*distances); err != nil {
+			return options{}, err
+		}
+	}
+	return o, nil
+}
 
-	if *all {
-		return runAllSchemes(ctx, sf, *bench, *window, *victim)
-	}
-
-	scheme, err := core.SchemeByName(*schemeName)
+func run(ctx context.Context, args []string) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	r := config.NewRun(*bench, scheme)
-	r.Instructions = sf.Instructions
-	r.Seed = sf.Seed
-	if r.Sample, err = sf.SampleConfig(); err != nil {
+	if o.printVersion {
+		fmt.Println(cliflag.Version("icrsim"))
+		return nil
+	}
+	if o.all {
+		return runAllSchemes(ctx, o.sim, o.req)
+	}
+	r, err := serve.BuildRun(o.req)
+	if err != nil {
 		return err
 	}
-	if r.Adapt, err = sf.AdaptConfig(); err != nil {
-		return err
-	}
-	if r.TwoTier, err = sf.TwoTierConfig(); err != nil {
-		return err
-	}
-	r.WriteThrough = *writeThrough
-	r.Repl.DecayWindow = *window
-	r.Repl.Replicas = *replicas
-	r.Repl.LeaveReplicas = *leave
-	if r.Repl.Victim, err = core.ParseVictimPolicy(*victim); err != nil {
-		return err
-	}
-	if *distances != "" {
-		if r.Repl.Distances, err = cliflag.Ints(*distances); err != nil {
-			return err
-		}
-	}
-	if *faultProb > 0 {
-		model, err := fault.ParseModel(*faultModel)
-		if err != nil {
-			return err
-		}
-		r.Fault = config.FaultConfig{Model: model, Prob: *faultProb, Seed: *faultSeed}
-	}
-
-	if sf.Timeout > 0 {
+	if o.sim.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sf.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.sim.Timeout)
 		defer cancel()
 	}
 	report, err := sim.SimulateContext(ctx, config.Default(), r)
 	if err != nil {
 		return err
 	}
-	if *csv {
+	if o.csv {
 		fmt.Println(metrics.CSVHeader())
 		fmt.Println(report.CSVRow())
 		return nil
@@ -123,30 +142,35 @@ func run(ctx context.Context, args []string) error {
 	return nil
 }
 
+// schemeRuns builds req's run once per scheme, in core.AllSchemes order.
+// The adaptive controller needs a replicating scheme, so -adapt applies
+// to the replicating schemes and the static baselines run without it.
+func schemeRuns(req serve.RunRequest) ([]config.Run, error) {
+	schemes := core.AllSchemes()
+	runs := make([]config.Run, len(schemes))
+	for i, scheme := range schemes {
+		sreq := req
+		sreq.Scheme = scheme.Name()
+		if !scheme.HasReplication() {
+			sreq.Adapt = ""
+		}
+		var err error
+		if runs[i], err = serve.BuildRun(sreq); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
 // runAllSchemes prints a per-scheme comparison for one benchmark. The
 // schemes are independent simulations, so they fan out across the runner's
 // worker pool; rows print in scheme order regardless of completion order.
-func runAllSchemes(ctx context.Context, sf cliflag.Sim, bench string, window uint64, victim string) error {
-	vp, err := core.ParseVictimPolicy(victim)
-	if err != nil {
-		return err
-	}
-	sample, err := sf.SampleConfig()
+func runAllSchemes(ctx context.Context, sf cliflag.Sim, req serve.RunRequest) error {
+	runs, err := schemeRuns(req)
 	if err != nil {
 		return err
 	}
 	eng := runner.New(runner.Options{Workers: sf.Parallel, Timeout: sf.Timeout})
-	schemes := core.AllSchemes()
-	runs := make([]config.Run, len(schemes))
-	for i, scheme := range schemes {
-		r := config.NewRun(bench, scheme)
-		r.Instructions = sf.Instructions
-		r.Seed = sf.Seed
-		r.Sample = sample
-		r.Repl.DecayWindow = window
-		r.Repl.Victim = vp
-		runs[i] = r
-	}
 	reports, err := eng.RunBatch(ctx, config.Default(), runs)
 	if err != nil {
 		return err
@@ -154,10 +178,10 @@ func runAllSchemes(ctx context.Context, sf cliflag.Sim, bench string, window uin
 	base := reports[0]
 	fmt.Printf("%-16s %10s %10s %10s %10s %10s %12s\n",
 		"scheme", "cycles", "normCyc", "missRate", "replAbil", "loadsWRep", "energy(uJ)")
-	for i, scheme := range schemes {
+	for i, r := range runs {
 		rep := reports[i]
 		fmt.Printf("%-16s %10d %10.4f %10.4f %10.4f %10.4f %12.1f\n",
-			scheme.Name(), rep.Cycles,
+			r.Scheme.Name(), rep.Cycles,
 			float64(rep.Cycles)/float64(base.Cycles),
 			rep.DL1MissRate(), rep.ReplAbility(), rep.LoadsWithReplica(),
 			rep.TotalEnergy()/1000)

@@ -2,10 +2,14 @@ package main
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/cliflag"
+	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/runner"
+	"repro/internal/serve"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -68,6 +72,63 @@ func TestParseInts(t *testing.T) {
 
 func TestRunAllSchemes(t *testing.T) {
 	if err := run(context.Background(), []string{"-all", "-bench", "gzip", "-instructions", "15000", "-window", "1000", "-victim", "dead-first"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlaglessRunMatchesRequest: icrsim with no flags and a POST /v1/runs
+// body naming only the same benchmark and scheme build the same run, down
+// to its memoization key — the flags and the request fields they mirror
+// share one mapping.
+func TestFlaglessRunMatchesRequest(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRun, err := serve.BuildRun(o.req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqRun, err := serve.BuildRun(serve.RunRequest{Benchmark: "vpr", Scheme: "ICR-P-PS(S)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok1 := runner.KeyFor(config.Default(), flagRun)
+	want, ok2 := runner.KeyFor(config.Default(), reqRun)
+	if !ok1 || !ok2 || got != want {
+		t.Errorf("flagless icrsim key %v (ok %v) != request key %v (ok %v)", got, ok1, want, ok2)
+	}
+}
+
+// TestAllSchemesApplyTwoTierAndAdapt: -all builds every scheme's run with
+// -twotier, and with -adapt on each replicating scheme, then runs them.
+func TestAllSchemesApplyTwoTierAndAdapt(t *testing.T) {
+	args := []string{"-all", "-bench", "gzip", "-instructions", "15000", "-twotier", "ecc", "-adapt", "decay"}
+	o, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := schemeRuns(o.req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := config.ParseTwoTier("ecc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(core.AllSchemes()) {
+		t.Fatalf("%d runs, want one per scheme (%d)", len(runs), len(core.AllSchemes()))
+	}
+	for _, r := range runs {
+		if !reflect.DeepEqual(r.TwoTier, tier) {
+			t.Errorf("%s: TwoTier = %+v, want %+v", r.Scheme.Name(), r.TwoTier, tier)
+		}
+		if r.Adapt.Enabled() != r.Scheme.HasReplication() {
+			t.Errorf("%s: adaptive controller enabled = %v, want %v",
+				r.Scheme.Name(), r.Adapt.Enabled(), r.Scheme.HasReplication())
+		}
+	}
+	if err := run(context.Background(), args); err != nil {
 		t.Fatal(err)
 	}
 }

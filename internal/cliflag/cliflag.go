@@ -1,10 +1,12 @@
 // Package cliflag centralizes the command-line surface shared by the ICR
-// commands. icrsim, icrbench, and icrd all spell -parallel, -timeout,
-// -seed, and -instructions the same way, parse comma-separated lists the
-// same way, and build their simulation runner (optionally backed by the
-// persistent result store) from the same flag values — so behaviour like
-// "-parallel 1 gives identical output" holds across every entry point by
-// construction rather than by triplicated code.
+// commands. icrsim, icrbench, and icrd all spell -parallel and -timeout
+// the same way, icrsim and icrbench also -instructions, -seed, and
+// -sample; they parse comma-separated lists the same way and build their
+// simulation runner (optionally backed by the persistent result store)
+// from the same flag values — so behaviour like "-parallel 1 gives
+// identical output" holds across every entry point by construction
+// rather than by triplicated code. Each command registers only the flags
+// it uses.
 package cliflag
 
 import (
@@ -15,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -34,15 +35,9 @@ type Sim struct {
 	Parallel int
 	// Timeout bounds each individual simulation (0 = none).
 	Timeout time.Duration
-	// Sample is the raw -sample value; SampleConfig parses it
+	// Sample is the raw -sample value; config.ParseSample parses it
 	// ("" = exact simulation).
 	Sample string
-	// Adapt is the raw -adapt value; AdaptConfig parses it
-	// ("" = static replication).
-	Adapt string
-	// TwoTier is the raw -twotier value; TwoTierConfig parses it
-	// ("" = plain timing L2).
-	TwoTier string
 	// Store is the raw -store backend spec; ParseStore parses it:
 	// "disk:PATH" (or a bare path) for the local persistent store,
 	// "shards:HOST1,HOST2,..." for a memcache-style shard fleet, "" for
@@ -52,41 +47,25 @@ type Sim struct {
 	NoCache bool
 }
 
-// Register installs the four core flags on fs.
+// Register installs the flags of commands that choose what to simulate
+// (icrsim, icrbench): -instructions, -seed, and -sample, plus
+// RegisterRunner's.
 func (s *Sim) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.Instructions, "instructions", config.DefaultInstructions,
 		"committed instructions per simulation")
 	fs.Int64Var(&s.Seed, "seed", 1, "workload seed")
-	fs.IntVar(&s.Parallel, "parallel", runtime.NumCPU(),
-		"concurrent simulations (1 = serial; results identical either way)")
-	fs.DurationVar(&s.Timeout, "timeout", 0, "per-simulation timeout (0 = none)")
 	fs.StringVar(&s.Sample, "sample", "",
 		`SMARTS-style sampled simulation: "on" for the default geometry, or `+
 			`"period=N[,detail=N][,warmup=N][,conf=90|95|99]" (empty = exact)`)
-	fs.StringVar(&s.Adapt, "adapt", "",
-		`ICR-ADAPT runtime replication controller: "decay", "ehc", or `+
-			`"predictor=decay|ehc[,epoch=N][,hysteresis=N][,maxreplicas=N]`+
-			`[,minwindow=N][,maxwindow=N]" (empty = static replication)`)
-	fs.StringVar(&s.TwoTier, "twotier", "",
-		`second-tier protection: "parity", "ecc", "icr", "icr-ecc", or `+
-			`"protect=P|ECC[,replicate=BOOL][,victim=NAME][,decay=N][,cross=BOOL]`+
-			`[,latency=N][,fault=MODEL][,prob=F][,faultseed=N]" (empty = plain timing L2)`)
+	s.RegisterRunner(fs)
 }
 
-// SampleConfig parses the -sample flag value (config.ParseSample syntax).
-func (s *Sim) SampleConfig() (config.SampleConfig, error) {
-	return config.ParseSample(s.Sample)
-}
-
-// AdaptConfig parses the -adapt flag value (adapt.Parse syntax).
-func (s *Sim) AdaptConfig() (adapt.Config, error) {
-	return adapt.Parse(s.Adapt)
-}
-
-// TwoTierConfig parses the -twotier flag value (config.ParseTwoTier
-// syntax).
-func (s *Sim) TwoTierConfig() (config.TwoTier, error) {
-	return config.ParseTwoTier(s.TwoTier)
+// RegisterRunner installs the worker-pool flags every command shares:
+// -parallel and -timeout.
+func (s *Sim) RegisterRunner(fs *flag.FlagSet) {
+	fs.IntVar(&s.Parallel, "parallel", runtime.NumCPU(),
+		"concurrent simulations (1 = serial; results identical either way)")
+	fs.DurationVar(&s.Timeout, "timeout", 0, "per-simulation timeout (0 = none)")
 }
 
 // RegisterCache installs the cache-control flags (commands that memoize:

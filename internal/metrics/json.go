@@ -6,52 +6,37 @@ import (
 	"fmt"
 )
 
-// ReportSchemaVersion is the wire-format version of Report's JSON
-// encoding. It is embedded in every marshalled report (the "schema"
-// field), in every icrd HTTP response, and in every internal/store disk
-// entry header, so all three share one versioned wire form.
+// ReportSchemaVersion is the highest wire-format version of Report's
+// JSON encoding. Every marshalled report carries its version in the
+// "schema" field, and icrd HTTP responses and internal/store disk entries
+// embed that encoding unchanged, so the payload itself is the only place
+// a report's version lives.
 //
-// Version history:
+// Each optional block raised the version once, and a report is tagged
+// with the lowest version whose field set covers the blocks it actually
+// carries (wireVersion), so payloads older readers could parse keep the
+// encoding those readers produced:
 //
-//	1 — exact runs: every counter, no sampling fields.
-//	2 — adds the optional Sampling block (SamplingStats) for sampled
-//	    runs. Exact runs still marshal as version 1 — their encoding is
-//	    byte-identical to what version-1 writers produced — and decoders
-//	    accept both, so only payloads that actually carry sampling data
-//	    are tagged with the new version.
-//	3 — adds the optional Adaptive block (AdaptiveStats) for runs driven
-//	    by the ICR-ADAPT runtime controller. As with version 2, the new
-//	    version tags only payloads that actually carry the block: static
-//	    runs keep marshalling as version 1 (or 2 when sampled), byte-
-//	    identical to what older writers produced.
-//	4 — adds the optional TwoTier block (TwoTierStats) for runs with a
-//	    protected second tier or memory-tier energy pricing. Same gating
-//	    as before: only payloads carrying the block are tagged with the
-//	    new version.
+//	1 — exact runs: every counter, no optional block.
+//	2 — the Sampling block (SamplingStats) of sampled runs.
+//	3 — the Adaptive block (AdaptiveStats) of ICR-ADAPT runs.
+//	4 — the TwoTier block (TwoTierStats) of runs with a protected second
+//	    tier or memory-tier energy pricing.
 //
-// Bump it whenever the set of Report fields changes (added, removed, or
-// renamed): decoders reject unknown versions, which turns a stale disk
-// entry into a cache miss instead of a silently wrong report. The golden
-// test in json_test.go fails on any field change that is not accompanied
-// by a bump.
+// One rule decodes them all: a payload is accepted if and only if its
+// declared schema equals the version its blocks imply. A change to the
+// set of Report fields (added, removed, or renamed) must change that
+// version for every payload it affects — a new optional block takes
+// ReportSchemaVersion+1 — so the decoder rejects what older writers
+// produced, which turns a stale disk entry into a cache miss instead of
+// a silently wrong report. The golden test in json_test.go fails on any
+// field change that is not accompanied by a bump.
 const ReportSchemaVersion = 4
 
-// exactReportSchema is the wire version emitted for reports without
-// sampling, adaptive, or two-tier data; see the version history above.
-const exactReportSchema = 1
-
-// sampledReportSchema is the wire version emitted for sampled reports
-// without adaptive or two-tier data.
-const sampledReportSchema = 2
-
-// adaptiveReportSchema is the wire version emitted for adaptive reports
-// without two-tier data.
-const adaptiveReportSchema = 3
-
 // ErrReportSchema is returned (wrapped) by Report.UnmarshalJSON when the
-// payload's schema version is not one this decoder understands, or when a
-// payload's fields contradict its declared version. Callers that read
-// cached reports should treat it as a miss, not a failure.
+// payload's declared schema version is not the one its blocks imply.
+// Callers that read cached reports should treat it as a miss, not a
+// failure.
 var ErrReportSchema = errors.New("metrics: report schema version mismatch")
 
 // reportWire is Report plus the schema discriminator. The alias type
@@ -66,18 +51,17 @@ type reportWire struct {
 
 // wireVersion returns the schema version a report marshals under: the
 // lowest version whose field set covers the optional blocks the report
-// actually carries, so payloads older readers could parse keep the
-// encoding those readers produced.
+// actually carries (see ReportSchemaVersion).
 func (r *Report) wireVersion() int {
 	switch {
 	case r.TwoTier != nil:
 		return ReportSchemaVersion
 	case r.Adaptive != nil:
-		return adaptiveReportSchema
+		return 3
 	case r.Sampling != nil:
-		return sampledReportSchema
+		return 2
 	default:
-		return exactReportSchema
+		return 1
 	}
 }
 
@@ -91,43 +75,20 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(reportWire{Schema: r.wireVersion(), reportAlias: reportAlias(r)})
 }
 
-// UnmarshalJSON decodes a report, accepting every current wire version
-// and rejecting anything else with an error wrapping ErrReportSchema. A
-// payload claiming a version too low for the optional blocks it carries
-// is malformed and rejected the same way.
+// UnmarshalJSON decodes a report, accepting a payload if and only if its
+// declared schema equals the wireVersion of the blocks it carries — so it
+// accepts exactly what MarshalJSON emits — and rejecting anything else
+// with an error wrapping ErrReportSchema.
 func (r *Report) UnmarshalJSON(data []byte) error {
 	var w reportWire
 	w.Schema = -1
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	switch w.Schema {
-	case exactReportSchema:
-		if w.Sampling != nil {
-			return fmt.Errorf("%w: version %d payload carries sampling fields", ErrReportSchema, w.Schema)
-		}
-		if w.Adaptive != nil {
-			return fmt.Errorf("%w: version %d payload carries adaptive fields", ErrReportSchema, w.Schema)
-		}
-		if w.TwoTier != nil {
-			return fmt.Errorf("%w: version %d payload carries two-tier fields", ErrReportSchema, w.Schema)
-		}
-	case sampledReportSchema:
-		if w.Adaptive != nil {
-			return fmt.Errorf("%w: version %d payload carries adaptive fields", ErrReportSchema, w.Schema)
-		}
-		if w.TwoTier != nil {
-			return fmt.Errorf("%w: version %d payload carries two-tier fields", ErrReportSchema, w.Schema)
-		}
-	case adaptiveReportSchema:
-		if w.TwoTier != nil {
-			return fmt.Errorf("%w: version %d payload carries two-tier fields", ErrReportSchema, w.Schema)
-		}
-	case ReportSchemaVersion:
-	default:
-		return fmt.Errorf("%w: got %d, want %d, %d, %d, or %d", ErrReportSchema, w.Schema,
-			exactReportSchema, sampledReportSchema, adaptiveReportSchema, ReportSchemaVersion)
+	rep := Report(w.reportAlias)
+	if want := rep.wireVersion(); w.Schema != want {
+		return fmt.Errorf("%w: declared %d, blocks imply %d", ErrReportSchema, w.Schema, want)
 	}
-	*r = Report(w.reportAlias)
+	*r = rep
 	return nil
 }

@@ -90,9 +90,9 @@ func TestReportJSONGolden(t *testing.T) {
 		sampled, adaptive, twotier bool
 		schema                     int
 	}{
-		{"exact", "report_schema.json", false, false, false, exactReportSchema},
-		{"sampled", "report_schema_sampled.json", true, false, false, sampledReportSchema},
-		{"adaptive", "report_schema_adaptive.json", true, true, false, adaptiveReportSchema},
+		{"exact", "report_schema.json", false, false, false, 1},
+		{"sampled", "report_schema_sampled.json", true, false, false, 2},
+		{"adaptive", "report_schema_adaptive.json", true, true, false, 3},
 		{"twotier", "report_schema_twotier.json", true, true, true, ReportSchemaVersion},
 	}
 	for _, tc := range cases {
@@ -271,39 +271,60 @@ func TestReportJSONSchemaMismatch(t *testing.T) {
 	}
 }
 
-// TestLowSchemaRejectsOptionalBlocks pins the invariant behind the tiered
-// schema: a payload may not declare a version too low for the optional
-// blocks it carries — a version-1 document must carry none of the
-// optional blocks, a version-2 document must not carry Adaptive or
-// TwoTier, and a version-3 document must not carry TwoTier.
-func TestLowSchemaRejectsOptionalBlocks(t *testing.T) {
-	cases := []struct {
-		name                       string
-		sampled, adaptive, twotier bool
-		from, to                   int
-	}{
-		{"sampling-as-v1", true, false, false, sampledReportSchema, exactReportSchema},
-		{"adaptive-as-v1", false, true, false, adaptiveReportSchema, exactReportSchema},
-		{"adaptive-as-v2", false, true, false, adaptiveReportSchema, sampledReportSchema},
-		{"twotier-as-v1", false, false, true, ReportSchemaVersion, exactReportSchema},
-		{"twotier-as-v2", false, false, true, ReportSchemaVersion, sampledReportSchema},
-		{"twotier-as-v3", false, false, true, ReportSchemaVersion, adaptiveReportSchema},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := goldenReport(tc.sampled, tc.adaptive, tc.twotier)
-			data, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
+// TestReportSchemaRule pins the decoder's one rule over every
+// combination of optional blocks and every declared version: a payload is
+// accepted if and only if its declared schema equals the version its
+// blocks imply — the version MarshalJSON would tag it with — so the
+// decoder accepts exactly what the encoder emits.
+func TestReportSchemaRule(t *testing.T) {
+	for mask := 0; mask < 8; mask++ {
+		sampled, adaptive, twotier := mask&1 != 0, mask&2 != 0, mask&4 != 0
+		var blocks []string
+		implied := 1
+		if sampled {
+			blocks, implied = append(blocks, "sampling"), 2
+		}
+		if adaptive {
+			blocks, implied = append(blocks, "adaptive"), 3
+		}
+		if twotier {
+			blocks, implied = append(blocks, "twotier"), 4
+		}
+		label := "exact"
+		if len(blocks) > 0 {
+			label = strings.Join(blocks, "+")
+		}
+		r := goldenReport(sampled, adaptive, twotier)
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted := fmt.Sprintf(`{"schema":%d,`, implied)
+		if !bytes.HasPrefix(data, []byte(emitted)) {
+			t.Fatalf("%s: encoding does not start with %s: %s", label, emitted, data)
+		}
+		for declared := -1; declared <= 5; declared++ {
+			name, head := label+"-without-schema", "{"
+			if declared >= 0 {
+				name, head = fmt.Sprintf("%s-as-v%d", label, declared), fmt.Sprintf(`{"schema":%d,`, declared)
 			}
-			bad := bytes.Replace(data,
-				[]byte(fmt.Sprintf(`"schema":%d`, tc.from)),
-				[]byte(fmt.Sprintf(`"schema":%d`, tc.to)), 1)
-			var back Report
-			if err := json.Unmarshal(bad, &back); !errors.Is(err, ErrReportSchema) {
-				t.Errorf("schema-%d payload declared as %d: decode err = %v, want ErrReportSchema",
-					tc.from, tc.to, err)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				payload := append([]byte(head), data[len(emitted):]...)
+				var back Report
+				err := json.Unmarshal(payload, &back)
+				if declared != implied {
+					if !errors.Is(err, ErrReportSchema) {
+						t.Errorf("decode err = %v, want ErrReportSchema (blocks imply version %d)", err, implied)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("emitted encoding rejected: %v", err)
+				}
+				if !reflect.DeepEqual(back, r) {
+					t.Errorf("decoded report differs:\n got %+v\nwant %+v", back, r)
+				}
+			})
+		}
 	}
 }

@@ -248,8 +248,10 @@ func (s *Server) stats() map[string]any {
 	return out
 }
 
-// RunRequest is the POST /v1/runs body. Zero fields take the same
-// defaults as the icrsim flags they mirror.
+// RunRequest is the POST /v1/runs body. BuildRun maps it onto a
+// config.Run, with zero fields taking config.NewRun's defaults; icrsim
+// fills one from its flags and builds its run the same way, so a flag and
+// the field it mirrors cannot disagree.
 type RunRequest struct {
 	Benchmark     string  `json:"benchmark"`
 	Scheme        string  `json:"scheme"`
@@ -326,7 +328,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	run, err := buildRun(req)
+	run, err := BuildRun(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -359,19 +361,15 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	sample, err := config.ParseSample(req.Sample)
+	opts, err := figureOptions(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := experiments.MultiSeed(ctx, id, experiments.Options{
-		Instructions: req.Instructions,
-		Seed:         req.Seed,
-		Sample:       sample,
-		Runner:       s.eng,
-	}, req.Seeds)
+	opts.Runner = s.eng
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+	res, err := experiments.MultiSeed(ctx, id, opts, req.Seeds)
 	if err != nil {
 		writeRunError(w, err)
 		return
@@ -421,9 +419,9 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	return context.WithCancel(r.Context())
 }
 
-// buildRun translates a RunRequest into a config.Run, mirroring the
-// icrsim flag semantics.
-func buildRun(req RunRequest) (config.Run, error) {
+// BuildRun translates a RunRequest into a config.Run. It is the one
+// mapping from request (or icrsim flag) values to a run.
+func BuildRun(req RunRequest) (config.Run, error) {
 	if req.Benchmark == "" {
 		return config.Run{}, errors.New("benchmark is required")
 	}
@@ -466,7 +464,7 @@ func buildRun(req RunRequest) (config.Run, error) {
 	}
 	if req.FaultProb > 0 {
 		if req.FaultModel == "" {
-			req.FaultModel = "random" // the icrsim -fault-model default
+			req.FaultModel = "random"
 		}
 		model, err := fault.ParseModel(req.FaultModel)
 		if err != nil {
@@ -475,6 +473,16 @@ func buildRun(req RunRequest) (config.Run, error) {
 		run.Fault = config.FaultConfig{Model: model, Prob: req.FaultProb, Seed: req.FaultSeed}
 	}
 	return run, nil
+}
+
+// figureOptions translates a FigureRequest into the experiment options
+// its figure runs under (all but the runner).
+func figureOptions(req FigureRequest) (experiments.Options, error) {
+	sample, err := config.ParseSample(req.Sample)
+	if err != nil {
+		return experiments.Options{}, err
+	}
+	return experiments.Options{Instructions: req.Instructions, Seed: req.Seed, Sample: sample}, nil
 }
 
 // decodeBody parses a bounded JSON body; unknown fields are errors so

@@ -6,11 +6,14 @@
 //
 // Guarantees:
 //
-//   - Versioned format: every entry carries the container format version
-//     and the metrics.ReportSchemaVersion of its payload. A report-schema
-//     change (or a runner.KeyFor change, which rotates every key)
-//     invalidates old entries cleanly: they degrade to misses, never to
-//     wrong hits.
+//   - Versioned format: an entry is a header — magic, container format
+//     version, payload length, SHA-256 of the payload — followed by the
+//     report's JSON. The report version lives only in that payload's own
+//     "schema" field, and metrics decides whether it is current. An
+//     entry in another container format, or whose payload metrics
+//     rejects as a schema mismatch, is stale; so is every entry after a
+//     runner.KeyFor change, which rotates every key. Stale entries
+//     degrade to misses, never to wrong hits.
 //   - Atomic writes: entries are written to a temp file in the store
 //     directory, fsynced, and renamed into place, so a crash mid-write
 //     can never leave a half-visible entry.
@@ -46,8 +49,9 @@ import (
 )
 
 // FormatVersion is the on-disk container format. Bump on any header or
-// layout change; readers reject other versions (miss + quarantine).
-const FormatVersion = 1
+// layout change; readers treat other versions as stale (a miss, and the
+// file is removed).
+const FormatVersion = 2
 
 // DefaultMaxBytes caps the store at 256 MiB of payload unless Options
 // says otherwise — roughly half a million full-budget reports, far more
@@ -57,9 +61,9 @@ const DefaultMaxBytes int64 = 256 << 20
 // magic identifies store entry files.
 var magic = [4]byte{'I', 'C', 'R', 'S'}
 
-// headerSize is the fixed entry prologue: magic, format u32, schema u32,
-// payload length u64, SHA-256 of the payload.
-const headerSize = 4 + 4 + 4 + 8 + sha256.Size
+// headerSize is the fixed entry prologue: magic, format u32, payload
+// length u64, SHA-256 of the payload.
+const headerSize = 4 + 4 + 8 + sha256.Size
 
 const (
 	entrySuffix      = ".icr"
@@ -288,17 +292,11 @@ func (s *Store) Put(ctx context.Context, key string, rep *metrics.Report) error 
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	buf := make([]byte, headerSize, headerSize+len(payload))
-	copy(buf[0:4], magic[:])
-	binary.LittleEndian.PutUint32(buf[4:8], FormatVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], metrics.ReportSchemaVersion)
-	binary.LittleEndian.PutUint64(buf[12:20], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(buf[20:20+sha256.Size], sum[:])
-	buf = append(buf, payload...)
+	buf := encodeEntry(payload)
+	size := int64(len(payload))
 
 	s.mu.Lock()
-	if old, ok := s.index[key]; ok && old.size == int64(len(payload)) {
+	if old, ok := s.index[key]; ok && old.size == size {
 		if cur, err := os.ReadFile(s.path(key)); err == nil && bytes.Equal(cur, buf) {
 			s.lru.MoveToFront(old.elem)
 			now := time.Now()
@@ -315,11 +313,11 @@ func (s *Store) Put(ctx context.Context, key string, rep *metrics.Report) error 
 	}
 	if old, ok := s.index[key]; ok {
 		s.bytes -= old.size
-		old.size = int64(len(payload))
+		old.size = size
 		s.bytes += old.size
 		s.lru.MoveToFront(old.elem)
 	} else {
-		e := &entry{key: key, size: int64(len(payload))}
+		e := &entry{key: key, size: size}
 		e.elem = s.lru.PushFront(e)
 		s.index[key] = e
 		s.bytes += e.size
@@ -333,8 +331,9 @@ func (s *Store) Put(ctx context.Context, key string, rep *metrics.Report) error 
 	return nil
 }
 
-// errStale marks an entry written under an older (or newer) format or
-// report schema: invalid, but not corrupt.
+// errStale marks an entry written under another container format, or
+// whose payload's report schema metrics rejects: invalid, but not
+// corrupt.
 var errStale = errors.New("store: stale format or schema version")
 
 // errCorrupt marks an entry whose bytes were read fine but do not
@@ -343,30 +342,35 @@ var errStale = errors.New("store: stale format or schema version")
 // never wrap errCorrupt) are surfaced instead.
 var errCorrupt = errors.New("store: corrupt entry")
 
-// read loads and validates one entry. Callers hold s.mu. A returned error
-// wraps errStale (invalid but clean), errCorrupt (quarantine it), or is a
-// raw I/O error from the filesystem (transient, caller decides).
-func (s *Store) read(key string) (*metrics.Report, error) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, err
-	}
+// encodeEntry renders the bytes of one entry file: the header, then the
+// payload (a report's JSON).
+func encodeEntry(payload []byte) []byte {
+	buf := make([]byte, headerSize, headerSize+len(payload))
+	copy(buf[0:4], magic[:])
+	binary.LittleEndian.PutUint32(buf[4:8], FormatVersion)
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(buf[16:headerSize], sum[:])
+	return append(buf, payload...)
+}
+
+// decodeEntry validates the bytes of one entry file and decodes its
+// report. A returned error wraps errStale (invalid but clean) or
+// errCorrupt (quarantine it).
+func decodeEntry(data []byte) (*metrics.Report, error) {
 	if len(data) < headerSize || !bytes.Equal(data[0:4], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic or truncated header", errCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != FormatVersion {
 		return nil, fmt.Errorf("%w: container format %d", errStale, v)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != metrics.ReportSchemaVersion {
-		return nil, fmt.Errorf("%w: report schema %d", errStale, v)
-	}
-	plen := binary.LittleEndian.Uint64(data[12:20])
+	plen := binary.LittleEndian.Uint64(data[8:16])
 	payload := data[headerSize:]
 	if uint64(len(payload)) != plen {
 		return nil, fmt.Errorf("%w: payload length %d, header says %d", errCorrupt, len(payload), plen)
 	}
 	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], data[20:20+sha256.Size]) {
+	if !bytes.Equal(sum[:], data[16:headerSize]) {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", errCorrupt)
 	}
 	var rep metrics.Report
@@ -377,6 +381,17 @@ func (s *Store) read(key string) (*metrics.Report, error) {
 		return nil, fmt.Errorf("%w: decoding payload: %v", errCorrupt, err)
 	}
 	return &rep, nil
+}
+
+// read loads and validates one entry. Callers hold s.mu. A returned error
+// wraps errStale or errCorrupt (see decodeEntry), or is a raw I/O error
+// from the filesystem (transient, caller decides).
+func (s *Store) read(key string) (*metrics.Report, error) {
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		return nil, err
+	}
+	return decodeEntry(data)
 }
 
 // writeAtomic writes buf to key's path via a temp file and rename.

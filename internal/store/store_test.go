@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -154,27 +157,38 @@ func TestTruncatedEntryIsMiss(t *testing.T) {
 	}
 }
 
-// TestStaleSchemaIsMiss writes an entry whose header carries an older
-// report-schema version: it must degrade to a miss (re-simulate), and the
-// file is removed rather than quarantined (stale, not corrupt).
-func TestStaleSchemaIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	key := keyN(0)
-	s := mustOpen(t, dir, Options{})
-	if err := s.Put(ctx, key, testReport(1)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key+entrySuffix)
-	data, err := os.ReadFile(path)
+// formatV1Entry renders rep the way FormatVersion 1 wrote it: magic,
+// format 1, the report schema schemaV in the header, payload length,
+// SHA-256, payload.
+func formatV1Entry(tb testing.TB, rep *metrics.Report, schemaV uint32) []byte {
+	tb.Helper()
+	payload, err := json.Marshal(rep)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:12], metrics.ReportSchemaVersion-1)
+	buf := make([]byte, 56, 56+len(payload))
+	copy(buf[0:4], magic[:])
+	binary.LittleEndian.PutUint32(buf[4:8], 1)
+	binary.LittleEndian.PutUint32(buf[8:12], schemaV)
+	binary.LittleEndian.PutUint64(buf[12:20], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(buf[20:56], sum[:])
+	return append(buf, payload...)
+}
+
+// assertStaleMiss writes data as key's entry file in dir, opens a store
+// there as a restarted daemon would, and asserts that Get degrades the
+// entry to a SchemaStale miss — re-simulate — and removes the file rather
+// than quarantining it (stale, not corrupt). It returns the store.
+func assertStaleMiss(t *testing.T, dir, key string, data []byte) *Store {
+	t.Helper()
+	path := filepath.Join(dir, key+entrySuffix)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	s := mustOpen(t, dir, Options{})
 	if _, ok := getOK(t, s, key); ok {
-		t.Fatal("stale-schema entry served as a hit")
+		t.Fatal("stale entry served as a hit")
 	}
 	if st := s.Stats(); st.SchemaStale != 1 || st.Quarantined != 0 {
 		t.Errorf("stats = %+v, want 1 schema-stale, 0 quarantined", st)
@@ -182,6 +196,24 @@ func TestStaleSchemaIsMiss(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("stale entry not removed: %v", err)
 	}
+	return s
+}
+
+// TestStaleSchemaIsMiss writes a well-formed entry whose payload declares
+// a report schema other than the one its blocks imply — what a writer
+// under another schema would leave: metrics rejects it, so it must
+// degrade to a miss and be removed, and a re-put works again.
+func TestStaleSchemaIsMiss(t *testing.T) {
+	key := keyN(0)
+	payload, err := json.Marshal(testReport(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Replace(payload, []byte(`"schema":1,`), []byte(`"schema":0,`), 1)
+	if bytes.Equal(stale, payload) {
+		t.Fatalf("payload does not declare schema 1: %s", payload)
+	}
+	s := assertStaleMiss(t, t.TempDir(), key, encodeEntry(stale))
 	// Re-put under the current schema works again.
 	if err := s.Put(ctx, key, testReport(2)); err != nil {
 		t.Fatal(err)
@@ -240,32 +272,11 @@ func TestSampledReportRoundTrip(t *testing.T) {
 }
 
 // TestPreSamplingEntryIsMiss pins the migration story for entries written
-// before the sampling schema bump: their header carries report schema 1,
-// which the current store treats as stale — a miss that forces
-// resimulation — rather than serving a payload the current decoder only
-// half-understands.
+// in FormatVersion 1 by a pre-sampling store (report schema 1 in the
+// header): the current store treats them as stale — a miss that forces
+// resimulation once — rather than serving or quarantining them.
 func TestPreSamplingEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	key := keyN(0)
-	s := mustOpen(t, dir, Options{})
-	if err := s.Put(ctx, key, testReport(1)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key+entrySuffix)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:12], 1) // pre-sampling schema
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := getOK(t, s, key); ok {
-		t.Fatal("pre-sampling entry served as a hit")
-	}
-	if st := s.Stats(); st.SchemaStale != 1 {
-		t.Errorf("stats = %+v, want 1 schema-stale", st)
-	}
+	assertStaleMiss(t, t.TempDir(), keyN(0), formatV1Entry(t, testReport(1), 1))
 }
 
 // adaptiveReport is testReport plus the schema-3 Adaptive block an
@@ -315,56 +326,26 @@ func TestAdaptiveReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPreAdaptiveEntryIsMiss pins the migration story for the adaptive
-// schema bump: an entry written under report schema 2 (the pre-adaptive
-// store format) degrades to a SchemaStale miss and is deleted, never
-// served.
+// TestPreAdaptiveEntryIsMiss: a FormatVersion 1 entry carrying a
+// sampled report under report schema 2 — the newest kind the
+// pre-adaptive store wrote — degrades to a SchemaStale miss and is
+// deleted, never served.
 func TestPreAdaptiveEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	key := keyN(0)
-	s := mustOpen(t, dir, Options{})
-	if err := s.Put(ctx, key, sampledReport(1)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key+entrySuffix)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:12], 2) // pre-adaptive schema
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := getOK(t, s, key); ok {
-		t.Fatal("pre-adaptive entry served as a hit")
-	}
-	if st := s.Stats(); st.SchemaStale != 1 || st.Quarantined != 0 {
-		t.Errorf("stats = %+v, want 1 schema-stale, 0 quarantined", st)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("pre-adaptive entry not removed: %v", err)
-	}
+	assertStaleMiss(t, t.TempDir(), keyN(0), formatV1Entry(t, sampledReport(1), 2))
 }
 
+// TestStaleContainerFormatIsMiss: an entry in a future container format,
+// and a FormatVersion 1 entry as the last version-1 store wrote it
+// (report schema 4 in the header), are stale misses.
 func TestStaleContainerFormatIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	key := keyN(0)
-	s := mustOpen(t, dir, Options{})
-	if err := s.Put(ctx, key, testReport(1)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key+entrySuffix)
-	data, err := os.ReadFile(path)
+	payload, err := json.Marshal(testReport(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[4:8], FormatVersion+1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := getOK(t, s, key); ok {
-		t.Fatal("future-format entry served as a hit")
-	}
+	future := encodeEntry(payload)
+	binary.LittleEndian.PutUint32(future[4:8], FormatVersion+1)
+	assertStaleMiss(t, t.TempDir(), keyN(0), future)
+	assertStaleMiss(t, t.TempDir(), keyN(1), formatV1Entry(t, testReport(1), 4))
 }
 
 // TestLRUEviction: the byte cap evicts least-recently-used entries, and a

@@ -43,7 +43,7 @@ $GO test -run=NONE -bench='BenchmarkSimulate|BenchmarkSampled|BenchmarkCoreAcces
     ./internal/sim ./internal/core ./internal/cpu | tee -a "$RAW"
 
 echo "==> root micro benchmarks (benchtime=$BENCHTIME)"
-$GO test -run=NONE -bench='BenchmarkSECDED|BenchmarkParity|BenchmarkICRCache|BenchmarkWorkload|BenchmarkTrace|BenchmarkEndToEnd' \
+$GO test -run=NONE -bench='BenchmarkSECDED|BenchmarkParity|BenchmarkICRCache|BenchmarkWorkload|BenchmarkEndToEnd' \
     -benchmem -benchtime="$BENCHTIME" . | tee -a "$RAW"
 
 echo "==> figure benchmarks (benchtime=1x)"
