@@ -73,9 +73,13 @@ func equivalenceRuns() []equivRun {
 
 // pathPins covers every per-cycle hook and both simulation modes beyond
 // the static matrix: mcf's long-latency stalls (the core's idle-cycle
-// path), the adaptive epoch ticker, the two-tier injector with cross-tier
-// placement, the scrub ticker, and a sampled run whose warming segments
-// drain the pipeline and drive the hooks with a jumped clock.
+// path), the adaptive epoch ticker under both predictors, the two-tier
+// injector with cross-tier placement, the scrub ticker, a sampled run
+// whose warming segments drain the pipeline and drive the hooks with a
+// jumped clock, and the dL1's optional structures: a write-through dL1
+// with its write buffer, a duplication cache, and prefetching into dead
+// lines. The last three run on vortex, gcc and parser, whose Hot-region
+// Zipf shapes the scheme matrix does not reach.
 func pathPins() []equivRun {
 	m := config.Default()
 	relaxed := core.ReplConfig{
@@ -105,6 +109,9 @@ func pathPins() []equivRun {
 	ad.Instructions = 200_000 // several 20k-cycle epochs
 	ad.Adapt = adapt.Config{Predictor: adapt.PredictorDecay}
 	runs = append(runs, pinRun("flux_ICR-ADAPT-decay_seed1.json", ad))
+	ehc := ad
+	ehc.Adapt = adapt.Config{Predictor: adapt.PredictorEHC}
+	runs = append(runs, pinRun("flux_ICR-ADAPT-ehc_seed1.json", ehc))
 
 	tt := mk("mcf", icrPS)
 	tt.TwoTier = config.TwoTier{
@@ -122,6 +129,19 @@ func pathPins() []equivRun {
 	sa.Instructions = 200_000
 	sa.Sample = config.SampleConfig{Period: 20_000}
 	runs = append(runs, pinRun("vpr_ICR-P-PS-S_sampled20k_seed1.json", sa))
+
+	wt := mk("vortex", core.BaseP())
+	wt.WriteThrough = true
+	wt.WriteBufferEntries = 8
+	runs = append(runs, pinRun("vortex_BaseP_writethrough8_seed1.json", wt))
+
+	dup := mk("gcc", core.BaseP())
+	dup.DupCacheKB = 2
+	runs = append(runs, pinRun("gcc_BaseP_dup2k_seed1.json", dup))
+
+	pf := mk("parser", icrPS)
+	pf.Prefetch = true
+	runs = append(runs, pinRun("parser_ICR-P-PS-S_prefetch_seed1.json", pf))
 	return runs
 }
 
