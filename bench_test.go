@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -258,6 +259,18 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 		if _, ok := g.Next(); !ok {
 			b.Fatal("stream ended")
 		}
+	}
+}
+
+// BenchmarkWorkloadGenerationWarm is BenchmarkWorkloadGeneration for the
+// functional-warming stream, filled 256 instructions at a time as
+// cpu.RunWarming does; one op is one instruction.
+func BenchmarkWorkloadGenerationWarm(b *testing.B) {
+	g := workload.MustNew(workload.Gcc(), 1)
+	buf := make([]isa.Inst, 256)
+	b.ResetTimer()
+	for n := 0; n < b.N; n += len(buf) {
+		g.FillWarm(buf[:min(len(buf), b.N-n)])
 	}
 }
 

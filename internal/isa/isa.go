@@ -150,30 +150,3 @@ func (s *SliceStream) Next() (Inst, bool) {
 
 // Reset rewinds the stream to the beginning.
 func (s *SliceStream) Reset() { s.pos = 0 }
-
-// LimitStream wraps a Stream and stops after n instructions.
-type LimitStream struct {
-	inner Stream
-	left  uint64
-}
-
-var _ Stream = (*LimitStream)(nil)
-
-// Limit returns a Stream that yields at most n instructions from inner.
-func Limit(inner Stream, n uint64) *LimitStream {
-	return &LimitStream{inner: inner, left: n}
-}
-
-// Next implements Stream.
-func (s *LimitStream) Next() (Inst, bool) {
-	if s.left == 0 {
-		return Inst{}, false
-	}
-	in, ok := s.inner.Next()
-	if !ok {
-		s.left = 0
-		return Inst{}, false
-	}
-	s.left--
-	return in, true
-}

@@ -81,40 +81,3 @@ func TestSliceStream(t *testing.T) {
 		t.Error("Reset should rewind the stream")
 	}
 }
-
-func TestLimitStream(t *testing.T) {
-	base := make([]Inst, 10)
-	for i := range base {
-		base[i] = Inst{PC: uint64(4 * i), Op: OpIntALU}
-	}
-	s := Limit(NewSliceStream(base), 3)
-	var n int
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Errorf("limited stream yielded %d instructions, want 3", n)
-	}
-	// A second Next after exhaustion stays exhausted.
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted limit stream should stay exhausted")
-	}
-
-	// Limit larger than the underlying stream.
-	s2 := Limit(NewSliceStream(base[:2]), 100)
-	n = 0
-	for {
-		_, ok := s2.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Errorf("limit beyond underlying length yielded %d, want 2", n)
-	}
-}

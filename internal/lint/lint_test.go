@@ -110,18 +110,40 @@ func TestGolden(t *testing.T) {
 
 // TestLiveTreeClean is the end-to-end smoke test: the repository's own
 // module must analyze clean, so `make lint` only ever fails on a real
-// regression.
+// regression. The allocfree pass must also reach the workload generator's
+// warming path from (*cpu.Core).RunWarming through the cpu.WarmStream
+// interface, or the clean result would say nothing about it.
 func TestLiveTreeClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Analyze(root, Options{})
+	mod, err := Load(root)
 	if err != nil {
-		t.Fatalf("Analyze(repo): %v", err)
+		t.Fatalf("Load(repo): %v", err)
+	}
+	findings, err := Run(mod, Options{})
+	if err != nil {
+		t.Fatalf("Run(repo): %v", err)
 	}
 	for _, f := range findings {
 		t.Errorf("live tree finding: %s", f.Relative(root))
+	}
+
+	a := &Analysis{Mod: mod, dirs: collectDirectives(mod)}
+	reached := map[string]bool{}
+	for n := range a.graph().reachable(allocRoots(a)) {
+		reached[n.Name()] = true
+	}
+	for _, fn := range []string{
+		"(*workload.Generator).FillWarm",
+		"(*workload.region).next",
+		"(*workload.zipfTable).draw",
+		"(*workload.zipfTable).verbatim",
+	} {
+		if !reached[fn] {
+			t.Errorf("allocfree does not reach %s from the steady-state roots", fn)
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ type fn struct {
 }
 
 // Generator produces the dynamic instruction stream. It implements
-// isa.Stream and never ends; wrap with isa.Limit.
+// isa.Stream and never ends.
 type Generator struct {
 	profile Profile
 	rng     *rand.Rand
@@ -161,10 +161,10 @@ type Generator struct {
 
 	// Dynamic state.
 	stack      []frameState
-	count      uint64 // dynamic instructions emitted
-	loopLeft   map[int]int
-	sinceLoad  int    // body instructions since the last load (0 = load itself)
-	lastLoadAt uint64 // dynamic index of the most recent load
+	count      uint64  // dynamic instructions emitted
+	loopLeft   []int32 // per block: trips left in the loop, -1 = none drawn
+	sinceLoad  int     // body instructions since the last load (0 = load itself)
+	lastLoadAt uint64  // dynamic index of the most recent load
 
 	// Phase state (see Profile.Phases). phaseStarts holds each phase's
 	// jittered start offset; regionMap is the active remap (nil =
@@ -199,12 +199,16 @@ func New(p Profile, seed int64) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{
-		profile:  p,
-		rng:      rand.New(rand.NewSource(seed ^ 0x5eed)),
-		loopLeft: make(map[int]int),
+		profile: p,
+		rng:     rand.New(rand.NewSource(seed ^ 0x5eed)),
+		stack:   []frameState{{fn: 0}},
 	}
 	g.layoutRegions()
 	g.buildCode()
+	g.loopLeft = make([]int32, len(g.blocks))
+	for i := range g.loopLeft {
+		g.loopLeft[i] = -1
+	}
 	g.initPhases()
 	return g, nil
 }
@@ -447,9 +451,6 @@ func (g *Generator) depDistance() uint16 {
 
 // Next implements isa.Stream. The stream is infinite.
 func (g *Generator) Next() (isa.Inst, bool) {
-	if len(g.stack) == 0 {
-		g.stack = append(g.stack, frameState{fn: 0})
-	}
 	g.phaseCheck()
 	for {
 		top := &g.stack[len(g.stack)-1]
@@ -464,8 +465,8 @@ func (g *Generator) Next() (isa.Inst, bool) {
 			return in, true
 		}
 		// Terminator.
-		in, advanced := g.emitTerminator(top, blk, bi)
-		if advanced {
+		var in isa.Inst
+		if g.emitTerminator(top, blk, bi, &in) {
 			g.count++
 			return in, true
 		}
@@ -544,9 +545,9 @@ func (g *Generator) emitBody(blk *block, idx int) isa.Inst {
 }
 
 // emitTerminator handles the end of a block, updating the frame. It
-// returns (inst, true) when a control instruction is emitted, or
-// (zero, false) for a plain fall-through.
-func (g *Generator) emitTerminator(top *frameState, blk *block, bi int) (isa.Inst, bool) {
+// writes the control instruction to *in and returns true, or returns
+// false, leaving *in alone, for a plain fall-through.
+func (g *Generator) emitTerminator(top *frameState, blk *block, bi int, in *isa.Inst) bool {
 	termPC := blk.startPC + uint64(4*len(blk.insts))
 	f := &g.funcs[top.fn]
 
@@ -556,7 +557,8 @@ func (g *Generator) emitTerminator(top *frameState, blk *block, bi int) (isa.Ins
 			// Main loops forever: jump back to its first block.
 			first := &g.blocks[f.blocks[0]]
 			top.block, top.inst = 0, 0
-			return isa.Inst{PC: termPC, Op: isa.OpJump, Taken: true, Target: first.startPC}, true
+			*in = isa.Inst{PC: termPC, Op: isa.OpJump, Taken: true, Target: first.startPC}
+			return true
 		}
 		// Return to caller.
 		g.stack = g.stack[:len(g.stack)-1]
@@ -566,28 +568,31 @@ func (g *Generator) emitTerminator(top *frameState, blk *block, bi int) (isa.Ins
 		retPC := cblk.startPC + uint64(4*len(cblk.insts)) + 4
 		caller.block++ // resume at the next block
 		caller.inst = 0
-		return isa.Inst{PC: termPC, Op: isa.OpReturn, Taken: true, Target: retPC}, true
+		*in = isa.Inst{PC: termPC, Op: isa.OpReturn, Taken: true, Target: retPC}
+		return true
 
 	case blk.kind == loopKind:
-		left, ok := g.loopLeft[bi]
-		if !ok {
+		left := g.loopLeft[bi]
+		if left < 0 {
 			// Trip count drawn per loop entry: 1 + geometric around mean.
 			mean := g.profile.LoopMean
 			if mean < 1 {
 				mean = 4
 			}
-			left = 1 + g.rng.Intn(2*mean-1)
+			left = int32(1 + g.rng.Intn(2*mean-1))
 		}
 		left--
 		if left > 0 {
 			g.loopLeft[bi] = left
 			top.inst = 0 // re-run this block
-			return isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: true, Target: blk.startPC}, true
+			*in = isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: true, Target: blk.startPC}
+			return true
 		}
-		delete(g.loopLeft, bi)
+		g.loopLeft[bi] = -1
 		top.block++
 		top.inst = 0
-		return isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: false, Target: blk.startPC}, true
+		*in = isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: false, Target: blk.startPC}
+		return true
 
 	case blk.kind == condKind:
 		taken := g.rng.Float64() < blk.bias
@@ -595,56 +600,70 @@ func (g *Generator) emitTerminator(top *frameState, blk *block, bi int) (isa.Ins
 			skip := &g.blocks[f.blocks[top.block+2]]
 			top.block += 2
 			top.inst = 0
-			return isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: true, Target: skip.startPC}, true
+			*in = isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: true, Target: skip.startPC}
+			return true
 		}
 		top.block++
 		top.inst = 0
-		return isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: false}, true
+		*in = isa.Inst{PC: termPC, Op: isa.OpBranch, Taken: false}
+		return true
 
 	case blk.kind == callKind:
 		callee := &g.funcs[blk.callee]
 		first := &g.blocks[callee.blocks[0]]
 		top.inst = len(blk.insts) + 1 // mark terminator consumed (cosmetic)
 		g.stack = append(g.stack, frameState{fn: blk.callee})
-		return isa.Inst{PC: termPC, Op: isa.OpCall, Taken: true, Target: first.startPC}, true
+		*in = isa.Inst{PC: termPC, Op: isa.OpCall, Taken: true, Target: first.startPC}
+		return true
 
 	default: // plainKind: fall through, no instruction
 		top.block++
 		top.inst = 0
-		return isa.Inst{}, false
+		return false
 	}
 }
 
-// NextWarm is the functional-warming variant of Next: it produces the next
-// instruction's op, PC, address, and branch outcome — everything a
-// functional model needs to keep caches, replication state, and branch
-// predictors warm — but skips the draws that only parameterize
-// out-of-order timing (dependence distances and load-use chains), which
-// dominate Next's cost. Control flow, trip counts, and address streams are
-// drawn from the same RNG with the same distributions, so the warmed
-// stream is statistically identical to the detailed one; it is NOT the
-// same realization (the per-instruction RNG draw sequence differs), which
-// is exactly the accuracy contract of sampled simulation.
-func (g *Generator) NextWarm() (isa.Inst, bool) {
-	if len(g.stack) == 0 {
-		g.stack = append(g.stack, frameState{fn: 0})
-	}
-	g.phaseCheck()
-	for {
+// FillWarm writes the next len(buf) instructions of the
+// functional-warming stream into buf, in place, and returns len(buf): the
+// stream never ends. It produces each instruction's op, PC, address, and
+// branch outcome — everything a functional model needs to keep caches,
+// replication state, and branch predictors warm — but skips the draws that
+// only parameterize out-of-order timing (dependence distances and load-use
+// chains), which dominate Next's cost. Control flow, trip counts, and
+// address streams are drawn from the same RNG with the same distributions,
+// so the warmed stream is statistically identical to the detailed one; it
+// is NOT the same realization (the per-instruction RNG draw sequence
+// differs), which is exactly the accuracy contract of sampled simulation.
+//
+// Filling n instructions at once draws exactly what n NextWarm calls
+// would, so any split of a warming stretch into batches yields the same
+// stream.
+func (g *Generator) FillWarm(buf []isa.Inst) int {
+	for i := 0; i < len(buf); {
+		g.phaseCheck()
 		top := &g.stack[len(g.stack)-1]
-		f := &g.funcs[top.fn]
-		bi := f.blocks[top.block]
+		bi := g.funcs[top.fn].blocks[top.block]
 		blk := &g.blocks[bi]
-
-		if top.inst < len(blk.insts) {
-			si := blk.insts[top.inst]
-			in := isa.Inst{
-				PC: blk.startPC + uint64(4*top.inst),
-				Op: si.op,
+		if top.inst >= len(blk.insts) {
+			if g.emitTerminator(top, blk, bi, &buf[i]) {
+				i++
+				g.count++
 			}
+			continue
+		}
+		// Emit the rest of the block's body, up to the end of buf and
+		// short of the next phase shift, which must see every count.
+		n := min(len(blk.insts)-top.inst, len(buf)-i)
+		if left := g.nextPhaseAt - g.count; left < uint64(n) {
+			n = int(left)
+		}
+		pc := blk.startPC + uint64(4*top.inst)
+		for _, si := range blk.insts[top.inst : top.inst+n] {
+			in := &buf[i]
+			*in = isa.Inst{PC: pc, Op: si.op}
 			// Dependence bookkeeping (sinceLoad, lastLoadAt) is kept — it
-			// is assignment-only and lets the first detailed window after a
-			// warming stretch draw its load-use and address chains from
+			// is assignment-only and lets the first detailed window after
+			// a warming stretch draw its load-use and address chains from
 			// accurate state. Only the RNG draws are skipped.
 			if si.op == isa.OpLoad {
 				g.sinceLoad = 0
@@ -660,16 +679,21 @@ func (g *Generator) NextWarm() (isa.Inst, bool) {
 					g.lastLoadAt = g.count
 				}
 			}
-			top.inst++
+			pc += 4
+			i++
 			g.count++
-			return in, true
 		}
-		in, advanced := g.emitTerminator(top, blk, bi)
-		if advanced {
-			g.count++
-			return in, true
-		}
+		top.inst += n
 	}
+	return len(buf)
+}
+
+// NextWarm returns the next functional-warming instruction: FillWarm for
+// a single instruction.
+func (g *Generator) NextWarm() (isa.Inst, bool) {
+	var buf [1]isa.Inst
+	g.FillWarm(buf[:])
+	return buf[0], true
 }
 
 // Count returns the number of instructions emitted so far.
