@@ -4,8 +4,7 @@
 // the same access pattern a farm of icrd front ends generates against a
 // shard fleet, minus the simulations. It measures what the store path
 // alone can sustain — request throughput and client-observed latency
-// percentiles — and writes them as a LOAD_<date>.json artifact next to
-// the BENCH files.
+// percentiles — and writes them as a LOAD_<date>.json artifact.
 //
 //	icrd -addr :8081 -store disk:/tmp/s1 &   # repeat for each shard
 //	icrload -store shards:localhost:8081,localhost:8082,localhost:8083 \

@@ -11,10 +11,10 @@
 // (internal/experiments). Executables are under cmd/ and runnable
 // examples under examples/.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation:
+// cmd/icrbench regenerates every table and figure of the paper's
+// evaluation:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/icrbench -fig all -out results -svg figures
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.

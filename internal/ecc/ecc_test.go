@@ -286,3 +286,24 @@ func TestResultClassification(t *testing.T) {
 		t.Error("unknown result should stringify to unknown")
 	}
 }
+
+// TestCodecsAllocFree pins the codecs the dL1 runs on every protected
+// access at zero allocations.
+func TestCodecsAllocFree(t *testing.T) {
+	data := make([]byte, 64)
+	parity := make([]byte, ParityBytesPerLine(len(data)))
+	word := uint64(0xdeadbeefcafebabe)
+	check := EncodeSECDED(word)
+	got := testing.AllocsPerRun(100, func() {
+		if EncodeSECDED(word) != check {
+			t.Fatal("encode is not deterministic")
+		}
+		if _, r := CheckSECDED(word^1<<17, check); r != CorrectedSingle {
+			t.Fatalf("single-bit flip: %v, want CorrectedSingle", r)
+		}
+		EncodeParityLine(data, parity)
+	})
+	if got != 0 {
+		t.Errorf("SEC-DED encode+check and line parity allocate %.0f objects, want 0", got)
+	}
+}

@@ -261,7 +261,10 @@ func TestInstancePoolBounds(t *testing.T) {
 // warm, a run allocates only its per-run state (workload generator, fault
 // injector, hooks, report) — the cache arenas, RUU, and predictor tables
 // are reused. Building the arena alone costs ~800 allocations (and
-// megabytes), so the bound below fails if pooling silently stops working.
+// megabytes), so the bounds below fail if pooling silently stops working.
+// The cases after the first two cover the runs the sim benchmarks time;
+// each bound is 1.25x the count in its trailing comment, measured when
+// the bound was set.
 func TestSimulateSteadyStateAllocs(t *testing.T) {
 	m := config.Default()
 	cases := []struct {
@@ -270,13 +273,26 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 		bound float64
 	}{
 		{"basep", config.NewRun("gzip", core.BaseP()), 700},
-		{"icr", config.NewRun("vpr", core.ICR(core.ECCProt, core.LookupParallel, core.ReplLoadsStores)), 1000},
+		{"icr", config.NewRun("vpr", icrECCPPLS()), 1000},
+		{"baseecc", config.NewRun("gzip", core.BaseECC(false)), 676},         // 541
+		{"icr-p-ps-s", config.NewRun("gzip", icrPPSS()), 678},                // 543
+		{"adapt-decay", adaptDecayRun(), 850},                                // 680
+		{"twotier", twoTierRun(), 698},                                       // 559
+		{"sampled-basep-gzip", sampledRun("gzip", core.BaseP()), 693},        // 555
+		{"sampled-basep-vpr", sampledRun("vpr", core.BaseP()), 1011},         // 809
+		{"sampled-icr-ecc-pp-ls-vpr", sampledRun("vpr", icrECCPPLS()), 1013}, // 811
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.run
 			r.Instructions = 50_000
+			if r.Sample.Enabled() {
+				// 20 windows at the default geometry. The count barely
+				// depends on the budget: gzip BaseP allocates 552 at 400k
+				// instructions and 562 at 8M.
+				r.Instructions = 1_000_000
+			}
 			if _, err := Simulate(m, r); err != nil {
 				t.Fatal(err)
 			}

@@ -153,36 +153,3 @@ func TestSimulateRejectsBadFault(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkSimulateTwoTierICR prices the protected tier end to end: an
-// ICR L1 over an ICR-P tier with cross-tier placement and fault injection
-// at both levels — the most loaded configuration the twotier sweep runs.
-func BenchmarkSimulateTwoTierICR(b *testing.B) {
-	m := config.Default()
-	sets := m.DL1Sets()
-	r := config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
-	r.Instructions = benchInstrs
-	r.Repl = core.ReplConfig{
-		Distances:   core.VerticalDistances(sets),
-		Replicas:    1,
-		Victim:      core.DeadFirst,
-		DecayWindow: 1000,
-	}
-	r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
-	r.TwoTier = config.TwoTier{
-		Protect: core.ParityProt, Replicate: true, Victim: core.DeadFirst,
-		DecayWindow: 1000, CrossTier: true,
-		Fault: config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 13},
-	}
-	if _, err := Simulate(m, r); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(m, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(benchInstrs)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
-}

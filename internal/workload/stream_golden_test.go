@@ -183,11 +183,30 @@ func TestStreamGoldensFillWarm(t *testing.T) {
 	}
 }
 
+// TestFillWarmAllocFree pins both streams' steady state at zero
+// allocations: the warming stream filled in batches and the detailed
+// stream drawn one instruction at a time.
 func TestFillWarmAllocFree(t *testing.T) {
-	g := MustNew(Gcc(), 1)
 	buf := make([]isa.Inst, 256)
-	g.FillWarm(buf)
-	if got := testing.AllocsPerRun(100, func() { g.FillWarm(buf) }); got != 0 {
-		t.Errorf("steady-state FillWarm of %d instructions allocates %.0f objects, want 0", len(buf), got)
+	for _, tc := range []struct {
+		name string
+		pull func(g *Generator)
+	}{
+		{"FillWarm", func(g *Generator) { g.FillWarm(buf) }},
+		{"Next", func(g *Generator) {
+			for range buf {
+				if _, ok := g.Next(); !ok {
+					t.Fatal("stream ended")
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := MustNew(Gcc(), 1)
+			tc.pull(g)
+			if got := testing.AllocsPerRun(100, func() { tc.pull(g) }); got != 0 {
+				t.Errorf("steady-state %s of %d instructions allocates %.0f objects, want 0", tc.name, len(buf), got)
+			}
+		})
 	}
 }
