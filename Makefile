@@ -45,16 +45,18 @@ fuzz:
 		done; \
 	done
 
-# Regenerate the paper's evaluation at the default budget (tables + CSV).
+# Regenerate the paper's evaluation (tables + CSV), each file with the
+# command that recorded it; scripts/results.sh holds those commands.
 evaluate:
-	$(GO) run ./cmd/icrbench -fig all -out results
+	GO=$(GO) ./scripts/results.sh results
 
 # Regenerate tables, CSVs, and SVG figures.
 figures:
-	$(GO) run ./cmd/icrbench -fig all -out results -svg figures
+	GO=$(GO) ./scripts/results.sh results figures
 
 # Full tier-1 verification in one command: build, vet, icrvet, tests, a
-# perf smoke run, race, and the end-to-end icrd stages.
+# perf smoke run, the committed-results check, race, and the end-to-end
+# icrd stages.
 ci:
 	./scripts/ci.sh
 

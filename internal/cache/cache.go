@@ -157,9 +157,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // BlockSize returns the line size in bytes.
 func (c *Cache) BlockSize() int { return c.cfg.BlockSize }
 

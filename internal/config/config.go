@@ -231,3 +231,20 @@ func NewRun(benchmark string, scheme core.Scheme) Run {
 
 // Name returns a stable label for the run ("benchmark/scheme").
 func (r *Run) Name() string { return r.Benchmark + "/" + r.Scheme.Name() }
+
+// ValidateSeeds checks a list of seeds to average over. A seed of 0 means
+// "unset" to a run, which falls back to seed 1, and a repeated seed
+// weighs one realization twice; either would mislabel the mean.
+func ValidateSeeds(seeds []int64) error {
+	seen := make(map[int64]bool, len(seeds))
+	for _, s := range seeds {
+		switch {
+		case s == 0:
+			return fmt.Errorf("seed 0 in a seed list: seeds must be nonzero (0 means unset)")
+		case seen[s]:
+			return fmt.Errorf("seed %d repeated in a seed list", s)
+		}
+		seen[s] = true
+	}
+	return nil
+}

@@ -173,9 +173,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Scheme returns the configured scheme.
 func (c *Cache) Scheme() Scheme { return c.cfg.Scheme }
 
@@ -470,10 +467,6 @@ func (c *Cache) evictFor(set int, now uint64) *line {
 // WordCount returns the total number of 64-bit words in the data array
 // (valid or not); the injector draws word indices from this space.
 func (c *Cache) WordCount() int { return len(c.lines) * c.wordsPerLine }
-
-// LastAccessedWord returns the array word index of the most recent access,
-// or -1.
-func (c *Cache) LastAccessedWord() int { return c.lastWord }
 
 // Inject applies one injection event from the given injector. Flips landing
 // in invalid lines are counted but have no architectural effect (there is

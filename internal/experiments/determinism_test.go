@@ -12,12 +12,12 @@ import (
 )
 
 // determinismDrivers are the figure drivers the parallel-vs-serial
-// equivalence is asserted over: a plain per-benchmark sweep (fig1), a
-// multi-configuration performance comparison (fig10), a fault-injection
-// probability sweep built from single submissions (fig14), and the
-// adaptive shootout (runs whose knobs retune mid-flight under the
-// ICR-ADAPT controller). Between them they cover every submission pattern
-// the drivers use.
+// equivalence is asserted over: per-benchmark arms (fig1), a decay-window
+// sweep arm on one benchmark (fig10), one fault-probability sweep arm per
+// scheme (fig14), and the adaptive shootout (per-workload arms whose knobs
+// retune mid-flight under the ICR-ADAPT controller). Every driver submits
+// through runArms, so these cover both arm shapes; the driver goldens
+// (TestDriverGoldens) pin every driver's output.
 var determinismDrivers = []struct {
 	name   string
 	driver driver

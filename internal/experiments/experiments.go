@@ -12,6 +12,15 @@
 // Cancellation flows through the ctx argument — Options carries only
 // simulation parameters — so every caller (CLI flag, HTTP deadline,
 // SIGTERM drain) propagates deadlines the same way.
+//
+// Every driver builds its figure's grid the same way. An arm is one
+// configuration of the grid (a scheme, a replication setup, a fault or
+// energy knob) as fully built runs: one per benchmark (benchArm) or one
+// per point of a sweep (sweepArm). runArms submits every run of every arm
+// before it waits on any, so the whole grid shares the worker pool, and
+// hands back each arm's reports plus all of them in arm order, which is
+// the order of Result.Reports. A driver then only turns reports into
+// series.
 package experiments
 
 import (
@@ -219,6 +228,8 @@ func Run(ctx context.Context, id string, o Options) (*Result, error) {
 // MultiSeed runs an experiment once per seed and returns a Result whose
 // series values are the element-wise means — the cheap way to damp
 // workload-generation noise. The per-run raw reports are concatenated.
+// A seed list holding 0 or a repeat is rejected before anything runs
+// (config.ValidateSeeds).
 func MultiSeed(ctx context.Context, id string, opts Options, seeds []int64) (*Result, error) {
 	d, err := byID(id)
 	if err != nil {
@@ -231,6 +242,9 @@ func MultiSeed(ctx context.Context, id string, opts Options, seeds []int64) (*Re
 }
 
 func multiSeed(ctx context.Context, d driver, opts Options, seeds []int64) (*Result, error) {
+	if err := config.ValidateSeeds(seeds); err != nil {
+		return nil, err
+	}
 	if len(seeds) == 0 {
 		return d(ctx, opts)
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // fastOpts keeps experiment smoke tests quick.
@@ -106,6 +108,29 @@ func TestMultiSeedAverages(t *testing.T) {
 	// The exported MultiSeed validates the id before running anything.
 	if _, err := MultiSeed(context.Background(), "nope", Options{}, nil); err == nil {
 		t.Error("MultiSeed with an unknown id should error")
+	}
+}
+
+// TestMultiSeedRejectsBadSeedLists: seed 0 means "unset" to a run, so a
+// list holding it, like a list with a repeat, would average one
+// realization twice under a "mean of N seeds" label. Both are rejected,
+// naming the seed, before anything is submitted.
+func TestMultiSeedRejectsBadSeedLists(t *testing.T) {
+	rn := runner.New(runner.Options{Workers: 1})
+	for _, tc := range []struct {
+		seeds []int64
+		want  string
+	}{
+		{[]int64{0, 1}, "seed 0"},
+		{[]int64{1, 2, 1}, "seed 1 repeated"},
+	} {
+		_, err := MultiSeed(context.Background(), "fig1", Options{Instructions: 20_000, Runner: rn}, tc.seeds)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("seeds %v: error %v, want one naming %q", tc.seeds, err, tc.want)
+		}
+	}
+	if n := rn.Progress().Snapshot().Submitted; n != 0 {
+		t.Errorf("%d runs submitted for rejected seed lists, want 0", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -60,71 +59,44 @@ func adaptiveConfigs() []adapt.Config {
 // setup; adaptive runs start from the conservative rung of the same
 // envelope and retune per epoch.
 func adaptiveShootout(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	lines := sets * m.DL1Assoc
-	phases := workload.PhaseProfiles()
-	statics := core.AllSchemes()
-
-	ticks := make([]string, len(phases))
-	for i, p := range phases {
-		ticks[i] = p.Name
+	sets := o.sets()
+	lines := sets * o.machine().DL1Assoc
+	var names, labels []string
+	for _, p := range workload.PhaseProfiles() {
+		names = append(names, p.Name)
 	}
-
-	type entry struct {
-		label    string
-		pendings []*runner.Pending
-	}
-	var entries []entry
-	submitPhases := func(label string, scheme core.Scheme, mutate func(*config.Run)) {
-		ps := make([]*runner.Pending, len(phases))
-		for i, p := range phases {
-			ps[i] = submitOne(ctx, o, p.Name, scheme, mutate)
-		}
-		entries = append(entries, entry{label, ps})
-	}
-	for _, s := range statics {
-		s := s
-		submitPhases(s.Name(), s, func(r *config.Run) {
-			if s.HasReplication() {
-				r.Repl = relaxedRepl(sets)
-			}
-		})
+	var arms []arm
+	for _, s := range core.AllSchemes() {
+		arms = append(arms, o.namedArm(names, s, relaxedIfReplicating(sets)))
+		labels = append(labels, s.Name())
 	}
 	for _, ac := range adaptiveConfigs() {
-		ac := ac
-		submitPhases(ac.SchemeName(), icrPS(core.ReplStores), func(r *config.Run) {
+		arms = append(arms, o.namedArm(names, icrPS(core.ReplStores), func(r *config.Run) {
 			r.Repl = adaptiveRepl(sets)
 			r.Adapt = ac
-		})
+		}))
+		labels = append(labels, ac.SchemeName())
 	}
-
-	// BaseP is entries[0]: its per-workload cycle counts anchor the
-	// overhead term of every score.
-	base, err := collect(entries[0].pendings)
+	reps, all, err := runArms(ctx, o, arms...)
 	if err != nil {
 		return nil, err
 	}
-	result := &Result{
-		ID:     "adaptive",
-		Title:  "Adaptive vs static replication on phase-shifting workloads",
-		XLabel: "workload",
-		XTicks: ticks,
-		Notes:  "score = vulnerable line-cycle fraction + cycle overhead + energy overhead vs BaseP; lower is better",
+	// BaseP is the first arm: its per-workload runs anchor the overhead
+	// term of every score.
+	res := &Result{
+		ID:      "adaptive",
+		Title:   "Adaptive vs static replication on phase-shifting workloads",
+		XLabel:  "workload",
+		XTicks:  names,
+		Notes:   "score = vulnerable line-cycle fraction + cycle overhead + energy overhead vs BaseP; lower is better",
+		Reports: all,
 	}
-	for i, e := range entries {
-		reports := base
-		if i > 0 {
-			if reports, err = collect(e.pendings); err != nil {
-				return nil, err
-			}
+	for i, l := range labels {
+		vals := make([]float64, len(names))
+		for j, r := range reps[i] {
+			vals[j] = adaptiveScore(r, reps[0][j], lines)
 		}
-		vals := make([]float64, len(reports))
-		for j, r := range reports {
-			vals[j] = adaptiveScore(r, base[j], lines)
-		}
-		result.Series = append(result.Series, Series{Label: e.label, Values: vals})
-		result.Reports = append(result.Reports, reports...)
+		res.Series = append(res.Series, Series{Label: l, Values: vals})
 	}
-	return result, nil
+	return res, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"repro/internal/config"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/reliability"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -19,40 +17,35 @@ import (
 // coverage of loads, unrecoverable loads under injection, and total
 // energy, for ICR-P-PS(S) against BaseP plus a 2KB r-cache.
 func rCache(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	const prob = 1e-3
-
-	icrP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = relaxedRepl(sets)
-		r.Fault = config.FaultConfig{Model: fault.Random, Prob: prob, Seed: 7}
-	})
-	dupP := submitAll(ctx, o, core.BaseP(), func(r *config.Run) {
-		r.DupCacheKB = 2
-		r.Fault = config.FaultConfig{Model: fault.Random, Prob: prob, Seed: 7}
-	})
-	icr, err := collect(icrP)
+	relaxed := relaxedIfReplicating(o.sets())
+	injected := func(dupKB int) func(*config.Run) {
+		return func(r *config.Run) {
+			relaxed(r)
+			r.DupCacheKB = dupKB
+			r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
+		}
+	}
+	reps, all, err := runArms(ctx, o,
+		o.benchArm(icrPS(core.ReplStores), injected(0)),
+		o.benchArm(core.BaseP(), injected(2)))
 	if err != nil {
 		return nil, err
 	}
-	dup, err := collect(dupP)
-	if err != nil {
-		return nil, err
-	}
+	icr, dup := reps[0], reps[1]
 	return &Result{
 		ID:     "rcache",
 		Title:  "ICR-P-PS(S) vs BaseP + 2KB duplication cache (Kim & Somani [11])",
 		XLabel: "benchmark",
 		XTicks: workload.Names(),
 		Series: []Series{
-			{Label: "ICR loads covered", Values: values(icr, func(r *metrics.Report) float64 { return r.LoadsWithReplica() })},
-			{Label: "r-cache loads covered", Values: values(dup, func(r *metrics.Report) float64 { return r.LoadsWithDuplicate() })},
-			{Label: "ICR unrecov frac", Values: values(icr, func(r *metrics.Report) float64 { return r.UnrecoverableFrac() })},
-			{Label: "r-cache unrecov frac", Values: values(dup, func(r *metrics.Report) float64 { return r.UnrecoverableFrac() })},
-			{Label: "energy rc/ICR", Values: ratios(dup, icr, func(r *metrics.Report) float64 { return r.TotalEnergy() })},
+			{Label: "ICR loads covered", Values: values(icr, (*metrics.Report).LoadsWithReplica)},
+			{Label: "r-cache loads covered", Values: values(dup, (*metrics.Report).LoadsWithDuplicate)},
+			{Label: "ICR unrecov frac", Values: values(icr, (*metrics.Report).UnrecoverableFrac)},
+			{Label: "r-cache unrecov frac", Values: values(dup, (*metrics.Report).UnrecoverableFrac)},
+			{Label: "energy rc/ICR", Values: ratios(dup, icr, (*metrics.Report).TotalEnergy)},
 		},
 		Notes:   "paper: ICR duplicates hot data without a separate array probed on every load",
-		Reports: append(icr, dup...),
+		Reports: all,
 	}, nil
 }
 
@@ -60,52 +53,23 @@ func rCache(ctx context.Context, o Options) (*Result, error) {
 // ICR-P-PS(S) under random injection (composing the paper's scheme with
 // Saleh-style scrubbing, reference [21]).
 func scrub(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
 	intervals := []uint64{0, 10000, 1000, 100}
-	schemes := []core.Scheme{core.BaseP(), icrPS(core.ReplStores)}
-	result := &Result{
+	res := &Result{
 		ID:     "scrub",
 		Sweep:  true,
 		Title:  "Unrecoverable loads vs scrub interval (vortex, P=1e-3, random model)",
 		XLabel: "scrub interval",
+		XTicks: []string{"off"},
 		Notes:  "0 = no scrubbing; faster sweeps catch errors before demand loads do",
 	}
-	for _, iv := range intervals {
-		if iv == 0 {
-			result.XTicks = append(result.XTicks, "off")
-		} else {
-			result.XTicks = append(result.XTicks, fmt.Sprintf("%d", iv))
-		}
+	for _, iv := range intervals[1:] {
+		res.XTicks = append(res.XTicks, fmt.Sprintf("%d", iv))
 	}
-	pendings := make([][]*runner.Pending, len(schemes))
-	for i, s := range schemes {
-		s := s
-		for _, iv := range intervals {
-			iv := iv
-			pendings[i] = append(pendings[i], submitOne(ctx, o, "vortex", s, func(r *config.Run) {
-				if s.HasReplication() {
-					r.Repl = relaxedRepl(sets)
-				}
-				r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
-				r.ScrubInterval = iv
-				r.ScrubLines = 4
-			}))
-		}
-	}
-	for i, s := range schemes {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		var vals []float64
-		for _, rep := range reports {
-			vals = append(vals, rep.UnrecoverableFrac())
-			result.Reports = append(result.Reports, rep)
-		}
-		result.Series = append(result.Series, Series{Label: s.Name(), Values: vals})
-	}
-	return result, nil
+	return lossSweep(ctx, o, res, []core.Scheme{core.BaseP(), icrPS(core.ReplStores)}, len(intervals), func(r *config.Run, i int) {
+		r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
+		r.ScrubInterval = intervals[i]
+		r.ScrubLines = 4
+	})
 }
 
 // mttf — projects the measured vulnerability fractions to real-world
@@ -148,43 +112,33 @@ func mttf(ctx context.Context, o Options) (*Result, error) {
 // protection is parity, per scheme. This is the quantity ICR exists to
 // shrink without paying ECC's latency.
 func vulnerability(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	lines := sets * m.DL1Assoc
+	lines := o.sets() * o.machine().DL1Assoc
 	schemes := []core.Scheme{
 		core.BaseP(),
 		icrPS(core.ReplStores),
 		icrPS(core.ReplLoadsStores),
 		core.BaseECC(false),
 	}
-	result := &Result{
-		ID:     "vulnerability",
-		Title:  "Dirty-and-parity-only line residency (fraction of line-cycles)",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Notes:  "lower is safer; BaseECC is 0 by construction, ICR approaches it at parity cost",
-	}
-	pendings := make([][]*runner.Pending, len(schemes))
+	arms := make([]arm, len(schemes))
 	for i, s := range schemes {
-		s := s
-		pendings[i] = submitAll(ctx, o, s, func(r *config.Run) {
-			if s.HasReplication() {
-				r.Repl = relaxedRepl(sets)
-			}
-		})
+		arms[i] = o.benchArm(s, relaxedIfReplicating(o.sets()))
+	}
+	reps, all, err := runArms(ctx, o, arms...)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		ID:      "vulnerability",
+		Title:   "Dirty-and-parity-only line residency (fraction of line-cycles)",
+		XLabel:  "benchmark",
+		XTicks:  workload.Names(),
+		Notes:   "lower is safer; BaseECC is 0 by construction, ICR approaches it at parity cost",
+		Reports: all,
 	}
 	for i, s := range schemes {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		result.Series = append(result.Series, Series{
-			Label: s.Name(),
-			Values: values(reports, func(r *metrics.Report) float64 {
-				return r.VulnerabilityPerLine(lines)
-			}),
-		})
-		result.Reports = append(result.Reports, reports...)
+		res.Series = append(res.Series, Series{Label: s.Name(), Values: values(reps[i], func(r *metrics.Report) float64 {
+			return r.VulnerabilityPerLine(lines)
+		})})
 	}
-	return result, nil
+	return res, nil
 }

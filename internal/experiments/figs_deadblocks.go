@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -14,47 +12,26 @@ import (
 // paper's fixed-window decay counters (ref [10]) at two windows vs the
 // timekeeping-style adaptive predictor (ref [7]), under ICR-P-PS(S).
 func decayPredictors(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	type variant struct {
-		label string
-		mut   func(*config.Run)
-	}
-	variants := []variant{
-		{"window 0", func(r *config.Run) {
-			r.Repl = aggressiveRepl(sets)
-		}},
-		{"window 1000", func(r *config.Run) {
-			r.Repl = relaxedRepl(sets)
-		}},
-		{"adaptive", func(r *config.Run) {
+	sets := o.sets()
+	reps, all, err := runArms(ctx, o,
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, nil)),
+		o.benchArm(icrPS(core.ReplStores), relaxedIfReplicating(sets)),
+		o.benchArm(icrPS(core.ReplStores), func(r *config.Run) {
 			r.Repl = relaxedRepl(sets)
 			r.Repl.Decay = core.Adaptive
-		}},
+		}))
+	if err != nil {
+		return nil, err
 	}
-	result := &Result{
-		ID:     "decaypred",
-		Title:  "Dead-block predictor ablation: fixed decay windows vs adaptive timekeeping",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Notes:  "adaptive needs no window parameter; compare coverage and miss cost",
-	}
-	pendings := make([][]*runner.Pending, len(variants))
-	for i, v := range variants {
-		pendings[i] = submitAll(ctx, o, icrPS(core.ReplStores), v.mut)
-	}
-	for i, v := range variants {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		result.Series = append(result.Series,
-			Series{Label: v.label + " lwr", Values: values(reports, func(r *metrics.Report) float64 { return r.LoadsWithReplica() })},
-			Series{Label: v.label + " miss", Values: values(reports, func(r *metrics.Report) float64 { return r.DL1MissRate() })},
-		)
-		result.Reports = append(result.Reports, reports...)
-	}
-	return result, nil
+	return &Result{
+		ID:      "decaypred",
+		Title:   "Dead-block predictor ablation: fixed decay windows vs adaptive timekeeping",
+		XLabel:  "benchmark",
+		XTicks:  workload.Names(),
+		Series:  lwrAndMiss([]string{"window 0", "window 1000", "adaptive"}, reps),
+		Notes:   "adaptive needs no window parameter; compare coverage and miss cost",
+		Reports: all,
+	}, nil
 }
 
 // prefetch — the other use of dead lines (refs [14], [7]): next-block
@@ -62,50 +39,29 @@ func decayPredictors(ctx context.Context, o Options) (*Result, error) {
 // estate can buy performance (prefetch) or reliability (replicas); this
 // table shows both sides and the combination.
 func prefetch(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	type variant struct {
-		label    string
-		scheme   core.Scheme
-		prefetch bool
-	}
-	variants := []variant{
-		{"BaseP", core.BaseP(), false},
-		{"BaseP+prefetch", core.BaseP(), true},
-		{"ICR-P-PS(S)", icrPS(core.ReplStores), false},
-		{"ICR+prefetch", icrPS(core.ReplStores), true},
-	}
-	var base []*metrics.Report
-	result := &Result{
-		ID:     "prefetch",
-		Title:  "Dead-line real estate: prefetch vs replicate vs both (normalized cycles)",
-		XLabel: "benchmark",
-		XTicks: benchTicks(),
-		Notes:  "prefetch buys performance from dead lines; replication buys reliability; they compose",
-	}
-	pendings := make([][]*runner.Pending, len(variants))
-	for i, v := range variants {
-		v := v
-		pendings[i] = submitAll(ctx, o, v.scheme, func(r *config.Run) {
-			if v.scheme.HasReplication() {
-				r.Repl = relaxedRepl(sets)
-			}
-			r.Prefetch = v.prefetch
+	relaxed := relaxedIfReplicating(o.sets())
+	variant := func(s core.Scheme, prefetch bool) arm {
+		return o.benchArm(s, func(r *config.Run) {
+			relaxed(r)
+			r.Prefetch = prefetch
 		})
 	}
-	for i, v := range variants {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		if base == nil {
-			base = reports
-		}
-		result.Series = append(result.Series, Series{
-			Label:  v.label,
-			Values: withGeoMean(ratios(reports, base, cycles)),
-		})
-		result.Reports = append(result.Reports, reports...)
+	reps, all, err := runArms(ctx, o,
+		variant(core.BaseP(), false), variant(core.BaseP(), true),
+		variant(icrPS(core.ReplStores), false), variant(icrPS(core.ReplStores), true))
+	if err != nil {
+		return nil, err
 	}
-	return result, nil
+	res := &Result{
+		ID:      "prefetch",
+		Title:   "Dead-line real estate: prefetch vs replicate vs both (normalized cycles)",
+		XLabel:  "benchmark",
+		XTicks:  benchTicks(),
+		Notes:   "prefetch buys performance from dead lines; replication buys reliability; they compose",
+		Reports: all,
+	}
+	for i, l := range []string{"BaseP", "BaseP+prefetch", "ICR-P-PS(S)", "ICR+prefetch"} {
+		res.Series = append(res.Series, Series{Label: l, Values: withGeoMean(ratios(reps[i], reps[0], cycles))})
+	}
+	return res, nil
 }

@@ -14,13 +14,9 @@ import (
 // protecting, and their one-touch blocks pollute replica sites) from
 // replication. Compares blanket ICR-P-PS(S) against the hinted variant.
 func softwareHints(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	blanketP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = relaxedRepl(sets)
-	})
-	hintedP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = relaxedRepl(sets)
+	relaxed := relaxedIfReplicating(o.sets())
+	exempt := func(r *config.Run) {
+		relaxed(r)
 		profile, err := workload.ByName(r.Benchmark)
 		if err != nil {
 			return // unreachable for registry benchmarks
@@ -35,17 +31,13 @@ func softwareHints(ctx context.Context, o Options) (*Result, error) {
 			}
 		}
 		r.Hints = core.NewRangePolicy(ranges...)
-	})
-	blanket, err := collect(blanketP)
+	}
+	reps, all, err := runArms(ctx, o, o.benchArm(icrPS(core.ReplStores), relaxed), o.benchArm(icrPS(core.ReplStores), exempt))
 	if err != nil {
 		return nil, err
 	}
-	hinted, err := collect(hintedP)
-	if err != nil {
-		return nil, err
-	}
-	miss := func(r *metrics.Report) float64 { return r.DL1MissRate() }
-	lwr := func(r *metrics.Report) float64 { return r.LoadsWithReplica() }
+	blanket, hinted := reps[0], reps[1]
+	miss, lwr := (*metrics.Report).DL1MissRate, (*metrics.Report).LoadsWithReplica
 	return &Result{
 		ID:     "swhints",
 		Title:  "Software-directed replication: exempting streaming/chase data",
@@ -58,6 +50,6 @@ func softwareHints(ctx context.Context, o Options) (*Result, error) {
 			{Label: "hinted lwr", Values: values(hinted, lwr)},
 		},
 		Notes:   "§6 future work: hints should trim miss-rate overhead while keeping hot-data coverage",
-		Reports: append(blanket, hinted...),
+		Reports: all,
 	}, nil
 }

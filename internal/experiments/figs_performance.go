@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -40,94 +38,83 @@ func fig15(ctx context.Context, o Options) (*Result, error) {
 		relaxedRepl, true)
 }
 
+// recommended are §5's two recommended schemes, ICR-P-PS(S) and
+// ICR-ECC-PS(S).
+func recommended() []core.Scheme {
+	return []core.Scheme{
+		core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores),
+		core.ICR(core.ECCProt, core.LookupSerial, core.ReplStores),
+	}
+}
+
 // normalizedCycles is the shared driver for Figures 9, 12, and 15.
 func normalizedCycles(ctx context.Context, o Options, id, title, notes string, repl func(int) core.ReplConfig, leave bool) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
+	sets := o.sets()
 	schemes := []core.Scheme{core.BaseECC(false)}
 	if id == "fig15" {
 		// §5.6 focuses on the two recommended schemes vs the bases.
-		schemes = append(schemes,
-			core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores),
-			core.ICR(core.ECCProt, core.LookupSerial, core.ReplStores),
-		)
+		schemes = append(schemes, recommended()...)
 	} else {
 		schemes = append(schemes, core.AllSchemes()[2:]...)
 	}
-	baseP := submitAll(ctx, o, core.BaseP(), nil)
-	pendings := make([][]*runner.Pending, len(schemes))
-	for i, s := range schemes {
-		s := s
-		pendings[i] = submitAll(ctx, o, s, func(r *config.Run) {
+	arms := []arm{o.benchArm(core.BaseP(), nil)}
+	for _, s := range schemes {
+		arms = append(arms, o.benchArm(s, func(r *config.Run) {
 			if s.HasReplication() {
 				r.Repl = repl(sets)
 				r.Repl.LeaveReplicas = leave
 			}
-		})
+		}))
 	}
-	base, err := collect(baseP)
+	reps, all, err := runArms(ctx, o, arms...)
 	if err != nil {
 		return nil, err
 	}
-	result := &Result{
-		ID:     id,
-		Title:  title,
-		XLabel: "benchmark",
-		XTicks: benchTicks(),
-		Notes:  notes,
-		Series: []Series{{Label: "BaseP", Values: withGeoMean(ratios(base, base, cycles))}},
+	res := &Result{ID: id, Title: title, XLabel: "benchmark", XTicks: benchTicks(), Notes: notes, Reports: all}
+	for i, s := range append([]core.Scheme{core.BaseP()}, schemes...) {
+		res.Series = append(res.Series, Series{Label: s.Name(), Values: withGeoMean(ratios(reps[i], reps[0], cycles))})
 	}
-	result.Reports = append(result.Reports, base...)
-	for i, s := range schemes {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		result.Series = append(result.Series, Series{
-			Label:  s.Name(),
-			Values: withGeoMean(ratios(reports, base, cycles)),
-		})
-		result.Reports = append(result.Reports, reports...)
-	}
-	return result, nil
+	return res, nil
 }
 
 // decayWindows is the §5.3 sweep.
 var decayWindows = []uint64{0, 500, 1000, 5000, 10000}
 
+// windowTicks labels the decay-window sweep's points.
+func windowTicks() []string {
+	ticks := make([]string, len(decayWindows))
+	for i, w := range decayWindows {
+		ticks[i] = fmt.Sprintf("%d", w)
+	}
+	return ticks
+}
+
+// windowArm runs vpr under scheme with aggressive decay at every window of
+// the §5.3 sweep.
+func windowArm(o Options, scheme core.Scheme) arm {
+	sets := o.sets()
+	return o.sweepArm("vpr", scheme, len(decayWindows), func(r *config.Run, i int) {
+		r.Repl = aggressiveRepl(sets)
+		r.Repl.DecayWindow = decayWindows[i]
+	})
+}
+
 // fig10 — replication ability and loads-with-replica vs decay window for
 // vpr, ICR-P-PS(S).
 func fig10(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	pendings := make([]*runner.Pending, 0, len(decayWindows))
-	ticks := make([]string, 0, len(decayWindows))
-	for _, w := range decayWindows {
-		w := w
-		pendings = append(pendings, submitOne(ctx, o, "vpr", icrPS(core.ReplStores), func(r *config.Run) {
-			r.Repl = aggressiveRepl(sets)
-			r.Repl.DecayWindow = w
-		}))
-		ticks = append(ticks, fmt.Sprintf("%d", w))
-	}
-	all, err := collect(pendings)
+	_, all, err := runArms(ctx, o, windowArm(o, icrPS(core.ReplStores)))
 	if err != nil {
 		return nil, err
-	}
-	var ability, lwr []float64
-	for _, rep := range all {
-		ability = append(ability, rep.ReplAbility())
-		lwr = append(lwr, rep.LoadsWithReplica())
 	}
 	return &Result{
 		ID:     "fig10",
 		Sweep:  true,
 		Title:  "Replication ability and loads-with-replica vs decay window (vpr, ICR-P-PS(S))",
 		XLabel: "window (cycles)",
-		XTicks: ticks,
+		XTicks: windowTicks(),
 		Series: []Series{
-			{Label: "replication ability", Values: ability},
-			{Label: "loads with replica", Values: lwr},
+			{Label: "replication ability", Values: values(all, (*metrics.Report).ReplAbility)},
+			{Label: "loads with replica", Values: values(all, (*metrics.Report).LoadsWithReplica)},
 		},
 		Notes:   "paper: ability falls with window size, loads-with-replica barely moves",
 		Reports: all,
@@ -137,71 +124,44 @@ func fig10(ctx context.Context, o Options) (*Result, error) {
 // fig11 — normalized execution cycles vs decay window for vpr,
 // ICR-P-PS(S) and ICR-ECC-PS(S), normalized to BaseP.
 func fig11(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	basePending := submitOne(ctx, o, "vpr", core.BaseP(), nil)
-	schemes := []core.Scheme{
-		core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores),
-		core.ICR(core.ECCProt, core.LookupSerial, core.ReplStores),
+	schemes := recommended()
+	arms := []arm{o.namedArm([]string{"vpr"}, core.BaseP(), nil)}
+	for _, s := range schemes {
+		arms = append(arms, windowArm(o, s))
 	}
-	pendings := make([][]*runner.Pending, len(schemes))
-	for i, s := range schemes {
-		for _, w := range decayWindows {
-			w := w
-			pendings[i] = append(pendings[i], submitOne(ctx, o, "vpr", s, func(r *config.Run) {
-				r.Repl = aggressiveRepl(sets)
-				r.Repl.DecayWindow = w
-			}))
-		}
-	}
-	base, err := basePending.Wait()
+	reps, all, err := runArms(ctx, o, arms...)
 	if err != nil {
 		return nil, err
 	}
-	result := &Result{
+	base := reps[0][0]
+	res := &Result{
 		ID:      "fig11",
 		Sweep:   true,
 		Title:   "Normalized execution cycles vs decay window (vpr)",
 		XLabel:  "window (cycles)",
+		XTicks:  windowTicks(),
 		Notes:   "paper: ICR-P-PS(S) <4% over BaseP at window 1000, ~1.7% at 10000",
-		Reports: []*metrics.Report{base},
-	}
-	for _, w := range decayWindows {
-		result.XTicks = append(result.XTicks, fmt.Sprintf("%d", w))
+		Reports: all,
 	}
 	for i, s := range schemes {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		var vals []float64
-		for _, rep := range reports {
-			vals = append(vals, float64(rep.Cycles)/float64(base.Cycles))
-			result.Reports = append(result.Reports, rep)
-		}
-		result.Series = append(result.Series, Series{Label: s.Name(), Values: vals})
+		res.Series = append(res.Series, Series{Label: s.Name(), Values: values(reps[i+1], func(r *metrics.Report) float64 {
+			return float64(r.Cycles) / float64(base.Cycles)
+		})})
 	}
-	return result, nil
+	return res, nil
 }
 
 // fig13 — replication ability and loads-with-replica at decay windows 1000
 // and 0 across all benchmarks, ICR-P-PS(S).
 func fig13(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	mkRepl := func(w uint64) func(*config.Run) {
-		return func(r *config.Run) {
+	sets := o.sets()
+	window := func(w uint64) arm {
+		return o.benchArm(icrPS(core.ReplStores), func(r *config.Run) {
 			r.Repl = relaxedRepl(sets)
 			r.Repl.DecayWindow = w
-		}
+		})
 	}
-	w0P := submitAll(ctx, o, icrPS(core.ReplStores), mkRepl(0))
-	w1000P := submitAll(ctx, o, icrPS(core.ReplStores), mkRepl(1000))
-	w0, err := collect(w0P)
-	if err != nil {
-		return nil, err
-	}
-	w1000, err := collect(w1000P)
+	reps, all, err := runArms(ctx, o, window(0), window(1000))
 	if err != nil {
 		return nil, err
 	}
@@ -211,12 +171,12 @@ func fig13(ctx context.Context, o Options) (*Result, error) {
 		XLabel: "benchmark",
 		XTicks: workload.Names(),
 		Series: []Series{
-			{Label: "ability w=0", Values: values(w0, func(r *metrics.Report) float64 { return r.ReplAbility() })},
-			{Label: "ability w=1000", Values: values(w1000, func(r *metrics.Report) float64 { return r.ReplAbility() })},
-			{Label: "loads w/repl w=0", Values: values(w0, func(r *metrics.Report) float64 { return r.LoadsWithReplica() })},
-			{Label: "loads w/repl w=1000", Values: values(w1000, func(r *metrics.Report) float64 { return r.LoadsWithReplica() })},
+			{Label: "ability w=0", Values: values(reps[0], (*metrics.Report).ReplAbility)},
+			{Label: "ability w=1000", Values: values(reps[1], (*metrics.Report).ReplAbility)},
+			{Label: "loads w/repl w=0", Values: values(reps[0], (*metrics.Report).LoadsWithReplica)},
+			{Label: "loads w/repl w=1000", Values: values(reps[1], (*metrics.Report).LoadsWithReplica)},
 		},
 		Notes:   "paper: loads-with-replica is insensitive to the window",
-		Reports: append(w0, w1000...),
+		Reports: all,
 	}, nil
 }

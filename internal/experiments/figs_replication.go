@@ -6,97 +6,85 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
+
+// aggressive returns the ICR-P-PS(S) mutation under aggressive decay,
+// with tweak (may be nil) applied to its replication setup.
+func aggressive(sets int, tweak func(*core.ReplConfig)) func(*config.Run) {
+	return func(r *config.Run) {
+		r.Repl = aggressiveRepl(sets)
+		if tweak != nil {
+			tweak(&r.Repl)
+		}
+	}
+}
+
+// twoAttempts places replicas at distance N/2, then N/4.
+func twoAttempts(sets int) func(*core.ReplConfig) {
+	return func(c *core.ReplConfig) { c.Distances = []int{sets / 2, sets / 4} }
+}
+
+// twoReplicas keeps up to two replicas, the first at N/2, the second at N/4.
+func twoReplicas(sets int) func(*core.ReplConfig) {
+	return func(c *core.ReplConfig) {
+		c.Distances = []int{sets / 2, sets / 4}
+		c.Replicas = 2
+	}
+}
+
+// perBench is the shape of fig1-fig8: one series per labelled arm, each
+// metric per benchmark, with the arms' reports in arm order.
+func perBench(id, title, notes string, metric func(*metrics.Report) float64, labels []string, reps [][]*metrics.Report, all []*metrics.Report) *Result {
+	res := &Result{ID: id, Title: title, XLabel: "benchmark", XTicks: workload.Names(), Notes: notes, Reports: all}
+	for i, l := range labels {
+		res.Series = append(res.Series, Series{Label: l, Values: values(reps[i], metric)})
+	}
+	return res
+}
+
+// placementArms are fig1/fig2's ICR-P-PS(S) runs under aggressive decay:
+// a single placement attempt (N/2), then two attempts (N/2, N/4).
+func placementArms(o Options) []arm {
+	sets := o.sets()
+	return []arm{
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, nil)),
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, twoAttempts(sets))),
+	}
+}
+
+var placementLabels = []string{"single (N/2)", "multi (N/2,N/4)"}
 
 // fig1 — replication ability for single-attempt (distance N/2) vs
 // multi-attempt (N/2 then N/4) placement, ICR-P-PS(S), aggressive decay.
 func fig1(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	singleP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	multiP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-		r.Repl.Distances = []int{sets / 2, sets / 4}
-	})
-	single, err := collect(singleP)
+	reps, all, err := runArms(ctx, o, placementArms(o)...)
 	if err != nil {
 		return nil, err
 	}
-	multi, err := collect(multiP)
-	if err != nil {
-		return nil, err
-	}
-	ability := func(r *metrics.Report) float64 { return r.ReplAbility() }
-	return &Result{
-		ID:     "fig1",
-		Title:  "Replication ability: single vs multiple placement attempts, ICR-P-PS(S)",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Series: []Series{
-			{Label: "single (N/2)", Values: values(single, ability)},
-			{Label: "multi (N/2,N/4)", Values: values(multi, ability)},
-		},
-		Notes:   "paper: multiple attempts raise replication ability",
-		Reports: append(single, multi...),
-	}, nil
+	return perBench("fig1", "Replication ability: single vs multiple placement attempts, ICR-P-PS(S)",
+		"paper: multiple attempts raise replication ability",
+		(*metrics.Report).ReplAbility, placementLabels, reps, all), nil
 }
 
 // fig2 — loads with replica for the same two configurations as fig1.
 func fig2(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	singleP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	multiP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-		r.Repl.Distances = []int{sets / 2, sets / 4}
-	})
-	single, err := collect(singleP)
+	reps, all, err := runArms(ctx, o, placementArms(o)...)
 	if err != nil {
 		return nil, err
 	}
-	multi, err := collect(multiP)
-	if err != nil {
-		return nil, err
-	}
-	lwr := func(r *metrics.Report) float64 { return r.LoadsWithReplica() }
-	return &Result{
-		ID:     "fig2",
-		Title:  "Loads with replica: single vs multiple placement attempts, ICR-P-PS(S)",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Series: []Series{
-			{Label: "single (N/2)", Values: values(single, lwr)},
-			{Label: "multi (N/2,N/4)", Values: values(multi, lwr)},
-		},
-		Notes:   "paper: negligible improvement from multiple attempts",
-		Reports: append(single, multi...),
-	}, nil
+	return perBench("fig2", "Loads with replica: single vs multiple placement attempts, ICR-P-PS(S)",
+		"paper: negligible improvement from multiple attempts",
+		(*metrics.Report).LoadsWithReplica, placementLabels, reps, all), nil
 }
 
 // fig3 — replication ability when maintaining one replica vs two replicas
 // (first at N/2, second at N/4), ICR-P-PS(S).
 func fig3(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	oneP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	twoP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-		r.Repl.Distances = []int{sets / 2, sets / 4}
-		r.Repl.Replicas = 2
-	})
-	one, err := collect(oneP)
-	if err != nil {
-		return nil, err
-	}
-	two, err := collect(twoP)
+	sets := o.sets()
+	reps, all, err := runArms(ctx, o,
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, nil)),
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, twoReplicas(sets))))
 	if err != nil {
 		return nil, err
 	}
@@ -106,196 +94,89 @@ func fig3(ctx context.Context, o Options) (*Result, error) {
 		XLabel: "benchmark",
 		XTicks: workload.Names(),
 		Series: []Series{
-			{Label: "1 replica (N/2)", Values: values(one, func(r *metrics.Report) float64 { return r.ReplAbility() })},
-			{Label: ">=1 of 2 replicas", Values: values(two, func(r *metrics.Report) float64 { return r.ReplAbility() })},
-			{Label: "2 replicas achieved", Values: values(two, func(r *metrics.Report) float64 { return r.ReplDoubleAbility() })},
+			{Label: "1 replica (N/2)", Values: values(reps[0], (*metrics.Report).ReplAbility)},
+			{Label: ">=1 of 2 replicas", Values: values(reps[1], (*metrics.Report).ReplAbility)},
+			{Label: "2 replicas achieved", Values: values(reps[1], (*metrics.Report).ReplDoubleAbility)},
 		},
 		Notes:   "paper: two replicas achievable ~12% of the time on average",
-		Reports: append(one, two...),
+		Reports: all,
 	}, nil
 }
 
 // fig4 — dL1 miss rates when maintaining one vs two replicas.
 func fig4(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	baseP := submitAll(ctx, o, core.BaseP(), nil)
-	oneP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	twoP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-		r.Repl.Distances = []int{sets / 2, sets / 4}
-		r.Repl.Replicas = 2
-	})
-	base, err := collect(baseP)
+	sets := o.sets()
+	reps, all, err := runArms(ctx, o,
+		o.benchArm(core.BaseP(), nil),
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, nil)),
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, twoReplicas(sets))))
 	if err != nil {
 		return nil, err
 	}
-	one, err := collect(oneP)
-	if err != nil {
-		return nil, err
-	}
-	two, err := collect(twoP)
-	if err != nil {
-		return nil, err
-	}
-	miss := func(r *metrics.Report) float64 { return r.DL1MissRate() }
-	return &Result{
-		ID:     "fig4",
-		Title:  "dL1 miss rate: single vs two replicas, ICR-P-PS(S)",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Series: []Series{
-			{Label: "BaseP", Values: values(base, miss)},
-			{Label: "1 replica", Values: values(one, miss)},
-			{Label: "2 replicas", Values: values(two, miss)},
-		},
-		Notes:   "paper: extra copies evict useful blocks and worsen miss rates",
-		Reports: append(append(base, one...), two...),
-	}, nil
+	return perBench("fig4", "dL1 miss rate: single vs two replicas, ICR-P-PS(S)",
+		"paper: extra copies evict useful blocks and worsen miss rates",
+		(*metrics.Report).DL1MissRate, []string{"BaseP", "1 replica", "2 replicas"}, reps, all), nil
 }
 
 // fig5 — loads with replica under vertical (distance N/2) vs horizontal
 // (distance 0) replication, ICR-P-PS(S).
 func fig5(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	verticalP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	horizontalP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-		r.Repl.Distances = core.HorizontalDistances()
-	})
-	vertical, err := collect(verticalP)
+	sets := o.sets()
+	reps, all, err := runArms(ctx, o,
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, nil)),
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, func(c *core.ReplConfig) {
+			c.Distances = core.HorizontalDistances()
+		})))
 	if err != nil {
 		return nil, err
 	}
-	horizontal, err := collect(horizontalP)
-	if err != nil {
-		return nil, err
-	}
-	lwr := func(r *metrics.Report) float64 { return r.LoadsWithReplica() }
-	return &Result{
-		ID:     "fig5",
-		Title:  "Loads with replica: vertical (N/2) vs horizontal (0) replication, ICR-P-PS(S)",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Series: []Series{
-			{Label: "vertical (N/2)", Values: values(vertical, lwr)},
-			{Label: "horizontal (0)", Values: values(horizontal, lwr)},
-		},
-		Notes:   "paper: little difference between the two placements",
-		Reports: append(vertical, horizontal...),
-	}, nil
+	return perBench("fig5", "Loads with replica: vertical (N/2) vs horizontal (0) replication, ICR-P-PS(S)",
+		"paper: little difference between the two placements",
+		(*metrics.Report).LoadsWithReplica, []string{"vertical (N/2)", "horizontal (0)"}, reps, all), nil
 }
+
+// triggerArms are fig6/fig7's ICR runs under aggressive decay with the
+// LS trigger, then the S trigger.
+func triggerArms(o Options) []arm {
+	sets := o.sets()
+	return []arm{
+		o.benchArm(icrPS(core.ReplLoadsStores), aggressive(sets, nil)),
+		o.benchArm(icrPS(core.ReplStores), aggressive(sets, nil)),
+	}
+}
+
+var triggerLabels = []string{"ICR-*(LS)", "ICR-*(S)"}
 
 // fig6 — replication ability for the LS vs S triggers.
 func fig6(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	triggers := []core.ReplTrigger{core.ReplLoadsStores, core.ReplStores}
-	pendings := make([][]*runner.Pending, len(triggers))
-	for i, trigger := range triggers {
-		pendings[i] = submitAll(ctx, o, icrPS(trigger), func(r *config.Run) {
-			r.Repl = aggressiveRepl(sets)
-		})
+	reps, all, err := runArms(ctx, o, triggerArms(o)...)
+	if err != nil {
+		return nil, err
 	}
-	var series []Series
-	var all []*metrics.Report
-	for i, trigger := range triggers {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, Series{
-			Label:  "ICR-*(" + trigger.String() + ")",
-			Values: values(reports, func(r *metrics.Report) float64 { return r.ReplAbility() }),
-		})
-		all = append(all, reports...)
-	}
-	return &Result{
-		ID:      "fig6",
-		Title:   "Replication ability: ICR-*(LS) vs ICR-*(S)",
-		XLabel:  "benchmark",
-		XTicks:  workload.Names(),
-		Series:  series,
-		Notes:   "paper: LS replicates more data than S",
-		Reports: all,
-	}, nil
+	return perBench("fig6", "Replication ability: ICR-*(LS) vs ICR-*(S)",
+		"paper: LS replicates more data than S",
+		(*metrics.Report).ReplAbility, triggerLabels, reps, all), nil
 }
 
 // fig7 — loads with replica for the LS vs S triggers.
 func fig7(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	triggers := []core.ReplTrigger{core.ReplLoadsStores, core.ReplStores}
-	pendings := make([][]*runner.Pending, len(triggers))
-	for i, trigger := range triggers {
-		pendings[i] = submitAll(ctx, o, icrPS(trigger), func(r *config.Run) {
-			r.Repl = aggressiveRepl(sets)
-		})
+	reps, all, err := runArms(ctx, o, triggerArms(o)...)
+	if err != nil {
+		return nil, err
 	}
-	var series []Series
-	var all []*metrics.Report
-	for i, trigger := range triggers {
-		reports, err := collect(pendings[i])
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, Series{
-			Label:  "ICR-*(" + trigger.String() + ")",
-			Values: values(reports, func(r *metrics.Report) float64 { return r.LoadsWithReplica() }),
-		})
-		all = append(all, reports...)
-	}
-	return &Result{
-		ID:      "fig7",
-		Title:   "Loads with replica: ICR-*(LS) vs ICR-*(S)",
-		XLabel:  "benchmark",
-		XTicks:  workload.Names(),
-		Series:  series,
-		Notes:   "paper: >65% for S, >90% for LS; near-total duplication in mcf",
-		Reports: all,
-	}, nil
+	return perBench("fig7", "Loads with replica: ICR-*(LS) vs ICR-*(S)",
+		"paper: >65% for S, >90% for LS; near-total duplication in mcf",
+		(*metrics.Report).LoadsWithReplica, triggerLabels, reps, all), nil
 }
 
 // fig8 — dL1 miss rates for the Base schemes vs ICR with LS and S triggers.
 func fig8(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	baseP := submitAll(ctx, o, core.BaseP(), nil)
-	lsP := submitAll(ctx, o, icrPS(core.ReplLoadsStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	sP := submitAll(ctx, o, icrPS(core.ReplStores), func(r *config.Run) {
-		r.Repl = aggressiveRepl(sets)
-	})
-	base, err := collect(baseP)
+	arms := append([]arm{o.benchArm(core.BaseP(), nil)}, triggerArms(o)...)
+	reps, all, err := runArms(ctx, o, arms...)
 	if err != nil {
 		return nil, err
 	}
-	ls, err := collect(lsP)
-	if err != nil {
-		return nil, err
-	}
-	s, err := collect(sP)
-	if err != nil {
-		return nil, err
-	}
-	miss := func(r *metrics.Report) float64 { return r.DL1MissRate() }
-	return &Result{
-		ID:     "fig8",
-		Title:  "dL1 miss rates: Base vs ICR-*(LS) vs ICR-*(S)",
-		XLabel: "benchmark",
-		XTicks: workload.Names(),
-		Series: []Series{
-			{Label: "Base*", Values: values(base, miss)},
-			{Label: "ICR-*(LS)", Values: values(ls, miss)},
-			{Label: "ICR-*(S)", Values: values(s, miss)},
-		},
-		Notes:   "paper: both triggers raise misses, LS more than S",
-		Reports: append(append(base, ls...), s...),
-	}, nil
+	return perBench("fig8", "dL1 miss rates: Base vs ICR-*(LS) vs ICR-*(S)",
+		"paper: both triggers raise misses, LS more than S",
+		(*metrics.Report).DL1MissRate, append([]string{"Base*"}, triggerLabels...), reps, all), nil
 }

@@ -7,9 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Memory-tier per-access energies for the two-tier sweep (nJ, DRAM
@@ -61,77 +59,54 @@ func twoTierScore(r *metrics.Report, base *metrics.Report, lines int) float64 {
 // benchmarks of the combined reliability + performance + energy score,
 // anchored to the (BaseP, unprotected-tier) run of the same workload.
 func twoTierShootout(ctx context.Context, o Options) (*Result, error) {
-	m := o.machine()
-	sets := m.DL1Sets()
-	lines := sets * m.DL1Assoc
-	benches := workload.Names()
+	sets := o.sets()
+	lines := sets * o.machine().DL1Assoc
 	points := twoTierPoints()
 	l1Fault := config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
-
 	l1Schemes := []core.Scheme{core.BaseP(), core.BaseECC(false), icrPS(core.ReplStores)}
+	relaxed := relaxedIfReplicating(sets)
 
-	ticks := make([]string, len(points))
-	for i, tt := range points {
-		ticks[i] = tt.Name()
-	}
-
-	submitPoint := func(scheme core.Scheme, tt config.TwoTier) []*runner.Pending {
-		ps := make([]*runner.Pending, len(benches))
-		for i, bench := range benches {
-			ps[i] = submitOne(ctx, o, bench, scheme, func(r *config.Run) {
-				if scheme.HasReplication() {
-					r.Repl = relaxedRepl(sets)
-				}
+	// One arm per (L1 scheme, tier point), scheme-major; each arm runs
+	// every benchmark.
+	var arms []arm
+	for _, scheme := range l1Schemes {
+		for _, tt := range points {
+			arms = append(arms, o.benchArm(scheme, func(r *config.Run) {
+				relaxed(r)
 				r.Fault = l1Fault
 				r.TwoTier = tt
 				r.Energy = r.Energy.WithMemoryCosts(twoTierMemRead, twoTierMemWrite)
-			})
-		}
-		return ps
-	}
-
-	// Submit everything before collecting anything, so the whole grid
-	// shares the worker pool. entries[scheme][point] = per-benchmark runs.
-	entries := make([][][]*runner.Pending, len(l1Schemes))
-	for si, scheme := range l1Schemes {
-		entries[si] = make([][]*runner.Pending, len(points))
-		for pi, tt := range points {
-			entries[si][pi] = submitPoint(scheme, tt)
+			}))
 		}
 	}
-
-	// The anchor: BaseP over the unprotected tier, same workload and
-	// injection, memory traffic priced the same way.
-	base, err := collect(entries[0][0])
+	reps, all, err := runArms(ctx, o, arms...)
 	if err != nil {
 		return nil, err
 	}
 
-	result := &Result{
+	// The anchor is the first arm: BaseP over the unprotected tier, same
+	// workload and injection, memory traffic priced the same way.
+	res := &Result{
 		ID:     "twotier",
 		Title:  "Per-tier protection: L1 scheme x L2/remote tier scheme",
 		XLabel: "tier protection",
-		XTicks: ticks,
 		Notes: "geomean across benchmarks of (vulnerable line-cycle fraction + cycle overhead + " +
 			"energy overhead + unrecovered tier-error fraction) vs BaseP over an unprotected tier; lower is better",
+		Reports: all,
+	}
+	for _, tt := range points {
+		res.XTicks = append(res.XTicks, tt.Name())
 	}
 	for si, scheme := range l1Schemes {
 		vals := make([]float64, len(points))
 		for pi := range points {
-			reports := base
-			if si != 0 || pi != 0 {
-				if reports, err = collect(entries[si][pi]); err != nil {
-					return nil, err
-				}
-			}
-			scores := make([]float64, len(reports))
-			for j, r := range reports {
-				scores[j] = twoTierScore(r, base[j], lines)
+			scores := make([]float64, len(reps[0]))
+			for j, r := range reps[si*len(points)+pi] {
+				scores[j] = twoTierScore(r, reps[0][j], lines)
 			}
 			vals[pi] = sim.GeoMean(scores)
-			result.Reports = append(result.Reports, reports...)
 		}
-		result.Series = append(result.Series, Series{Label: scheme.Name(), Values: vals})
+		res.Series = append(res.Series, Series{Label: scheme.Name(), Values: vals})
 	}
-	return result, nil
+	return res, nil
 }

@@ -39,47 +39,79 @@ func relaxedRepl(sets int) core.ReplConfig {
 	}
 }
 
-// submitOne enqueues one benchmark × configuration on the experiment's
-// runner and returns its pending handle. The run is fully materialized
-// (mutate applied) before submission, so driver closures never execute on
-// worker goroutines.
-func submitOne(ctx context.Context, o Options, bench string, scheme core.Scheme, mutate func(*config.Run)) *runner.Pending {
-	r := config.NewRun(bench, scheme)
-	o.apply(&r)
-	if mutate != nil {
-		mutate(&r)
+// relaxedIfReplicating is the mutation most multi-scheme arms share: runs
+// of a replicating scheme get the relaxed setup, the others none.
+func relaxedIfReplicating(sets int) func(*config.Run) {
+	return func(r *config.Run) {
+		if r.Scheme.HasReplication() {
+			r.Repl = relaxedRepl(sets)
+		}
 	}
-	return o.runner().Submit(ctx, o.machine(), r)
 }
 
-// submitAll enqueues one run per benchmark (workload.Names() order) and
-// returns the pendings in that order.
-func submitAll(ctx context.Context, o Options, scheme core.Scheme, mutate func(*config.Run)) []*runner.Pending {
-	names := workload.Names()
-	out := make([]*runner.Pending, len(names))
-	for i, name := range names {
-		out[i] = submitOne(ctx, o, name, scheme, mutate)
+// sets returns the dL1 set count of the experiment's machine.
+func (o *Options) sets() int {
+	m := o.machine()
+	return m.DL1Sets()
+}
+
+// An arm is one configuration of a figure's grid, fully built: every run
+// has Options.apply and the arm's mutation applied before submission, so
+// no driver code executes on a worker goroutine.
+type arm struct {
+	m    config.Machine
+	runs []config.Run
+}
+
+// benchArm runs scheme once per benchmark, in workload.Names() order.
+func (o *Options) benchArm(scheme core.Scheme, mutate func(*config.Run)) arm {
+	return o.namedArm(workload.Names(), scheme, mutate)
+}
+
+// namedArm runs scheme once per named workload, in the order given.
+func (o *Options) namedArm(names []string, scheme core.Scheme, mutate func(*config.Run)) arm {
+	return o.sweepArm("", scheme, len(names), func(r *config.Run, i int) {
+		r.Benchmark = names[i]
+		if mutate != nil {
+			mutate(r)
+		}
+	})
+}
+
+// sweepArm runs bench under scheme once per point of an n-point sweep;
+// point sets run i's swept parameters.
+func (o *Options) sweepArm(bench string, scheme core.Scheme, n int, point func(r *config.Run, i int)) arm {
+	a := arm{m: o.machine(), runs: make([]config.Run, n)}
+	for i := range a.runs {
+		r := &a.runs[i]
+		*r = config.NewRun(bench, scheme)
+		o.apply(r)
+		point(r, i)
 	}
-	return out
+	return a
 }
 
-// collect waits for submitted runs and returns their reports in
-// submission order (runner.Collect's determinism guarantee).
-func collect(pendings []*runner.Pending) ([]*metrics.Report, error) {
-	return runner.Collect(pendings)
-}
-
-// runAll simulates one scheme configuration across the eight benchmarks.
-// Drivers that sweep several configurations should prefer submitAll for
-// each configuration first and collect afterwards, so the whole sweep
-// shares the worker pool.
-func runAll(ctx context.Context, o Options, scheme core.Scheme, mutate func(*config.Run)) ([]*metrics.Report, error) {
-	return collect(submitAll(ctx, o, scheme, mutate))
-}
-
-// runOne simulates one benchmark under one configuration.
-func runOne(ctx context.Context, o Options, bench string, scheme core.Scheme, mutate func(*config.Run)) (*metrics.Report, error) {
-	return submitOne(ctx, o, bench, scheme, mutate).Wait()
+// runArms submits every run of every arm before it waits on any, so the
+// whole grid shares the worker pool. It returns each arm's reports, and
+// all of them in arm order: the order of Result.Reports.
+func runArms(ctx context.Context, o Options, arms ...arm) ([][]*metrics.Report, []*metrics.Report, error) {
+	var pendings []*runner.Pending
+	for _, a := range arms {
+		for _, r := range a.runs {
+			pendings = append(pendings, o.runner().Submit(ctx, a.m, r))
+		}
+	}
+	all, err := runner.Collect(pendings)
+	if err != nil {
+		return nil, nil, err
+	}
+	per := make([][]*metrics.Report, len(arms))
+	rest := all
+	for i, a := range arms {
+		n := len(a.runs)
+		per[i], rest = rest[:n:n], rest[n:]
+	}
+	return per, all, nil
 }
 
 // values extracts one metric per report.

@@ -478,6 +478,9 @@ func BuildRun(req RunRequest) (config.Run, error) {
 // figureOptions translates a FigureRequest into the experiment options
 // its figure runs under (all but the runner).
 func figureOptions(req FigureRequest) (experiments.Options, error) {
+	if err := config.ValidateSeeds(req.Seeds); err != nil {
+		return experiments.Options{}, err
+	}
 	sample, err := config.ParseSample(req.Sample)
 	if err != nil {
 		return experiments.Options{}, err

@@ -309,6 +309,23 @@ func TestFigureEndpoint(t *testing.T) {
 	}
 }
 
+// TestFigureRejectsBadSeedLists: a seed list holding 0 (which a run reads
+// as unset) or a repeated seed is a bad request, answered before any
+// simulation runs.
+func TestFigureRejectsBadSeedLists(t *testing.T) {
+	fn, calls := stubSim()
+	_, ts := newTestServer(t, Options{Runner: runner.New(runner.Options{Simulate: fn})})
+	for _, body := range []string{`{"seeds":[0,1]}`, `{"seeds":[2,3,2]}`} {
+		resp, data := postJSON(t, ts.URL+"/v1/figures/fig1", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, data)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d simulations ran for rejected seed lists, want 0", n)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	fn, _ := stubSim()
 	_, ts := newTestServer(t, Options{Runner: runner.New(runner.Options{Simulate: fn})})

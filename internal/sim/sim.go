@@ -151,26 +151,6 @@ func assemble(
 	return rep
 }
 
-// SimulateAll runs one scheme configuration across every benchmark and
-// returns the reports in workload.Names() order. The mutate callback (may
-// be nil) customizes each run before it executes.
-func SimulateAll(m config.Machine, scheme core.Scheme, mutate func(*config.Run)) ([]*metrics.Report, error) {
-	names := workload.Names()
-	out := make([]*metrics.Report, 0, len(names))
-	for _, name := range names {
-		r := config.NewRun(name, scheme)
-		if mutate != nil {
-			mutate(&r)
-		}
-		rep, err := Simulate(m, r)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s: %w", r.Name(), err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // GeoMean returns the geometric mean of a slice of positive ratios — the
 // aggregation the paper uses for "average across applications".
 func GeoMean(xs []float64) float64 {

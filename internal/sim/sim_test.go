@@ -242,28 +242,6 @@ func TestLeaveReplicasImprovesOnDrop(t *testing.T) {
 	}
 }
 
-func TestSimulateAllCoversBenchmarks(t *testing.T) {
-	reports, err := SimulateAll(config.Default(), core.BaseP(), func(r *config.Run) {
-		r.Instructions = 40_000
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 8 {
-		t.Fatalf("got %d reports, want 8", len(reports))
-	}
-	seen := map[string]bool{}
-	for _, rep := range reports {
-		seen[rep.Benchmark] = true
-		if rep.Instructions != 40_000 {
-			t.Errorf("%s: %d instructions", rep.Benchmark, rep.Instructions)
-		}
-	}
-	if len(seen) != 8 {
-		t.Errorf("duplicate benchmarks in reports: %v", seen)
-	}
-}
-
 func TestScrubberIntegration(t *testing.T) {
 	r := config.NewRun("vortex", core.BaseP())
 	r.Instructions = testInstrs

@@ -72,10 +72,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the node names in construction order. Callers must not
-// mutate the returned slice.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Owner returns the node responsible for key: the first ring point at or
 // after the key's hash, wrapping around.
 func (r *Ring) Owner(key string) string {

@@ -227,9 +227,6 @@ func (t *Protected) CacheStats() cache.Stats { return t.stats }
 // TierStats returns the tier's reliability and replication counters.
 func (t *Protected) TierStats() Stats { return t.tstats }
 
-// Sets returns the number of sets.
-func (t *Protected) Sets() int { return t.sets }
-
 func (t *Protected) blockAddr(addr uint64) uint64 { return addr >> t.offsetBits }
 func (t *Protected) homeSet(ba uint64) int        { return int(ba & t.indexMask) }
 
@@ -797,10 +794,6 @@ func (t *Protected) DropReplica(blockAddr uint64) {
 
 // WordCount returns the total number of 64-bit words in the data array.
 func (t *Protected) WordCount() int { return len(t.lines) * t.wordsPerLine }
-
-// LastAccessedWord returns the array word index of the most recent
-// access, or -1.
-func (t *Protected) LastAccessedWord() int { return t.lastWord }
 
 // Inject applies one injection event from the given injector, mirroring
 // the L1's semantics: flips landing in invalid lines are counted but have

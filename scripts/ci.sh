@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the full tier-1 verification pipeline in one command:
 #
-#   build -> vet -> icrvet -> test -> perf -> race -> smoke -> shards -> adaptive -> twotier -> steal
+#   build -> vet -> icrvet -> test -> perf -> results -> race -> smoke -> shards -> adaptive -> twotier -> steal
 #
 # Each stage is announced and the script stops at the first failure, so CI
 # logs read top-to-bottom. Everything is standard-library Go: no network
@@ -152,6 +152,22 @@ for w in sim-exact sim-sampled sweep-cold serve-zipf; do
         || fail "$w is not correct: $(tail -1 "$DIR/$w.json")"
     echo "perf: $w correct"
 done
+
+# Committed results cannot drift: regenerate every results/*.csv with the
+# command that recorded it and require each to match byte for byte.
+stage results
+GO="$GO" ./scripts/results.sh "$DIR/out" >"$DIR/tables.txt" || fail "regeneration failed"
+drift=
+for f in results/*.csv; do
+    twin="$DIR/out/${f##*/}"
+    if [ ! -e "$twin" ]; then
+        drift="$drift $f(not regenerated)"
+    elif ! cmp -s "$f" "$twin"; then
+        drift="$drift $f"
+    fi
+done
+[ -z "$drift" ] || fail "committed results differ from their regeneration:$drift"
+echo "results: $(ls results/*.csv | wc -l) CSVs reproduce byte for byte"
 
 stage race
 make race GO="$GO"
