@@ -111,7 +111,6 @@ type line struct {
 // Cache is a set-associative timing cache with LRU replacement.
 type Cache struct {
 	cfg        Config //icrvet:persistent construction input: pooled reuse keys on the same geometry
-	sets       int    //icrvet:persistent geometry: derived from cfg at construction
 	offsetBits uint   //icrvet:persistent geometry: derived from cfg at construction
 	indexMask  uint64 //icrvet:persistent geometry: derived from cfg at construction
 	lines      []line // sets*assoc, way-major within a set
@@ -150,7 +149,6 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:        cfg,
-		sets:       sets,
 		offsetBits: offsetBits,
 		indexMask:  uint64(sets) - 1,
 		lines:      make([]line, sets*cfg.Assoc),

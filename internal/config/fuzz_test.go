@@ -88,7 +88,9 @@ func FuzzParseTwoTier(f *testing.F) {
 		"protect=parity,replicate=true,victim=dead-first,decay=1000,cross=true",
 		"protect=ecc,latency=4,fault=column,prob=0.001,faultseed=9", "protect=P,prob=1e-3",
 		"protect=parity,prob=nan", "protect=parity,prob=-1", "replicate=true", "protect=parity,cross=true",
-		"protect=ecc,victim=replica-only", "protect=parity,,", "protect"} {
+		"protect=ecc,victim=replica-only", "protect=parity,,", "protect",
+		"protect=ecc, replicate=true", " protect = parity , prob = 1e-3 ", "protect=parity,fault=column",
+		"protect=parity,faultseed=3", "protect=parity,decay=500"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {

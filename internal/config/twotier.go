@@ -114,7 +114,10 @@ func (t TwoTier) Name() string {
 // comma-separated key=value list with keys protect (parity|ecc),
 // replicate (bool), victim (core victim policy), decay (cycles), cross
 // (bool), latency (extra cycles), fault (injection model), prob
-// (per-cycle probability), and faultseed (int64).
+// (per-cycle probability), and faultseed (int64). Spaces around
+// elements, keys and values are ignored. A key the rest of the spec
+// would silently drop is rejected: victim and decay need replicate=true,
+// fault and faultseed need prob.
 func ParseTwoTier(s string) (TwoTier, error) {
 	switch s {
 	case "", "off":
@@ -129,11 +132,13 @@ func ParseTwoTier(s string) (TwoTier, error) {
 		return TwoTier{Protect: core.ECCProt, Replicate: true}.Normalized(), nil
 	}
 	var t TwoTier
+	var replKey, faultKey string // last key that needs replicate=true / prob
 	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(part, "=")
+		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return TwoTier{}, fmt.Errorf("config: two-tier spec %q: %q is not key=value", s, part)
 		}
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		var err error
 		switch key {
 		case "protect":
@@ -142,18 +147,22 @@ func ParseTwoTier(s string) (TwoTier, error) {
 			t.Replicate, err = strconv.ParseBool(val)
 		case "victim":
 			t.Victim, err = core.ParseVictimPolicy(val)
+			replKey = key
 		case "decay":
 			t.DecayWindow, err = strconv.ParseUint(val, 10, 64)
+			replKey = key
 		case "cross":
 			t.CrossTier, err = strconv.ParseBool(val)
 		case "latency":
 			t.ExtraLatency, err = strconv.ParseUint(val, 10, 64)
 		case "fault":
 			t.Fault.Model, err = fault.ParseModel(val)
+			faultKey = key
 		case "prob":
 			t.Fault.Prob, err = strconv.ParseFloat(val, 64)
 		case "faultseed":
 			t.Fault.Seed, err = strconv.ParseInt(val, 10, 64)
+			faultKey = key
 		default:
 			return TwoTier{}, fmt.Errorf("config: two-tier spec %q: unknown key %q", s, key)
 		}
@@ -163,6 +172,12 @@ func ParseTwoTier(s string) (TwoTier, error) {
 	}
 	if err := t.Validate(); err != nil {
 		return TwoTier{}, err
+	}
+	if replKey != "" && !t.Replicate {
+		return TwoTier{}, fmt.Errorf("config: two-tier spec %q: %s applies to in-tier replication (replicate=true)", s, replKey)
+	}
+	if faultKey != "" && t.Fault.Prob == 0 {
+		return TwoTier{}, fmt.Errorf("config: two-tier spec %q: %s applies to tier fault injection (prob=)", s, faultKey)
 	}
 	return t.Normalized(), nil
 }

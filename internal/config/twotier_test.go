@@ -34,6 +34,35 @@ func TestParseTwoTier(t *testing.T) {
 				Fault:   FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 3},
 			},
 		},
+		// Spaces around elements, keys and values are ignored, as in the
+		// -sample and -adapt specs.
+		{
+			"protect=ecc, replicate=true , victim = replica-first",
+			TwoTier{Protect: core.ECCProt, Replicate: true, Victim: core.ReplicaFirst},
+		},
+		// The two-tier driver's protected points, spelled as specs.
+		{
+			"protect=parity,fault=random,prob=1e-3,faultseed=11",
+			TwoTier{Protect: core.ParityProt, Fault: FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 11}},
+		},
+		{
+			"protect=ecc,fault=random,prob=1e-3,faultseed=11",
+			TwoTier{Protect: core.ECCProt, Fault: FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 11}},
+		},
+		{
+			"protect=parity,replicate=true,victim=dead-first,decay=1000,fault=random,prob=1e-3,faultseed=11",
+			TwoTier{
+				Protect: core.ParityProt, Replicate: true, Victim: core.DeadFirst, DecayWindow: 1000,
+				Fault: FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 11},
+			},
+		},
+		{
+			"protect=parity,replicate=true,victim=dead-first,decay=1000,cross=true,fault=random,prob=1e-3,faultseed=11",
+			TwoTier{
+				Protect: core.ParityProt, Replicate: true, Victim: core.DeadFirst, DecayWindow: 1000, CrossTier: true,
+				Fault: FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 11},
+			},
+		},
 	}
 	for _, tc := range cases {
 		got, err := ParseTwoTier(tc.spec)
@@ -57,6 +86,13 @@ func TestParseTwoTierRejects(t *testing.T) {
 		"protect=P,window=1000",  // unknown key (it is "decay")
 		"protect=P,decay=plenty", // bad integer
 		"protect=P,fault=gamma",  // unknown injection model
+		// Keys the rest of the spec would silently drop.
+		"protect=parity,victim=replica-only,decay=500", // victim and decay without replication
+		"protect=ecc,decay=0",                          // even a zero window
+		"protect=parity,replicate=false,victim=dead-first",
+		"protect=parity,fault=column", // a model with no probability injects nothing
+		"protect=parity,faultseed=3",  // as does a seed
+		"protect=ecc,fault=adjacent,prob=0",
 	} {
 		if _, err := ParseTwoTier(spec); err == nil {
 			t.Errorf("ParseTwoTier(%q) accepted", spec)

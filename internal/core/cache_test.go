@@ -492,7 +492,7 @@ func TestWriteThroughKeepsLinesClean(t *testing.T) {
 		t.Errorf("write-through recovery stats = %+v", s)
 	}
 	// And memory saw the stored value.
-	blk := mem.FetchBlock(c.blockAddr(a))
+	blk := mem.FetchBlock(c.arr.BlockAddr(a))
 	allZero := true
 	for _, b := range blk {
 		if b != 0 {
@@ -534,7 +534,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.Store(uint64(i), addrOfBlock(i))
 	}
-	in := fault.NewInjector(fault.Random, 1, c.wordsPerLine*c.cfg.Assoc, 1)
+	in := fault.NewInjector(fault.Random, 1, c.arr.wordsPerLine*c.cfg.Assoc, 1)
 	for i := 0; i < 50; i++ {
 		c.Inject(in)
 	}

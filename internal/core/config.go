@@ -110,10 +110,6 @@ type Config struct {
 	// HitLatency is the base access latency (1 cycle in Table 1).
 	HitLatency uint64
 
-	// ECCCheckLatency is the extra latency of a SEC-DED verification on
-	// the load path (1 extra cycle in the paper: ECC loads take 2).
-	ECCCheckLatency uint64
-
 	// Scheme selects the protection/replication scheme.
 	Scheme Scheme
 
@@ -205,9 +201,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.HitLatency == 0 {
 		out.HitLatency = 1
-	}
-	if out.ECCCheckLatency == 0 {
-		out.ECCCheckLatency = 1
 	}
 	if out.WritePolicy == 0 {
 		out.WritePolicy = cache.WriteBack

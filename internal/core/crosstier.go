@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/ecc"
-
 // Cross-tier replication (two-tier ICR). The ICR L1 participates in both
 // directions: as a *client* it offers replication shortfalls to
 // cfg.CrossTier and consults it during load recovery, and as a *host* it
@@ -64,22 +62,18 @@ func (c *Cache) OfferReplica(now uint64, blockAddr uint64, data []byte) bool {
 	if !c.cfg.Scheme.HasReplication() || len(data) != c.cfg.BlockSize {
 		return false
 	}
-	if c.lookupPrimary(blockAddr) != nil || c.hasReplica(blockAddr) {
+	if c.arr.Primary(blockAddr) != nil || c.hasReplica(blockAddr) {
 		// Already covered here: the resident copy is at least as fresh.
 		return false
 	}
-	v := c.hostVictim(c.homeSet(blockAddr), now)
+	v := c.arr.SpareWay(c.arr.HomeSet(blockAddr), now)
 	if v == nil {
 		return false
 	}
-	v.valid = true
-	v.replica = true
-	v.guest = true
-	v.dirty = false
-	v.prefetched = false
-	v.blockAddr = blockAddr
-	copy(v.data, data)
-	c.recode(v)
+	if v.Valid {
+		c.evictReplicaSite(v, now) // a dead primary: the normal dead-eviction path
+	}
+	c.arr.InstallGuest(v, blockAddr, data)
 	c.touch(v, now)
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddL1Write(1)
@@ -89,78 +83,27 @@ func (c *Cache) OfferReplica(now uint64, blockAddr uint64, data []byte) bool {
 	return true
 }
 
-// hostVictim picks a way in the given set for a guest replica: an invalid
-// way first, else the LRU dead non-replica line (which is evicted through
-// the normal dead-eviction path, write-back included). It deliberately
-// does not share replicaVictim, which dereferences a primary line this
-// path does not have.
-func (c *Cache) hostVictim(set int, now uint64) *line {
-	base := set * c.cfg.Assoc
-	var deadLine *line
-	for w := 0; w < c.cfg.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid {
-			return ln
-		}
-		if ln.replica {
-			continue
-		}
-		if c.dead(ln, now) && (deadLine == nil || ln.lru < deadLine.lru) {
-			deadLine = ln
-		}
-	}
-	return c.evictReplicaSite(deadLine, now)
-}
-
 // RepairWord implements ReplicaSink: supply the aligned 64-bit word at
-// byte offset off of a hosted (guest) copy of blockAddr, if an intact one
-// exists. Guests live in the block's home set, and the scan is inline and
-// scratch-free — the far tier calls this from the middle of its own
-// recovery, which may itself be nested inside an L1 access that still
-// holds a findReplicas result. A corrupt guest found on the way is
-// dropped. The latency is the cost of reaching this array from the far
-// tier: a hit plus one transfer cycle.
+// byte offset off of an intact hosted (guest) copy of blockAddr, if one
+// exists (LineArray.RepairFromGuest). The latency is the cost of reaching
+// this array from the far tier: a hit plus one transfer cycle.
 func (c *Cache) RepairWord(_ uint64, blockAddr uint64, off int, dst []byte) (uint64, bool) {
-	if off < 0 || off+8 > c.cfg.BlockSize || len(dst) < 8 {
+	if !c.arr.RepairFromGuest(blockAddr, off, dst, &c.cross) {
 		return 0, false
 	}
-	word := off &^ 7
-	base := c.homeSet(blockAddr) * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid || !ln.guest || ln.blockAddr != blockAddr {
-			continue
-		}
-		if ecc.CheckParityLineRange(ln.data, ln.parity, word, 8) != ecc.OK {
-			ln.valid = false
-			c.cross.HostCorrupt++
-			continue
-		}
-		copy(dst[:8], ln.data[word:word+8])
-		if c.cfg.Meter != nil {
-			c.cfg.Meter.AddL1Read(1)
-			c.cfg.Meter.AddParity(1)
-		}
-		c.cross.HostRepairs++
-		return c.cfg.HitLatency + 1, true
+	if c.cfg.Meter != nil {
+		c.cfg.Meter.AddL1Read(1)
+		c.cfg.Meter.AddParity(1)
 	}
-	return 0, false
+	return c.cfg.HitLatency + 1, true
 }
 
 // DropReplica implements ReplicaSink: the far tier rewrote the block, so
 // any guest copy parked here is stale and must not serve future repairs.
-// The scan is inline for the same reentrancy reason as RepairWord — the
-// far tier's write path runs inside this cache's own eviction handling.
+// The scan is inline and scratch-free: the far tier's write path runs
+// inside this cache's own eviction handling.
 func (c *Cache) DropReplica(blockAddr uint64) {
-	if !c.cfg.Scheme.HasReplication() {
-		return
-	}
-	base := c.homeSet(blockAddr) * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.guest && ln.blockAddr == blockAddr {
-			ln.valid = false
-			c.cross.HostDrops++
-		}
+	if c.cfg.Scheme.HasReplication() {
+		c.arr.DropGuests(blockAddr, &c.cross)
 	}
 }

@@ -247,17 +247,17 @@ func TestHostGuestCorruptionDropped(t *testing.T) {
 	}
 	// Flip a bit in the hosted copy directly (guests have no primary, so
 	// the Corrupt* helpers do not reach them).
-	base := c.homeSet(5) * c.cfg.Assoc
-	var guest *line
+	base := c.arr.HomeSet(5) * c.cfg.Assoc
+	var guest *Line
 	for w := 0; w < c.cfg.Assoc; w++ {
-		if ln := &c.lines[base+w]; ln.valid && ln.guest {
+		if ln := &c.arr.Lines[base+w]; ln.Valid && ln.Guest {
 			guest = ln
 		}
 	}
 	if guest == nil {
 		t.Fatal("no guest line installed")
 	}
-	guest.data[17] ^= 0x10
+	guest.Data[17] ^= 0x10
 
 	var buf [8]byte
 	if _, ok := c.RepairWord(1, 5, 16, buf[:]); ok {

@@ -73,7 +73,7 @@ func (c *Cache) replicaQuota(blockAddr uint64) int {
 	if c.cfg.Hints == nil {
 		return c.cur.Replicas
 	}
-	h := c.cfg.Hints.Hint(blockAddr << c.offsetBits)
+	h := c.cfg.Hints.Hint(c.arr.Addr(blockAddr))
 	if !h.Replicate {
 		return 0
 	}

@@ -16,14 +16,14 @@ import (
 //	ICR-ECC-PS  replicated       1 (parity), else 1 + ECCCheckLatency
 //	ICR-ECC-PP                   2
 func (c *Cache) Load(now uint64, addr uint64) uint64 {
-	ba := c.blockAddr(addr)
+	ba := c.arr.BlockAddr(addr)
 	c.stats.Reads++
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddL1Read(1)
 	}
 
-	if ln := c.lookupPrimary(ba); ln != nil {
-		c.noteAccess(ln, addr)
+	if ln := c.arr.Primary(ba); ln != nil {
+		c.arr.NoteAccess(ln, addr)
 		c.stats.ReadHits++
 		if ln.prefetched {
 			ln.prefetched = false
@@ -69,15 +69,15 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 	if c.cfg.Repl.LeaveReplicas {
 		if rep := c.intactReplica(ba); rep != nil {
 			c.stats.ReplicaServedMisses++
-			v := c.evictFor(c.homeSet(ba), now)
-			v.valid = true
-			v.replica = false
-			v.dirty = false
-			v.blockAddr = ba
-			copy(v.data, rep.data)
-			copy(v.parity, rep.parity)
-			if v.eccb != nil {
-				ecc.EncodeSECDEDLine(v.data, v.eccb)
+			v := c.evictFor(c.arr.HomeSet(ba), now)
+			v.Valid = true
+			v.Replica = false
+			v.Dirty = false
+			v.BlockAddr = ba
+			copy(v.Data, rep.Data)
+			copy(v.Parity, rep.Parity)
+			if v.ECC != nil {
+				ecc.EncodeSECDEDLine(v.Data, v.ECC)
 			}
 			c.touch(v, now)
 			if c.cfg.Meter != nil {
@@ -90,8 +90,8 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 
 	// Full miss: fetch from L2/memory.
 	lat := c.cfg.HitLatency + c.cfg.Next.Access(now+c.cfg.HitLatency, addr, cache.Read)
-	v := c.evictFor(c.homeSet(ba), now)
-	c.fill(v, ba, false, now)
+	v := c.evictFor(c.arr.HomeSet(ba), now)
+	c.fill(v, ba, now)
 	c.depositDuplicate(v)
 	c.prefetchNext(ba, now)
 
@@ -114,11 +114,11 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 // pipeline (§3.2); miss handling proceeds in the background and is
 // reflected in statistics and energy only.
 func (c *Cache) Store(now uint64, addr uint64) uint64 {
-	ba := c.blockAddr(addr)
+	ba := c.arr.BlockAddr(addr)
 	c.stats.Writes++
-	ln := c.lookupPrimary(ba)
+	ln := c.arr.Primary(ba)
 	if ln != nil {
-		c.noteAccess(ln, addr)
+		c.arr.NoteAccess(ln, addr)
 	}
 	c.storeSeq++
 	value := storeValue(addr, c.storeSeq)
@@ -137,11 +137,11 @@ func (c *Cache) Store(now uint64, addr uint64) uint64 {
 		c.stats.WriteMisses++
 		// Write-allocate: fetch, then write.
 		c.cfg.Next.Access(now+c.cfg.HitLatency, addr, cache.Read)
-		ln = c.evictFor(c.homeSet(ba), now)
-		c.fill(ln, ba, false, now)
+		ln = c.evictFor(c.arr.HomeSet(ba), now)
+		c.fill(ln, ba, now)
 	}
 	c.writeWord(ln, addr, value)
-	ln.dirty = true
+	ln.Dirty = true
 	c.touch(ln, now)
 	c.depositDuplicate(ln)
 
@@ -188,7 +188,7 @@ func (c *Cache) Store(now uint64, addr uint64) uint64 {
 // forwarded to the next level (through the coalescing write buffer when
 // configured), lines never become dirty, and write misses do not allocate.
 // ln is the block's resident primary, or nil.
-func (c *Cache) storeWriteThrough(now uint64, addr, ba uint64, ln *line, value uint64) uint64 {
+func (c *Cache) storeWriteThrough(now uint64, addr, ba uint64, ln *Line, value uint64) uint64 {
 	if ln != nil {
 		c.stats.WriteHits++
 		c.writeWord(ln, addr, value)
@@ -216,52 +216,37 @@ func (c *Cache) prefetchNext(ba uint64, now uint64) {
 		return
 	}
 	nb := ba + 1
-	if c.lookupPrimary(nb) != nil {
+	if c.arr.Primary(nb) != nil {
 		return
 	}
-	set := c.homeSet(nb)
-	base := set * c.cfg.Assoc
-	var victim *line
-	for w := 0; w < c.cfg.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid {
-			victim = ln
-			break
-		}
-		if ln.replica || !c.dead(ln, now) {
-			continue
-		}
-		if victim == nil || ln.lru < victim.lru {
-			victim = ln
-		}
-	}
+	victim := c.arr.SpareWay(c.arr.HomeSet(nb), now)
 	if victim == nil {
 		return
 	}
-	if victim.valid {
+	if victim.Valid {
 		if victim.prefetched {
 			c.stats.PrefetchUnused++
 		}
-		if victim.dirty {
+		if victim.Dirty {
 			c.writeback(victim, now)
 		}
 		c.setVuln(victim, now, false)
 		if c.cfg.Scheme.HasReplication() && !c.cfg.Repl.LeaveReplicas {
-			c.invalidateReplicas(victim.blockAddr)
+			c.invalidateReplicas(victim.BlockAddr)
 		}
-		victim.valid = false
+		victim.Valid = false
 	}
-	c.cfg.Next.Access(now, nb<<c.offsetBits, cache.Read)
-	c.fill(victim, nb, false, now)
+	c.cfg.Next.Access(now, c.arr.Addr(nb), cache.Read)
+	c.fill(victim, nb, now)
 	victim.prefetched = true
 	c.stats.PrefetchFills++
 }
 
 // intactReplica returns a resident replica of the block whose full-line
 // parity verifies, or nil.
-func (c *Cache) intactReplica(ba uint64) *line {
+func (c *Cache) intactReplica(ba uint64) *Line {
 	for _, rep := range c.findReplicas(ba) {
-		if ecc.CheckParityLineRange(rep.data, rep.parity, 0, c.cfg.BlockSize) == ecc.OK {
+		if ecc.CheckParityLineRange(rep.Data, rep.Parity, 0, c.cfg.BlockSize) == ecc.OK {
 			return rep
 		}
 		c.stats.ErrorsDetected++
@@ -270,20 +255,14 @@ func (c *Cache) intactReplica(ba uint64) *line {
 }
 
 // depositDuplicate copies a line into the attached duplication cache.
-func (c *Cache) depositDuplicate(ln *line) {
+func (c *Cache) depositDuplicate(ln *Line) {
 	if c.cfg.Duplicates == nil {
 		return
 	}
-	c.cfg.Duplicates.Put(ln.blockAddr, ln.data)
+	c.cfg.Duplicates.Put(ln.BlockAddr, ln.Data)
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddRCacheWrite(1)
 	}
-}
-
-// noteAccess records the most recently touched word for the Direct fault
-// model; only hits on a resident primary ln count.
-func (c *Cache) noteAccess(ln *line, addr uint64) {
-	c.lastWord = ln.idx*c.wordsPerLine + (int(addr)&(c.cfg.BlockSize-1))/8
 }
 
 // loadHitLatency returns the scheme latency for an error-free load hit.
@@ -292,7 +271,7 @@ func (c *Cache) loadHitLatency(replicated bool) uint64 {
 	switch {
 	case !s.HasReplication():
 		if s.Protection == ECCProt && !s.SpeculativeECC {
-			return c.cfg.HitLatency + c.cfg.ECCCheckLatency
+			return c.cfg.HitLatency + ECCCheckLatency
 		}
 		return c.cfg.HitLatency
 	case c.cur.Lookup == LookupParallel:
@@ -302,7 +281,7 @@ func (c *Cache) loadHitLatency(replicated bool) uint64 {
 		return c.cfg.HitLatency
 	default: // LookupSerial
 		if !replicated && s.Protection == ECCProt {
-			return c.cfg.HitLatency + c.cfg.ECCCheckLatency
+			return c.cfg.HitLatency + ECCCheckLatency
 		}
 		return c.cfg.HitLatency
 	}
@@ -316,8 +295,8 @@ func (c *Cache) loadHitLatency(replicated bool) uint64 {
 // configured count, walking the distance list in order (§3.1 "Where do we
 // replicate?" / "How aggressively should we replicate?"). It returns the
 // number of replicas created.
-func (c *Cache) replicate(primary *line, now uint64) int {
-	ba := primary.blockAddr
+func (c *Cache) replicate(primary *Line, now uint64) int {
+	ba := primary.BlockAddr
 	existing := c.findReplicas(ba)
 	want := c.replicaQuota(ba) - len(existing)
 	if want <= 0 {
@@ -346,9 +325,12 @@ func (c *Cache) replicate(primary *line, now uint64) int {
 		if skip {
 			continue
 		}
-		v := c.replicaVictim(set, primary, now)
+		v := c.arr.ReplicaWay(set, primary, c.cur.Victim, now)
 		if v == nil {
 			continue
+		}
+		if v.Valid {
+			c.evictReplicaSite(v, now)
 		}
 		c.installReplica(v, primary, now)
 		used = append(used, set)
@@ -361,104 +343,37 @@ func (c *Cache) replicate(primary *line, now uint64) int {
 	// in-cache replicas.
 	if created < want && c.cfg.CrossTier != nil {
 		c.cross.Offers++
-		if c.cfg.CrossTier.OfferReplica(now, ba, primary.data) {
+		if c.cfg.CrossTier.OfferReplica(now, ba, primary.Data) {
 			c.cross.Accepted++
 		}
 	}
 	return created
 }
 
-// replicaVictim picks a victim way in the given set for a new replica, or
-// nil if the policy finds no eligible line. No policy ever evicts a live
-// (non-dead) primary copy, and the block's own primary is never a victim.
-func (c *Cache) replicaVictim(set int, primary *line, now uint64) *line {
-	base := set * c.cfg.Assoc
-	var invalid, deadLine, replicaLine *line
-	for w := 0; w < c.cfg.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if ln == primary {
-			continue
-		}
-		if !ln.valid {
-			if invalid == nil {
-				invalid = ln
-			}
-			continue
-		}
-		if ln.replica && ln.blockAddr == primary.blockAddr {
-			continue // never displace our own replica
-		}
-		// "Dead blocks" as victim candidates are dead *primaries*: the
-		// dead-only policy never displaces a replica (that is what makes
-		// it reliability-biased, §3.1), which is also why replication
-		// ability drops once sets fill with replicas (§5.1).
-		if !ln.replica && c.dead(ln, now) && (deadLine == nil || ln.lru < deadLine.lru) {
-			deadLine = ln
-		}
-		if ln.replica && (replicaLine == nil || ln.lru < replicaLine.lru) {
-			replicaLine = ln
-		}
-	}
-	if invalid != nil {
-		return invalid
-	}
-	switch c.cur.Victim {
-	case DeadOnly:
-		return c.evictReplicaSite(deadLine, now)
-	case DeadFirst:
-		if deadLine != nil {
-			return c.evictReplicaSite(deadLine, now)
-		}
-		return c.evictReplicaSite(replicaLine, now)
-	case ReplicaFirst:
-		if replicaLine != nil {
-			return c.evictReplicaSite(replicaLine, now)
-		}
-		return c.evictReplicaSite(deadLine, now)
-	case ReplicaOnly:
-		return c.evictReplicaSite(replicaLine, now)
-	default:
-		return nil
-	}
-}
-
-// evictReplicaSite frees a chosen victim (nil-safe) and accounts for the
-// eviction.
-func (c *Cache) evictReplicaSite(v *line, now uint64) *line {
-	if v == nil {
-		return nil
-	}
-	if v.replica {
+// evictReplicaSite frees a resident line chosen as a replica or guest site
+// and accounts for the eviction.
+func (c *Cache) evictReplicaSite(v *Line, now uint64) {
+	if v.Replica {
 		c.stats.ReplicaEvictions++
 		// The mirrored primary may have just lost its protection.
-		defer c.revalVuln(c.lookupPrimary(v.blockAddr), now)
+		defer c.revalVuln(c.arr.Primary(v.BlockAddr), now)
 	} else {
 		// A dead primary: write back if dirty, drop its replicas.
 		c.stats.DeadEvictions++
-		if v.dirty {
+		if v.Dirty {
 			c.writeback(v, now)
 		}
 		c.setVuln(v, now, false)
 		if !c.cfg.Repl.LeaveReplicas {
-			c.invalidateReplicas(v.blockAddr)
+			c.invalidateReplicas(v.BlockAddr)
 		}
 	}
-	v.valid = false
-	return v
+	v.Valid = false
 }
 
 // installReplica copies a primary into a victim way as a replica.
-func (c *Cache) installReplica(v *line, primary *line, now uint64) {
-	v.valid = true
-	v.replica = true
-	v.guest = false
-	v.dirty = false
-	v.blockAddr = primary.blockAddr
-	copy(v.data, primary.data)
-	copy(v.parity, primary.parity)
-	if v.eccb != nil && primary.eccb != nil {
-		copy(v.eccb, primary.eccb)
-	}
+func (c *Cache) installReplica(v *Line, primary *Line, now uint64) {
+	c.arr.InstallReplica(v, primary)
 	c.touch(v, now)
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddL1Write(1) // the duplicate write (§5.8 energy cost)

@@ -26,17 +26,17 @@ func (c *Cache) ScrubStats() ScrubStats { return c.scrub }
 // every k cycles from the cycle hook) to model a background scrubber.
 func (c *Cache) Scrub(now uint64, n int) {
 	for i := 0; i < n; i++ {
-		ln := &c.lines[c.scrubPos]
-		c.scrubPos = (c.scrubPos + 1) % len(c.lines)
-		if !ln.valid {
+		ln := &c.arr.Lines[c.scrubPos]
+		c.scrubPos = (c.scrubPos + 1) % len(c.arr.Lines)
+		if !ln.Valid {
 			continue
 		}
 		c.scrub.Checks++
 		if c.cfg.Meter != nil {
 			// One parity verification per word of the line.
-			c.cfg.Meter.AddParity(uint64(c.wordsPerLine))
+			c.cfg.Meter.AddParity(uint64(c.cfg.BlockSize / 8))
 		}
-		if ecc.CheckParityLineRange(ln.data, ln.parity, 0, c.cfg.BlockSize) == ecc.OK {
+		if ecc.CheckParityLineRange(ln.Data, ln.Parity, 0, c.cfg.BlockSize) == ecc.OK {
 			continue
 		}
 		c.scrub.Errors++
@@ -51,19 +51,19 @@ func (c *Cache) Scrub(now uint64, n int) {
 // repairLine restores every corrupted word of a line using the scheme's
 // recovery ladder. It returns false when dirty data was lost (the line is
 // refilled from memory regardless, so simulation proceeds).
-func (c *Cache) repairLine(ln *line, now uint64) bool {
-	var replicas []*line
-	var one [1]*line
-	if !ln.replica {
-		replicas = c.findReplicas(ln.blockAddr)
-	} else if p := c.lookupPrimary(ln.blockAddr); p != nil {
+func (c *Cache) repairLine(ln *Line, now uint64) bool {
+	var replicas []*Line
+	var one [1]*Line
+	if !ln.Replica {
+		replicas = c.findReplicas(ln.BlockAddr)
+	} else if p := c.arr.Primary(ln.BlockAddr); p != nil {
 		// A corrupted replica heals from its primary.
 		one[0] = p
 		replicas = one[:]
 	}
 	ok := true
 	for off := 0; off < c.cfg.BlockSize; off += 8 {
-		if ecc.CheckParityLineRange(ln.data, ln.parity, off, 8) == ecc.OK {
+		if ecc.CheckParityLineRange(ln.Data, ln.Parity, off, 8) == ecc.OK {
 			continue
 		}
 		if !c.repairWord(ln, replicas, off, now) {
@@ -73,9 +73,9 @@ func (c *Cache) repairLine(ln *line, now uint64) bool {
 	if !ok {
 		// Unrecoverable content: refill from architectural memory so the
 		// array is consistent again (the dirty update is lost).
-		copy(ln.data, c.cfg.Mem.PeekBlock(ln.blockAddr))
-		ln.dirty = false
-		c.recode(ln)
+		copy(ln.Data, c.cfg.Mem.PeekBlock(ln.BlockAddr))
+		ln.Dirty = false
+		ln.Recode()
 		c.revalVuln(ln, now)
 	}
 	return ok
@@ -83,32 +83,32 @@ func (c *Cache) repairLine(ln *line, now uint64) bool {
 
 // repairWord restores one corrupted word; returns false if the data was
 // dirty and no intact copy existed.
-func (c *Cache) repairWord(ln *line, replicas []*line, off int, now uint64) bool {
+func (c *Cache) repairWord(ln *Line, replicas []*Line, off int, now uint64) bool {
 	for _, rep := range replicas {
-		if ecc.CheckParityLineRange(rep.data, rep.parity, off, 8) == ecc.OK {
+		if ecc.CheckParityLineRange(rep.Data, rep.Parity, off, 8) == ecc.OK {
 			c.repairFrom(ln, rep, off)
 			return true
 		}
 	}
 
-	if ln.eccb != nil {
-		if r := ecc.CheckSECDEDLineWord(ln.data, ln.eccb, off); r.DataIntact() {
-			c.recodeWord(ln, off)
+	if ln.ECC != nil {
+		if r := ecc.CheckSECDEDLineWord(ln.Data, ln.ECC, off); r.DataIntact() {
+			ln.RecodeWord(off)
 			return true
 		}
 	}
 	if c.cfg.Duplicates != nil {
-		if dup, ok := c.cfg.Duplicates.Get(ln.blockAddr); ok {
-			copy(ln.data[off:off+8], dup[off:off+8])
-			c.recodeWord(ln, off)
+		if dup, ok := c.cfg.Duplicates.Get(ln.BlockAddr); ok {
+			copy(ln.Data[off:off+8], dup[off:off+8])
+			ln.RecodeWord(off)
 			return true
 		}
 	}
-	if !ln.dirty {
+	if !ln.Dirty {
 		// Clean data refills from below at leisure. Scrubbing never
 		// touches LRU or decay state: it is invisible to replacement.
-		copy(ln.data, c.cfg.Mem.PeekBlock(ln.blockAddr))
-		c.recode(ln)
+		copy(ln.Data, c.cfg.Mem.PeekBlock(ln.BlockAddr))
+		ln.Recode()
 		return true
 	}
 	return false

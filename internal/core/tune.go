@@ -37,20 +37,7 @@ func (c *Cache) initTune() {
 		Lookup:      c.cfg.Scheme.Lookup,
 		DecayWindow: c.cfg.Repl.DecayWindow,
 	}
-	c.tickPeriod = tickPeriodFor(c.cfg.Repl.DecayWindow)
-}
-
-// tickPeriodFor converts a decay window into the 2-bit counter's tick
-// length (window/4, with 0 meaning "immediately dead").
-func tickPeriodFor(window uint64) uint64 {
-	if window == 0 {
-		return 0
-	}
-	p := window / 4
-	if p == 0 {
-		p = 1
-	}
-	return p
+	c.arr.tickPeriod = tickPeriodFor(c.cfg.Repl.DecayWindow)
 }
 
 // Tune returns the current runtime knob state.
@@ -74,12 +61,12 @@ func (c *Cache) Retune(t TuneState) {
 		t.Replicas = 0
 	}
 	c.cur = t
-	c.tickPeriod = tickPeriodFor(t.DecayWindow)
+	c.arr.tickPeriod = tickPeriodFor(t.DecayWindow)
 }
 
 // LineCount returns the total number of lines in the data array (the
 // normalizer for per-line vulnerability rates).
-func (c *Cache) LineCount() int { return len(c.lines) }
+func (c *Cache) LineCount() int { return len(c.arr.Lines) }
 
 // LivenessSurvey is a point-in-time census of the data array, filled by
 // SurveyLiveness into a caller-provided struct so the epoch hook that
@@ -103,13 +90,13 @@ type LivenessSurvey struct {
 // implementation would already maintain.
 func (c *Cache) SurveyLiveness(now uint64, out *LivenessSurvey) {
 	*out = LivenessSurvey{}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.valid {
+	for i := range c.arr.Lines {
+		ln := &c.arr.Lines[i]
+		if !ln.Valid {
 			continue
 		}
 		out.Valid++
-		if ln.replica {
+		if ln.Replica {
 			out.Replicas++
 			continue
 		}

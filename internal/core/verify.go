@@ -23,7 +23,7 @@ import (
 // After an unrecoverable error the line is re-filled from architectural
 // memory so the simulation can proceed deterministically; the lost dirty
 // data is exactly what the counter records.
-func (c *Cache) verifyLoad(now uint64, ln *line, replicas []*line, dup []byte, addr uint64) (extra uint64) {
+func (c *Cache) verifyLoad(now uint64, ln *Line, replicas []*Line, dup []byte, addr uint64) (extra uint64) {
 	off := int(addr) & (c.cfg.BlockSize - 1)
 	word := off &^ 7
 
@@ -45,12 +45,12 @@ func (c *Cache) verifyLoad(now uint64, ln *line, replicas []*line, dup []byte, a
 	}
 
 	// Parity path (Base-P, and every replicated line in ICR schemes).
-	if ecc.CheckParityLineRange(ln.data, ln.parity, word, 8) == ecc.OK {
+	if ecc.CheckParityLineRange(ln.Data, ln.Parity, word, 8) == ecc.OK {
 		// With a parallel lookup an error confined to the *replica* is
 		// also caught (and discarded) now; serial lookups never see it.
 		if c.cur.Lookup == LookupParallel {
 			for _, rep := range replicas {
-				if ecc.CheckParityLineRange(rep.data, rep.parity, word, 8) != ecc.OK {
+				if ecc.CheckParityLineRange(rep.Data, rep.Parity, word, 8) != ecc.OK {
 					c.stats.ErrorsDetected++
 					c.repairFrom(rep, ln, word)
 					c.stats.RecoveredByReplica++
@@ -67,7 +67,7 @@ func (c *Cache) verifyLoad(now uint64, ln *line, replicas []*line, dup []byte, a
 			c.cfg.Meter.AddL1Read(1) // serial schemes read the replica only now
 			c.cfg.Meter.AddParity(1)
 		}
-		if ecc.CheckParityLineRange(rep.data, rep.parity, word, 8) == ecc.OK {
+		if ecc.CheckParityLineRange(rep.Data, rep.Parity, word, 8) == ecc.OK {
 			c.repairFrom(ln, rep, word)
 			c.stats.RecoveredByReplica++
 			return 1 // one extra cycle to read the replica (§3.2)
@@ -79,8 +79,8 @@ func (c *Cache) verifyLoad(now uint64, ln *line, replicas []*line, dup []byte, a
 	// the word before falling back to L2 or declaring loss.
 	if dup != nil {
 		off2 := off &^ 7
-		copy(ln.data[off2:off2+8], dup[off2:off2+8])
-		c.recodeWord(ln, off2)
+		copy(ln.Data[off2:off2+8], dup[off2:off2+8])
+		ln.RecodeWord(off2)
 		c.stats.RecoveredByDuplicate++
 		if c.cfg.Meter != nil {
 			c.cfg.Meter.AddL1Write(1)
@@ -93,9 +93,9 @@ func (c *Cache) verifyLoad(now uint64, ln *line, replicas []*line, dup []byte, a
 	// access, not an L1 probe — before falling back to ECC or refetch.
 	if c.cfg.CrossTier != nil {
 		c.cross.Repairs++
-		if lat, ok := c.cfg.CrossTier.RepairWord(now, ln.blockAddr, word, c.crossBuf[:]); ok {
-			copy(ln.data[word:word+8], c.crossBuf[:])
-			c.recodeWord(ln, word)
+		if lat, ok := c.cfg.CrossTier.RepairWord(now, ln.BlockAddr, word, c.crossBuf[:]); ok {
+			copy(ln.Data[word:word+8], c.crossBuf[:])
+			ln.RecodeWord(word)
 			c.cross.Repaired++
 			return lat
 		}
@@ -115,8 +115,8 @@ func (c *Cache) verifyLoad(now uint64, ln *line, replicas []*line, dup []byte, a
 
 // verifyECC checks and, where possible, corrects the accessed word using
 // the line's SEC-DED bits.
-func (c *Cache) verifyECC(now uint64, ln *line, off int) (extra uint64) {
-	switch ecc.CheckSECDEDLineWord(ln.data, ln.eccb, off) {
+func (c *Cache) verifyECC(now uint64, ln *Line, off int) (extra uint64) {
+	switch ecc.CheckSECDEDLineWord(ln.Data, ln.ECC, off) {
 	case ecc.OK:
 		return 0
 	case ecc.CorrectedSingle:
@@ -128,11 +128,11 @@ func (c *Cache) verifyECC(now uint64, ln *line, off int) (extra uint64) {
 	case ecc.DetectedCheckBit:
 		c.stats.ErrorsDetected++
 		c.stats.RecoveredByECC++
-		c.recodeWord(ln, off)
+		ln.RecodeWord(off)
 		return 0
 	default: // DetectedDouble
 		c.stats.ErrorsDetected++
-		return c.recoverFromBelow(now, ln, ln.blockAddr<<c.offsetBits|uint64(off))
+		return c.recoverFromBelow(now, ln, c.arr.Addr(ln.BlockAddr)|uint64(off))
 	}
 }
 
@@ -140,17 +140,17 @@ func (c *Cache) verifyECC(now uint64, ln *line, off int) (extra uint64) {
 // are refetched from the next level (recoverable, at miss cost); dirty
 // lines have lost data (unrecoverable). Either way the line is restored
 // from architectural memory so execution can continue.
-func (c *Cache) recoverFromBelow(now uint64, ln *line, addr uint64) (extra uint64) {
-	if ln.dirty {
+func (c *Cache) recoverFromBelow(now uint64, ln *Line, addr uint64) (extra uint64) {
+	if ln.Dirty {
 		c.stats.UnrecoverableLoads++
 	} else {
 		c.stats.RecoveredByL2++
 	}
 	extra = c.cfg.Next.Access(now, addr, cache.Read)
-	copy(ln.data, c.cfg.Mem.PeekBlock(ln.blockAddr))
-	ln.dirty = false
+	copy(ln.Data, c.cfg.Mem.PeekBlock(ln.BlockAddr))
+	ln.Dirty = false
 	c.setVuln(ln, now, false)
-	c.recode(ln)
+	ln.Recode()
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddL1Write(1)
 	}
@@ -159,11 +159,11 @@ func (c *Cache) recoverFromBelow(now uint64, ln *line, addr uint64) (extra uint6
 
 // repairFrom copies the aligned word at byte offset `word` from src into
 // dst, refreshing dst's check bits for that word.
-func (c *Cache) repairFrom(dst, src *line, word int) {
-	copy(dst.data[word:word+8], src.data[word:word+8])
-	dst.parity[word/8] = src.parity[word/8]
-	if dst.eccb != nil {
-		dst.eccb[word/8] = ecc.EncodeSECDED(ecc.Word64(dst.data, word))
+func (c *Cache) repairFrom(dst, src *Line, word int) {
+	copy(dst.Data[word:word+8], src.Data[word:word+8])
+	dst.Parity[word/8] = src.Parity[word/8]
+	if dst.ECC != nil {
+		dst.ECC[word/8] = ecc.EncodeSECDED(ecc.Word64(dst.Data, word))
 	}
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.AddL1WordWrite(1)

@@ -222,37 +222,16 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 
 	cpucfg := m.CPU
 	var hooks []func(uint64) uint64
-	var injector *fault.Injector
+	var injector, tierInjector *fault.Injector
 	if r.Fault.Prob > 0 {
-		wordsPerRow := m.DL1Assoc * m.DL1Block / 8
-		injector = fault.NewInjector(r.Fault.Model, r.Fault.Prob, wordsPerRow, r.Fault.Seed)
-		next := injector.NextAfter(0)
-		dl1 := in.dl1
-		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
-		hooks = append(hooks, func(now uint64) uint64 {
-			for now >= next {
-				dl1.Inject(injector)
-				next = injector.NextAfter(now)
-			}
-			return next
-		})
+		var hook func(uint64) uint64
+		injector, hook = injectHook(in.dl1, r.Fault, m.DL1Assoc*m.DL1Block/8)
+		hooks = append(hooks, hook)
 	}
-	var tierInjector *fault.Injector
 	if in.tier != nil && r.TwoTier.Fault.Prob > 0 {
-		f := r.TwoTier.Fault
-		wordsPerRow := m.L2Assoc * m.L2Block / 8
-		tierInjector = fault.NewInjector(f.Model, f.Prob, wordsPerRow, f.Seed)
-		tnext := tierInjector.NextAfter(0)
-		prot := in.tier
-		inj := tierInjector
-		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
-		hooks = append(hooks, func(now uint64) uint64 {
-			for now >= tnext {
-				prot.Inject(inj)
-				tnext = inj.NextAfter(now)
-			}
-			return tnext
-		})
+		var hook func(uint64) uint64
+		tierInjector, hook = injectHook(in.tier, r.TwoTier.Fault, m.L2Assoc*m.L2Block/8)
+		hooks = append(hooks, hook)
 	}
 	if r.ScrubInterval > 0 {
 		lines := r.ScrubLines
@@ -354,6 +333,24 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		rep.Adaptive = in.ctrl.Stats()
 	}
 	return rep, nil
+}
+
+// injectHook builds a run's injector for one protected array — the dL1
+// or the tier, which share core.LineArray's Inject — and the per-cycle
+// hook that applies every injection event falling due. wordsPerRow is the
+// array's physical row width in 64-bit words (the Column model's vertical
+// neighbour distance).
+func injectHook(target interface{ Inject(*fault.Injector) }, f config.FaultConfig, wordsPerRow int) (*fault.Injector, func(uint64) uint64) {
+	injector := fault.NewInjector(f.Model, f.Prob, wordsPerRow, f.Seed)
+	next := injector.NextAfter(0)
+	//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
+	return injector, func(now uint64) uint64 {
+		for now >= next {
+			target.Inject(injector)
+			next = injector.NextAfter(now)
+		}
+		return next
+	}
 }
 
 // twoTierBlock builds the optional Report.TwoTier block. It is non-nil —

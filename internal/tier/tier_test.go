@@ -73,21 +73,21 @@ func TestTierHitMissLatencyAndKinds(t *testing.T) {
 func TestTierContentMirrorsMemory(t *testing.T) {
 	tr, mem := testTier(t, nil)
 	tr.Access(0, addrOfBlock(3), cache.Read)
-	ln := tr.lookup(3)
+	ln := tr.lines.Primary(3)
 	if ln == nil {
 		t.Fatal("block 3 not resident after fill")
 	}
-	if !bytes.Equal(ln.data, mem.PeekBlock(3)) {
+	if !bytes.Equal(ln.Data, mem.PeekBlock(3)) {
 		t.Error("fill did not mirror architectural content")
 	}
 	// A write that reaches the tier happens after Memory was updated; the
 	// write hit must re-mirror the new content.
 	mem.WriteWord(3, 8, 0xdeadbeefcafef00d)
 	tr.Access(10, addrOfBlock(3)+8, cache.Write)
-	if !bytes.Equal(ln.data, mem.PeekBlock(3)) {
+	if !bytes.Equal(ln.Data, mem.PeekBlock(3)) {
 		t.Error("write hit did not refresh content from Memory")
 	}
-	if !ln.dirty {
+	if !ln.Dirty {
 		t.Error("write hit left the line clean")
 	}
 }
@@ -99,8 +99,8 @@ func TestTierReplicaRecovery(t *testing.T) {
 	if ts.ReplAttempts != 1 || ts.ReplSuccesses != 1 {
 		t.Fatalf("replication stats = %+v, want 1/1", ts)
 	}
-	ln := tr.lookup(0)
-	ln.data[9] ^= 0x04
+	ln := tr.lines.Primary(0)
+	ln.Data[9] ^= 0x04
 	if lat := tr.Access(100, addrOfBlock(0)+8, cache.Read); lat != 7 {
 		t.Errorf("repaired hit latency = %d, want 7 (6 hit + 1 replica read)", lat)
 	}
@@ -121,8 +121,8 @@ func TestTierECCCorrectsSingle(t *testing.T) {
 	if lat := tr.Access(100, addrOfBlock(0), cache.Read); lat != 7 {
 		t.Errorf("ECC hit latency = %d, want 7 (6 hit + 1 check)", lat)
 	}
-	ln := tr.lookup(0)
-	ln.data[3] ^= 0x20
+	ln := tr.lines.Primary(0)
+	ln.Data[3] ^= 0x20
 	tr.Access(200, addrOfBlock(0), cache.Read)
 	ts := tr.TierStats()
 	if ts.ErrorsDetected != 1 || ts.RecoveredByECC != 1 {
@@ -134,7 +134,7 @@ func TestTierCleanRefetchDirtyLoss(t *testing.T) {
 	tr, _ := testTier(t, nil) // parity only, no replicas
 	// Clean line: detected error refetches from memory.
 	tr.Access(0, addrOfBlock(0), cache.Read)
-	tr.lookup(0).data[1] ^= 0x01
+	tr.lines.Primary(0).Data[1] ^= 0x01
 	lat := tr.Access(100, addrOfBlock(0), cache.Read)
 	if lat != 6+1+100 {
 		t.Errorf("refetch hit latency = %d, want 107 (6 hit + 1 + 100 mem)", lat)
@@ -145,7 +145,7 @@ func TestTierCleanRefetchDirtyLoss(t *testing.T) {
 	}
 	// Dirty line: the same error is lost data.
 	tr.Access(200, addrOfBlock(1), cache.Write) // miss + write-allocate: dirty
-	tr.lookup(1).data[1] ^= 0x01
+	tr.lines.Primary(1).Data[1] ^= 0x01
 	tr.Access(300, addrOfBlock(1), cache.Read)
 	ts = tr.TierStats()
 	if ts.UnrecoverableDirty != 1 {
@@ -156,7 +156,7 @@ func TestTierCleanRefetchDirtyLoss(t *testing.T) {
 func TestTierSilentWriteback(t *testing.T) {
 	tr, mem := testTier(t, nil)
 	tr.Access(0, addrOfBlock(0), cache.Write) // set 0, dirty
-	tr.lookup(0).data[5] ^= 0x80              // corrupt, never read again
+	tr.lines.Primary(0).Data[5] ^= 0x80       // corrupt, never read again
 	archBefore := append([]byte(nil), mem.PeekBlock(0)...)
 	// Two more blocks in set 0 (8 and 16 mod 8 = 0) evict the victim.
 	tr.Access(10, addrOfBlock(8), cache.Read)
@@ -191,7 +191,7 @@ func TestTierCrossSpillAndDrop(t *testing.T) {
 	if ts.Cross.Offers != 1 || ts.Cross.Accepted != 1 {
 		t.Fatalf("cross stats = %+v, want 1 offer / 1 accepted", ts.Cross)
 	}
-	if !tr.lookup(0).spilled {
+	if !tr.lines.Primary(0).Spilled {
 		t.Fatal("primary not marked spilled")
 	}
 	// A write to the spilled block must drop the now-stale L1 copy.
@@ -203,7 +203,7 @@ func TestTierCrossSpillAndDrop(t *testing.T) {
 	if tr.TierStats().Cross.Drops != 1 {
 		t.Errorf("Cross.Drops = %d, want 1", tr.TierStats().Cross.Drops)
 	}
-	if tr.lookup(0).spilled {
+	if tr.lines.Primary(0).Spilled {
 		t.Error("spilled flag survived the write")
 	}
 }
@@ -221,7 +221,7 @@ func TestTierCrossRepairRung(t *testing.T) {
 	tr.Access(10, addrOfBlock(0), cache.Read) // no in-tier replica possible
 	sink.repairData = append([]byte(nil), mem.PeekBlock(0)...)
 
-	tr.lookup(0).data[2] ^= 0x40
+	tr.lines.Primary(0).Data[2] ^= 0x40
 	if lat := tr.Access(20, addrOfBlock(0), cache.Read); lat != 6+2 {
 		t.Errorf("cross-repaired hit latency = %d, want 8 (6 hit + 2 L1 probe)", lat)
 	}
