@@ -14,14 +14,16 @@ vet:
 	$(GO) vet ./...
 
 # icrvet: the repo's own static analyzer (internal/lint). Enforces the
-# determinism, concurrency, pooling, allocation, wire-coverage, and
-# context invariants the parallel/distributed runner depends on; see
-# DESIGN.md "Invariants". CI runs the same binary with -json to archive
-# a machine-readable report (scripts/ci.sh).
+# determinism, concurrency, pooling, allocation, and context invariants
+# the parallel/distributed runner depends on; see DESIGN.md "Invariants".
+# CI runs the same binary with -json to archive a machine-readable report
+# (scripts/ci.sh).
 lint:
 	$(GO) run ./cmd/icrvet ./...
 
-test: vet lint
+# No lint prerequisite: internal/lint's TestLiveTreeClean already runs
+# every icrvet pass over the live tree inside go test.
+test: vet
 	$(GO) test ./...
 
 # Race-detector pass over the concurrency-bearing packages: the parallel

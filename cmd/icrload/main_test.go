@@ -47,7 +47,7 @@ func testFleet(t *testing.T, n int) *store.Sharded {
 	for i, h := range hosts {
 		shards[i] = store.NewRemote(h, nil)
 	}
-	sh, err := store.NewSharded(shards, store.ShardedOptions{})
+	sh, err := store.NewSharded(shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,10 @@
 // (go/ast, go/parser, go/types): the module stays offline and
 // dependency-free.
 //
-// Nine passes run over the module containing the given packages:
+// Seven passes run over the module containing the given packages:
 //
 //	determinism    wall-clock time, global math/rand, and order-dependent
 //	               map iteration in the simulation hot path
-//	keycoverage    runner.KeyFor covers every exported config field
 //	syncmisuse     copied locks/atomics; misaligned 64-bit atomics
 //	floatorder     float accumulation in map-iteration order
 //	droppederr     discarded errors in cmd/ and the error-critical layers
@@ -15,8 +14,6 @@
 //	               //icrvet:persistent
 //	allocfree      no allocation in code reachable from the steady-state
 //	               loop ((*cpu.Core).Run/RunWarming and //icrvet:hot roots)
-//	wirecoverage   the report schema goldens cover every metrics.Report
-//	               field
 //	ctxflow        context.Context plumbing discipline
 //
 // Findings print as "path:line:col: [pass] message" and make the process

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // runCLI invokes the CLI entry point and captures its streams.
@@ -34,7 +36,7 @@ func TestCLIFixturesFail(t *testing.T) {
 		pass    string
 	}{
 		{"determinism", "[determinism]"},
-		{"keycoverage", "[keycoverage]"},
+		{"resetcoverage", "[resetcoverage]"},
 		{"syncmisuse", "[syncmisuse]"},
 		{"floatorder", "[floatorder]"},
 		{"droppederr", "[droppederr]"},
@@ -84,13 +86,17 @@ func TestCLIPassSubset(t *testing.T) {
 	}
 }
 
-// TestCLIList covers -list.
+// TestCLIList covers -list: it names every registered pass.
 func TestCLIList(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, pass := range []string{"determinism", "keycoverage", "syncmisuse", "floatorder", "droppederr"} {
+	names := lint.PassNames()
+	if got := strings.Count(stdout, "\n"); got != len(names) {
+		t.Errorf("-list printed %d lines for %d passes:\n%s", got, len(names), stdout)
+	}
+	for _, pass := range names {
 		if !strings.Contains(stdout, pass) {
 			t.Errorf("-list output missing %s:\n%s", pass, stdout)
 		}

@@ -151,7 +151,7 @@ func (sp StoreSpec) Backend(prog *metrics.Progress) (store.Backend, error) {
 		for i, h := range sp.Shards {
 			shards[i] = store.NewRemote(h, nil)
 		}
-		sh, err := store.NewSharded(shards, store.ShardedOptions{})
+		sh, err := store.NewSharded(shards)
 		if err != nil {
 			return nil, fmt.Errorf("building shard fleet: %w", err)
 		}

@@ -385,7 +385,9 @@ func (c *Cache) ReplicaCount(addr uint64) int {
 //
 //  1. at most one primary copy of any block, and it lives in its home set;
 //  2. every replica belongs to a scheme with replication enabled;
-//  3. check bits lengths match the geometry.
+//  3. a guest line is a replica, and a primary carries no guest bit;
+//  4. a replica carries no prefetched or spilled bit;
+//  5. check bits lengths match the geometry.
 func (c *Cache) CheckInvariants() error {
 	for i := range c.arr.Lines {
 		ln := &c.arr.Lines[i]
@@ -393,9 +395,15 @@ func (c *Cache) CheckInvariants() error {
 			continue
 		}
 		set := i / c.cfg.Assoc
+		if ln.Guest && !ln.Replica {
+			return fmt.Errorf("primary of block %#x carries the guest bit (line %d)", ln.BlockAddr, i)
+		}
 		if ln.Replica {
 			if !c.cfg.Scheme.HasReplication() {
 				return fmt.Errorf("replica present in non-replicating scheme (line %d)", i)
+			}
+			if ln.prefetched || ln.Spilled {
+				return fmt.Errorf("replica of block %#x carries a prefetched or spilled bit (line %d)", ln.BlockAddr, i)
 			}
 		} else {
 			if got := c.arr.HomeSet(ln.BlockAddr); got != set {

@@ -580,51 +580,72 @@ func TestEnergyAccountingDiffersByScheme(t *testing.T) {
 	}
 }
 
+// TestRandomOperationInvariants drives random loads and stores through
+// random scheme configurations and checks the invariants and counter
+// identities after each run. The stressed variant turns on every option
+// that reuses a way with state left in it: leftover replicas serving
+// misses (§5.6), prefetching into dead lines, and guest lines hosted for
+// a far tier.
 func TestRandomOperationInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		schemes := AllSchemes()
-		s := schemes[rng.Intn(len(schemes))]
-		c, _ := testCache(t, func(cfg *Config) {
-			cfg.Scheme = s
-			cfg.Repl.DecayWindow = uint64(rng.Intn(3)) * 500
-			cfg.Repl.Victim = VictimPolicy(1 + rng.Intn(4))
-			cfg.Repl.LeaveReplicas = rng.Intn(2) == 0
-			if rng.Intn(2) == 0 {
-				cfg.Repl.Distances = []int{4, 2}
-				cfg.Repl.Replicas = 1 + rng.Intn(2)
-			}
-		})
-		for i := 0; i < 400; i++ {
-			a := addrOfBlock(rng.Intn(32)) + uint64(rng.Intn(8)*8)
-			if rng.Intn(3) == 0 {
-				c.Store(uint64(i*3), a)
-			} else {
-				c.Load(uint64(i*3), a)
-			}
+	for _, stressed := range []bool{false, true} {
+		f := func(seed int64) bool {
+			return randomOperationsHold(t, seed, stressed)
 		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Logf("seed %d scheme %s: %v", seed, s, err)
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Errorf("stressed=%v: %v", stressed, err)
 		}
-		st := c.Stats()
-		if st.ReadHits+st.ReadMisses != st.Reads || st.WriteHits+st.WriteMisses != st.Writes {
-			t.Logf("seed %d: hit/miss accounting broken: %+v", seed, st)
-			return false
-		}
-		if st.ReplSuccesses > st.ReplAttempts || st.ReplDoubles > st.ReplAttempts {
-			t.Logf("seed %d: replication accounting broken: %+v", seed, st)
-			return false
-		}
-		if st.ReadHitsWithReplica > st.ReadHits {
-			t.Logf("seed %d: loads-with-replica exceeds read hits", seed)
-			return false
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+}
+
+func randomOperationsHold(t *testing.T, seed int64, stressed bool) bool {
+	rng := rand.New(rand.NewSource(seed))
+	schemes := AllSchemes()
+	s := schemes[rng.Intn(len(schemes))]
+	c, _ := testCache(t, func(cfg *Config) {
+		cfg.Scheme = s
+		cfg.Repl.DecayWindow = uint64(rng.Intn(3)) * 500
+		cfg.Repl.Victim = VictimPolicy(1 + rng.Intn(4))
+		cfg.Repl.LeaveReplicas = rng.Intn(2) == 0
+		if rng.Intn(2) == 0 {
+			cfg.Repl.Distances = []int{4, 2}
+			cfg.Repl.Replicas = 1 + rng.Intn(2)
+		}
+		if stressed {
+			cfg.Repl.LeaveReplicas = true
+			cfg.PrefetchIntoDead = true
+			cfg.CrossTier = &fakeSink{acceptOffers: true}
+		}
+	})
+	guest := make([]byte, 64)
+	for i := 0; i < 400; i++ {
+		a := addrOfBlock(rng.Intn(32)) + uint64(rng.Intn(8)*8)
+		switch {
+		case stressed && rng.Intn(4) == 0:
+			c.OfferReplica(uint64(i*3), uint64(rng.Intn(32)), guest)
+		case rng.Intn(3) == 0:
+			c.Store(uint64(i*3), a)
+		default:
+			c.Load(uint64(i*3), a)
+		}
 	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Logf("seed %d scheme %s: %v", seed, s, err)
+		return false
+	}
+	st := c.Stats()
+	if st.ReadHits+st.ReadMisses != st.Reads || st.WriteHits+st.WriteMisses != st.Writes {
+		t.Logf("seed %d: hit/miss accounting broken: %+v", seed, st)
+		return false
+	}
+	if st.ReplSuccesses > st.ReplAttempts || st.ReplDoubles > st.ReplAttempts {
+		t.Logf("seed %d: replication accounting broken: %+v", seed, st)
+		return false
+	}
+	if st.ReadHitsWithReplica > st.ReadHits {
+		t.Logf("seed %d: loads-with-replica exceeds read hits", seed)
+		return false
+	}
+	return true
 }
 
 func TestStatsRatios(t *testing.T) {

@@ -93,13 +93,6 @@ func Power2Distances(sets, attempts int) []int {
 	return out[:min(len(out), attempts)]
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Config describes one ICR data cache.
 type Config struct {
 	// Geometry. The paper's dL1 is 16KB, 4-way, 64-byte blocks.

@@ -339,6 +339,7 @@ func (a *LineArray) InstallReplica(v, primary *Line) {
 	v.Guest = false
 	v.Spilled = false
 	v.Dirty = false
+	v.prefetched = false
 	v.BlockAddr = primary.BlockAddr
 	copy(v.Data, primary.Data)
 	copy(v.Parity, primary.Parity)

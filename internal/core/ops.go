@@ -69,16 +69,10 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 	if c.cfg.Repl.LeaveReplicas {
 		if rep := c.intactReplica(ba); rep != nil {
 			c.stats.ReplicaServedMisses++
+			// Fill clears the reused way's guest, spill and prefetch
+			// bits; its recode equals the replica's verified parity.
 			v := c.evictFor(c.arr.HomeSet(ba), now)
-			v.Valid = true
-			v.Replica = false
-			v.Dirty = false
-			v.BlockAddr = ba
-			copy(v.Data, rep.Data)
-			copy(v.Parity, rep.Parity)
-			if v.ECC != nil {
-				ecc.EncodeSECDEDLine(v.Data, v.ECC)
-			}
+			c.arr.Fill(v, ba, rep.Data)
 			c.touch(v, now)
 			if c.cfg.Meter != nil {
 				c.cfg.Meter.AddL1Read(1)  // replica array read

@@ -175,3 +175,66 @@ func TestECCSchemeLinesCarryECC(t *testing.T) {
 		t.Errorf("stats = %+v: stale ECC after replica eviction?", s)
 	}
 }
+
+// TestReplicaServedMissClearsReusedWay: the §5.6 replica-served miss
+// installs a fresh primary in its home set's LRU way. A guest line there
+// must not leave its guest bit on the new primary (the far tier's
+// DropReplica would then invalidate it, dirty data and all), and a
+// never-demanded prefetched line must not leave a prefetch hit behind.
+func TestReplicaServedMissClearsReusedWay(t *testing.T) {
+	// 8 sets, 2 ways, decay window 0 (every line is dead at once): block 0
+	// lives in set 0 and replicates to set 4.
+	t.Run("guest", func(t *testing.T) {
+		c, _ := testCache(t, func(cfg *Config) {
+			cfg.Repl.LeaveReplicas = true
+			cfg.CrossTier = &fakeSink{}
+		})
+		c.Load(0, addrOfBlock(0))
+		c.Store(1, addrOfBlock(0)) // replica in set 4
+		c.Load(2, addrOfBlock(8))
+		c.Load(3, addrOfBlock(16)) // evicts primary 0; its replica stays
+		if !c.OfferReplica(4, 24, make([]byte, 64)) {
+			t.Fatal("guest offer for block 24 refused")
+		}
+		c.Load(5, addrOfBlock(16)) // the guest is now set 0's LRU way
+		c.Load(6, addrOfBlock(0))  // served by the replica, into the guest's way
+		c.Store(7, addrOfBlock(0))
+		c.DropReplica(0) // the far tier rewrote block 0: only guests drop
+		if st := c.Stats(); st.ReplicaServedMisses != 1 {
+			t.Fatalf("replica-served misses = %d, want 1", st.ReplicaServedMisses)
+		}
+		if !c.PrimaryDirty(addrOfBlock(0)) {
+			t.Error("DropReplica invalidated the dirty primary installed over a guest way")
+		}
+		if hd := c.CrossTierStats().HostDrops; hd != 0 {
+			t.Errorf("host drops = %d, want 0 (no guest of block 0 exists)", hd)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("prefetched", func(t *testing.T) {
+		c, _ := testCache(t, func(cfg *Config) {
+			cfg.Repl.LeaveReplicas = true
+			cfg.PrefetchIntoDead = true
+		})
+		c.Load(0, addrOfBlock(0))
+		c.Store(1, addrOfBlock(0)) // replica in set 4
+		c.Load(2, addrOfBlock(16))
+		c.Load(3, addrOfBlock(24)) // evicts primary 0; its replica stays
+		c.Load(4, addrOfBlock(7))  // prefetches block 8 into set 0
+		c.Load(5, addrOfBlock(24)) // the prefetched line is set 0's LRU way
+		c.Load(6, addrOfBlock(0))  // served by the replica, into that way
+		c.Load(7, addrOfBlock(0))
+		st := c.Stats()
+		if st.ReplicaServedMisses != 1 || st.PrefetchFills == 0 {
+			t.Fatalf("setup missed the path: %+v", st)
+		}
+		if st.PrefetchHits != 0 {
+			t.Errorf("prefetch hits = %d, want 0: block 0 was never prefetched", st.PrefetchHits)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
+}

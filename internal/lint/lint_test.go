@@ -16,7 +16,6 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 // default scopes — exactly what `icrvet ./...` does.
 var fixtures = []string{
 	"determinism",
-	"keycoverage",
 	"syncmisuse",
 	"floatorder",
 	"droppederr",
@@ -25,7 +24,6 @@ var fixtures = []string{
 	"resetnested",
 	"allocfree",
 	"allochot",
-	"wireschema",
 	"ctxflow",
 	"ctxsleep",
 }
@@ -35,7 +33,6 @@ var fixtures = []string{
 // regenerated without looking.
 var fixturePass = map[string]string{
 	"determinism":   "determinism",
-	"keycoverage":   "keycoverage",
 	"syncmisuse":    "syncmisuse",
 	"floatorder":    "floatorder",
 	"droppederr":    "droppederr",
@@ -43,7 +40,6 @@ var fixturePass = map[string]string{
 	"resetnested":   "resetcoverage",
 	"allocfree":     "allocfree",
 	"allochot":      "allocfree",
-	"wireschema":    "wirecoverage",
 	"ctxflow":       "ctxflow",
 	"ctxsleep":      "ctxflow",
 }
@@ -161,8 +157,8 @@ func TestParseDirective(t *testing.T) {
 			passes: []string{"determinism"}, reason: "wall-clock seam"},
 		{text: "  icrvet:ignore droppederr,floatorder shared justification  ", ok: true,
 			passes: []string{"droppederr", "floatorder"}, reason: "shared justification"},
-		{text: "icrvet:ignore keycoverage multi word reason here", ok: true,
-			passes: []string{"keycoverage"}, reason: "multi word reason here"},
+		{text: "icrvet:ignore resetcoverage multi word reason here", ok: true,
+			passes: []string{"resetcoverage"}, reason: "multi word reason here"},
 
 		// Malformed directives.
 		{text: "icrvet:ignore", ok: true, wantErr: "missing pass name"},

@@ -21,8 +21,6 @@ type Package struct {
 	// Rel is the module-relative directory ("" for the root package,
 	// "internal/sim" otherwise), always with forward slashes.
 	Rel string
-	// Dir is the absolute directory holding the package sources.
-	Dir string
 
 	Files     []*ast.File
 	FileNames []string
@@ -43,17 +41,6 @@ type Module struct {
 	Packages []*Package
 
 	byPath map[string]*Package
-}
-
-// Lookup returns the package with the given module-relative directory, or
-// nil if the module has none.
-func (m *Module) Lookup(rel string) *Package {
-	for _, p := range m.Packages {
-		if p.Rel == rel {
-			return p
-		}
-	}
-	return nil
 }
 
 // loader builds a Module: it discovers package directories, parses them,
@@ -301,7 +288,6 @@ func (l *loader) load(path string) (*Package, error) {
 	p := &Package{
 		ImportPath: path,
 		Rel:        filepath.ToSlash(rel),
-		Dir:        dir,
 		Files:      files,
 		FileNames:  names,
 		Types:      tpkg,

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // runResetCoverage verifies that pooled types are fully re-initialized
@@ -93,7 +94,7 @@ func checkPooledType(a *Analysis, r *Reporter, named *types.Named, at token.Pos,
 			"pooled type %s has no Reset method: a pooled instance of it carries every field across runs", typeDisplay(named))
 		return
 	}
-	covered := coveredFields(reset.pkg, reset.decl)
+	covered := coveredFields(a, reset)
 
 	st := named.Underlying().(*types.Struct)
 	var missing []*types.Var
@@ -123,9 +124,70 @@ func checkPooledType(a *Analysis, r *Reporter, named *types.Named, at token.Pos,
 
 // typeDisplay renders a named type as "pkg.Name".
 func typeDisplay(named *types.Named) string {
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Name() + "." + obj.Name()
+	return types.TypeString(named, (*types.Package).Name)
 }
+
+// coveredFields gathers every (struct, field) selection in root and in
+// the same-package functions the call graph reaches from it.
+func coveredFields(a *Analysis, root *funcNode) map[string]bool {
+	covered := make(map[string]bool)
+	for n := range a.graph().reachable([]*funcNode{root}) {
+		if n.pkg != root.pkg {
+			continue
+		}
+		n.inspectOwn(func(node ast.Node) bool {
+			if se, ok := node.(*ast.SelectorExpr); ok {
+				if sel, ok := n.pkg.Info.Selections[se]; ok && sel.Kind() == types.FieldVal {
+					recordSelection(covered, sel)
+				}
+			}
+			return true
+		})
+	}
+	return covered
+}
+
+// recordSelection records every field step along a (possibly embedded)
+// field selection path.
+func recordSelection(covered map[string]bool, sel *types.Selection) {
+	t := sel.Recv()
+	for _, idx := range sel.Index() {
+		named := asNamedStruct(t)
+		if named == nil {
+			return
+		}
+		f := named.Underlying().(*types.Struct).Field(idx)
+		covered[fieldKey(named, f.Name())] = true
+		t = f.Type()
+	}
+}
+
+// asNamedStruct unwraps pointers and aliases down to a named type with a
+// struct underlying, or nil.
+func asNamedStruct(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = types.Unalias(ptr.Elem())
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return named
+}
+
+// inModule reports whether the named type is declared inside the analyzed
+// module (recursion stops at the standard library).
+func inModule(mod *Module, named *types.Named) bool {
+	pkg := named.Obj().Pkg()
+	if pkg == nil {
+		return false
+	}
+	return pkg.Path() == mod.Path || strings.HasPrefix(pkg.Path(), mod.Path+"/")
+}
+
+// fieldKey names a struct field for diagnostics: "cpu.Config.MSHRs".
+func fieldKey(named *types.Named, field string) string { return typeDisplay(named) + "." + field }

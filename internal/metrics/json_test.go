@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -221,6 +222,96 @@ func TestReportSchemaFingerprint(t *testing.T) {
 	check(reflect.TypeOf(AdaptiveStats{}), pinnedAdaptiveFields)
 	check(reflect.TypeOf(AdaptiveMove{}), pinnedMoveFields)
 	check(reflect.TypeOf(TwoTierStats{}), pinnedTwoTierFields)
+}
+
+// fillEvery is fillDistinct over the whole report tree: it also
+// allocates every pointer block and gives every slice one element, and
+// fills each struct it reaches.
+func fillEvery(v reflect.Value, base int) {
+	fillDistinct(v, base)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+			f = f.Elem()
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			f = f.Index(0)
+		default:
+			continue
+		}
+		if f.Kind() == reflect.Struct {
+			fillEvery(f, base+100*(i+1))
+		}
+	}
+}
+
+// jsonPaths adds the dotted path of every object key in a decoded JSON
+// value to out; array elements share their array's path.
+func jsonPaths(v any, prefix string, out map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, sub := range v {
+			out[prefix+k] = true
+			jsonPaths(sub, prefix+k+".", out)
+		}
+	case []any:
+		for _, sub := range v {
+			jsonPaths(sub, prefix, out)
+		}
+	}
+}
+
+// TestReportSchemaCoversEveryField marshals a report with every field,
+// every optional block and one element of every slice filled, and
+// requires each key path it emits to appear in one of the committed
+// schema goldens. goldenReport attaches the optional blocks by hand, so a
+// new block it forgets to fill would otherwise reach the wire unpinned:
+// the goldens would regenerate without it and the fingerprint only lists
+// the block's own field.
+func TestReportSchemaCoversEveryField(t *testing.T) {
+	var r Report
+	fillEvery(reflect.ValueOf(&r).Elem(), 0)
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	emitted := make(map[string]bool)
+	jsonPaths(doc, "", emitted)
+
+	files, err := filepath.Glob(filepath.Join("testdata", "report_schema*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no schema goldens under testdata (err %v)", err)
+	}
+	pinned := make(map[string]bool)
+	for _, f := range files {
+		golden, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g any
+		if err := json.Unmarshal(golden, &g); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		jsonPaths(g, "", pinned)
+	}
+
+	var missing []string
+	for p := range emitted {
+		if !pinned[p] {
+			missing = append(missing, p)
+		}
+	}
+	sort.Strings(missing)
+	for _, p := range missing {
+		t.Errorf("Report emits %q, which no testdata/report_schema*.json golden pins: "+
+			"fill it in goldenReport, bump ReportSchemaVersion and re-run with -update", p)
+	}
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {

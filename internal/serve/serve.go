@@ -86,11 +86,6 @@ type Options struct {
 	// bound is separate and much deeper. <= 0 means 1024.
 	StoreQueueDepth int
 
-	// ClaimTTL bounds how long a granted claim blocks other claimants
-	// when its holder vanishes without a Put or a release. <= 0 means
-	// store.DefaultClaimTTL.
-	ClaimTTL time.Duration
-
 	// RequestTimeout caps every request's context (0 = no cap). A
 	// request's own timeout_ms can only shorten it further.
 	RequestTimeout time.Duration
@@ -135,10 +130,6 @@ func New(o Options) *Server {
 	if storeDepth <= 0 {
 		storeDepth = 1024
 	}
-	claimTTL := o.ClaimTTL
-	if claimTTL <= 0 {
-		claimTTL = store.DefaultClaimTTL
-	}
 	s := &Server{
 		eng:        o.Runner,
 		backend:    o.Backend,
@@ -151,7 +142,7 @@ func New(o Options) *Server {
 		if s.backend == nil {
 			panic("serve.New: Options.ShardAPI requires Options.Backend")
 		}
-		s.claims = store.NewClaimTable(claimTTL)
+		s.claims = store.NewClaimTable(store.DefaultClaimTTL)
 		s.mux.HandleFunc("GET "+store.StorePathPrefix+"{key}", s.handleStoreGet)
 		s.mux.HandleFunc("PUT "+store.StorePathPrefix+"{key}", s.handleStorePut)
 		s.mux.HandleFunc("POST "+store.ClaimPathPrefix+"{key}", s.handleClaim)

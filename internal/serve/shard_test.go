@@ -153,7 +153,7 @@ func TestShardAPIDrainDiscipline(t *testing.T) {
 	}
 
 	// Claim trouble degrades to local simulation at the fleet level.
-	sh, err := store.NewSharded([]store.Shard{rc}, store.ShardedOptions{})
+	sh, err := store.NewSharded([]store.Shard{rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFleetAntiStampede(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fleet, err := store.NewSharded(shardList, store.ShardedOptions{})
+			fleet, err := store.NewSharded(shardList)
 			if err != nil {
 				errs[i] = err
 				return

@@ -33,21 +33,22 @@ const equivInstrs = 40_000
 // equivRun is one pinned run, its subtest name and the golden file it is
 // compared against.
 type equivRun struct {
-	name string
-	file string
-	run  config.Run
+	name    string
+	file    string
+	machine config.Machine
+	run     config.Run
 }
 
 // matrixRun names a run by benchmark, scheme and seed, the way the scheme
 // matrix always has.
 func matrixRun(r config.Run) equivRun {
-	return equivRun{fmt.Sprintf("%s/seed%d", r.Name(), r.Seed), goldenName(&r), r}
+	return equivRun{fmt.Sprintf("%s/seed%d", r.Name(), r.Seed), goldenName(&r), config.Default(), r}
 }
 
 // pinRun names a run after its golden file, for runs that differ from a
 // matrix entry only in options the scheme name does not show.
 func pinRun(file string, r config.Run) equivRun {
-	return equivRun{strings.TrimSuffix(file, ".json"), file, r}
+	return equivRun{strings.TrimSuffix(file, ".json"), file, config.Default(), r}
 }
 
 // equivalenceRuns is the scheme matrix — all ten §3.2 schemes, three
@@ -79,7 +80,9 @@ func equivalenceRuns() []equivRun {
 // jumped clock, and the dL1's optional structures: a write-through dL1
 // with its write buffer, a duplication cache, and prefetching into dead
 // lines. The last three run on vortex, gcc and parser, whose Hot-region
-// Zipf shapes the scheme matrix does not reach.
+// Zipf shapes the scheme matrix does not reach. The final pin runs the
+// §5.6 replica-served miss against a cross-tier L2 shrunk to 32KB, the
+// one pin on a machine other than config.Default().
 func pathPins() []equivRun {
 	m := config.Default()
 	relaxed := core.ReplConfig{
@@ -171,7 +174,18 @@ func pathPins() []equivRun {
 	pf := mk("parser", icrPS)
 	pf.Prefetch = true
 	runs = append(runs, pinRun("parser_ICR-P-PS-S_prefetch_seed1.json", pf))
-	return runs
+
+	// §5.6 replica-served misses that reuse a guest or prefetched way. A
+	// 32KB second tier evicts blocks the dL1 still holds, so a guest bit
+	// left on the reused way would reach the tier's DropReplica.
+	lv := mk("gcc", core.ICR(core.ParityProt, core.LookupSerial, core.ReplLoadsStores))
+	lv.Instructions = 200_000
+	lv.Repl.LeaveReplicas = true
+	lv.Prefetch = true
+	lv.TwoTier = config.TwoTier{Protect: core.ParityProt, Replicate: true, Victim: core.ReplicaOnly, DecayWindow: 1000, CrossTier: true}
+	small := pinRun("gcc_ICR-P-PS-LS_leave-prefetch_twotier32k-ICR-P+x-replicaonly_seed1.json", lv)
+	small.machine.L2Size = 32 << 10
+	return append(runs, small)
 }
 
 // goldenName maps a run to its golden file name (scheme names contain
@@ -189,9 +203,8 @@ func TestKernelEquivalenceGoldens(t *testing.T) {
 		}
 	}
 	for _, er := range equivalenceRuns() {
-		r := er.run
 		t.Run(er.name, func(t *testing.T) {
-			rep, err := Simulate(config.Default(), r)
+			rep, err := Simulate(er.machine, er.run)
 			if err != nil {
 				t.Fatal(err)
 			}

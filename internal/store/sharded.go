@@ -10,8 +10,8 @@
 //     loss and their read load spreads over R nodes.
 //   - Hot-key tracking: a windowed, decaying hit counter promotes the
 //     top-most-requested keys into the hot set (promotion at
-//     PromoteHits, demotion at the lower DemoteHits — hysteresis, so a
-//     key does not flap at the threshold).
+//     hotPromoteHits, demotion at the lower hotDemoteHits — hysteresis,
+//     so a key does not flap at the threshold).
 //   - Claims: Claim asks the owning shard's claim endpoint "who simulates
 //     this key", generalizing the runner's in-process singleflight to the
 //     whole fleet: a cold popular key triggers exactly one simulation no
@@ -47,48 +47,22 @@ type Shard interface {
 
 var _ Shard = (*Remote)(nil)
 
-// ShardedOptions tune the fleet view. The zero value is usable.
-type ShardedOptions struct {
-	// Vnodes per shard on the ring (<= 0 = DefaultVnodes).
-	Vnodes int
-	// Replicas is how many nodes (owner included) serve a hot key.
-	// <= 1 disables hot-key replication. Default 2.
-	Replicas int
-	// HotCapacity caps the hot set (<= 0 = 64).
-	HotCapacity int
-	// PromoteHits: windowed hits at which a key becomes hot (<= 0 = 8).
-	PromoteHits uint64
-	// DemoteHits: decayed hits at or below which a hot key is demoted.
-	// Must stay below PromoteHits for hysteresis (<= 0 = 2).
-	DemoteHits uint64
-	// WindowOps: accesses between decay sweeps, which halve every
-	// counter (<= 0 = 4096).
-	WindowOps uint64
-}
-
-func (o *ShardedOptions) setDefaults() {
-	if o.Replicas == 0 {
-		o.Replicas = 2
-	}
-	if o.HotCapacity <= 0 {
-		o.HotCapacity = 64
-	}
-	if o.PromoteHits == 0 {
-		o.PromoteHits = 8
-	}
-	if o.DemoteHits == 0 {
-		o.DemoteHits = 2
-	}
-	if o.WindowOps == 0 {
-		o.WindowOps = 4096
-	}
-}
+// Hot-key tracking: a key turns hot at hotPromoteHits windowed hits and
+// cools at or below hotDemoteHits (lower, for hysteresis); every
+// hotWindowOps accesses all counters halve. At most hotCapacity keys are
+// hot, and each is served by hotReplicas nodes, owner included.
+const (
+	hotReplicas    = 2
+	hotCapacity    = 64
+	hotPromoteHits = 8
+	hotDemoteHits  = 2
+	hotWindowOps   = 4096
+)
 
 // Sharded is the Backend over a fleet of shards. Safe for concurrent use.
 type Sharded struct {
 	ring   *Ring
 	shards map[string]Shard
-	opts   ShardedOptions
 	hot    *hotTracker
 	rr     atomic.Uint64 // round-robin cursor for hot-key replica reads
 
@@ -111,14 +85,9 @@ var (
 // NewSharded builds the fleet view over the given shards. Shard names
 // must be unique; they are the ring identities, so every client built
 // from the same shard list agrees on placement.
-func NewSharded(shards []Shard, o ShardedOptions) (*Sharded, error) {
+func NewSharded(shards []Shard) (*Sharded, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("store: sharded backend needs at least one shard")
-	}
-	o.setDefaults()
-	if o.DemoteHits >= o.PromoteHits {
-		return nil, fmt.Errorf("store: demote threshold %d must stay below promote threshold %d (hysteresis)",
-			o.DemoteHits, o.PromoteHits)
 	}
 	names := make([]string, len(shards))
 	byName := make(map[string]Shard, len(shards))
@@ -126,15 +95,14 @@ func NewSharded(shards []Shard, o ShardedOptions) (*Sharded, error) {
 		names[i] = sh.Name()
 		byName[sh.Name()] = sh
 	}
-	ring, err := NewRing(names, o.Vnodes)
+	ring, err := NewRing(names, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
 	return &Sharded{
 		ring:   ring,
 		shards: byName,
-		opts:   o,
-		hot:    newHotTracker(o),
+		hot:    newHotTracker(),
 	}, nil
 }
 
@@ -144,8 +112,8 @@ func (s *Sharded) Ring() *Ring { return s.ring }
 // readSet returns the shards to consult for key, owner first; hot keys
 // get their full replica set.
 func (s *Sharded) readSet(key string, hot bool) []string {
-	if hot && s.opts.Replicas > 1 {
-		return s.ring.Replicas(key, s.opts.Replicas)
+	if hot {
+		return s.ring.Replicas(key, hotReplicas)
 	}
 	return s.ring.Replicas(key, 1)
 }
@@ -281,40 +249,28 @@ func (s *Sharded) Drain() {
 // replication. All state transitions are driven by access counts, not
 // wall time, so tests are deterministic.
 type hotTracker struct {
-	promote uint64
-	demote  uint64
-	window  uint64
-	cap     int
-
 	mu     sync.Mutex
 	counts map[string]uint64
 	hot    map[string]bool
 	ops    uint64
 }
 
-func newHotTracker(o ShardedOptions) *hotTracker {
-	return &hotTracker{
-		promote: o.PromoteHits,
-		demote:  o.DemoteHits,
-		window:  o.WindowOps,
-		cap:     o.HotCapacity,
-		counts:  make(map[string]uint64),
-		hot:     make(map[string]bool),
-	}
+func newHotTracker() *hotTracker {
+	return &hotTracker{counts: make(map[string]uint64), hot: make(map[string]bool)}
 }
 
 // touch records one access and returns whether key is hot afterwards.
-// Every WindowOps accesses, all counters halve: a key must sustain
+// Every hotWindowOps accesses, all counters halve: a key must sustain
 // traffic to stay above the demotion threshold.
 func (t *hotTracker) touch(key string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.counts[key]++
-	if !t.hot[key] && t.counts[key] >= t.promote && len(t.hot) < t.cap {
+	if !t.hot[key] && t.counts[key] >= hotPromoteHits && len(t.hot) < hotCapacity {
 		t.hot[key] = true
 	}
 	t.ops++
-	if t.ops >= t.window {
+	if t.ops >= hotWindowOps {
 		t.ops = 0
 		for k, c := range t.counts {
 			c /= 2
@@ -323,7 +279,7 @@ func (t *hotTracker) touch(key string) bool {
 			} else {
 				t.counts[k] = c
 			}
-			if t.hot[k] && c <= t.demote {
+			if t.hot[k] && c <= hotDemoteHits {
 				delete(t.hot, k)
 			}
 		}

@@ -114,7 +114,7 @@ func (f *fakeShard) has(key string) bool {
 }
 
 // testFleet builds a Sharded over n fake shards named like real URLs.
-func testFleet(t *testing.T, n int, o ShardedOptions) (*Sharded, []*fakeShard) {
+func testFleet(t *testing.T, n int) (*Sharded, []*fakeShard) {
 	t.Helper()
 	fakes := make([]*fakeShard, n)
 	shards := make([]Shard, n)
@@ -122,7 +122,7 @@ func testFleet(t *testing.T, n int, o ShardedOptions) (*Sharded, []*fakeShard) {
 		fakes[i] = newFakeShard(fmt.Sprintf("http://10.0.0.%d:8080", i+1))
 		shards[i] = fakes[i]
 	}
-	s, err := NewSharded(shards, o)
+	s, err := NewSharded(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func byName(fakes []*fakeShard) map[string]*fakeShard {
 // TestShardedRoutesToOwner: a cold Put lands on exactly the ring owner,
 // and the following Get reads it back from there.
 func TestShardedRoutesToOwner(t *testing.T) {
-	s, fakes := testFleet(t, 3, ShardedOptions{})
+	s, fakes := testFleet(t, 3)
 	nodes := byName(fakes)
 	for i := 0; i < 50; i++ {
 		key := syntheticKey(i)
@@ -170,7 +170,7 @@ func TestShardedRoutesToOwner(t *testing.T) {
 
 // TestShardedMissIsTyped: a key nobody holds is ErrMiss, counted once.
 func TestShardedMissIsTyped(t *testing.T) {
-	s, _ := testFleet(t, 3, ShardedOptions{})
+	s, _ := testFleet(t, 3)
 	if _, err := s.Get(ctx, syntheticKey(0)); !errors.Is(err, ErrMiss) {
 		t.Fatalf("cold fleet Get = %v, want ErrMiss", err)
 	}
@@ -179,12 +179,11 @@ func TestShardedMissIsTyped(t *testing.T) {
 	}
 }
 
-// TestHotKeyPromotionAndReplication: PromoteHits touches make a key hot;
-// the next Put fans out to the full replica set, and reads then succeed
-// even with the owner down.
+// TestHotKeyPromotionAndReplication: hotPromoteHits touches make a key
+// hot; the next Put fans out to the full replica set, and reads then
+// succeed even with the owner down.
 func TestHotKeyPromotionAndReplication(t *testing.T) {
-	opts := ShardedOptions{PromoteHits: 8, DemoteHits: 2, WindowOps: 1 << 20}
-	s, fakes := testFleet(t, 3, opts)
+	s, fakes := testFleet(t, 3)
 	nodes := byName(fakes)
 	key := syntheticKey(0)
 
@@ -205,7 +204,7 @@ func TestHotKeyPromotionAndReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.hot.isHot(key) {
-		t.Fatal("key not hot after PromoteHits accesses")
+		t.Fatal("key not hot after hotPromoteHits accesses")
 	}
 	if st := s.Stats(); st.HotKeys != 1 {
 		t.Errorf("HotKeys = %d, want 1", st.HotKeys)
@@ -215,7 +214,7 @@ func TestHotKeyPromotionAndReplication(t *testing.T) {
 	if err := s.Put(ctx, key, testReport(7)); err != nil {
 		t.Fatal(err)
 	}
-	reps := s.Ring().Replicas(key, 2)
+	reps := s.Ring().Replicas(key, hotReplicas)
 	for _, name := range reps {
 		if !nodes[name].has(key) {
 			t.Fatalf("hot key missing from replica %s", name)
@@ -235,32 +234,31 @@ func TestHotKeyPromotionAndReplication(t *testing.T) {
 }
 
 // TestHotKeyDemotionHysteresis: decay halves counters every window; a key
-// promoted at 8 stays hot while its decayed count exceeds DemoteHits and
-// drops out only when traffic fades — and it must NOT flap at the
+// promoted at 8 stays hot while its decayed count exceeds hotDemoteHits
+// and drops out only when traffic fades — and it must NOT flap at the
 // promotion boundary.
 func TestHotKeyDemotionHysteresis(t *testing.T) {
-	opts := ShardedOptions{PromoteHits: 8, DemoteHits: 2, WindowOps: 16}
-	s, _ := testFleet(t, 3, opts)
+	s, _ := testFleet(t, 3)
 	key := syntheticKey(0)
 	filler := syntheticKey(1)
 
-	// 8 touches promote (window not yet full: 8 < 16).
-	for i := 0; i < 8; i++ {
+	// 8 touches promote (window not yet full).
+	for i := 0; i < hotPromoteHits; i++ {
 		s.hot.touch(key)
 	}
 	if !s.hot.isHot(key) {
 		t.Fatal("not promoted at 8 touches")
 	}
 	// Fill the window with other traffic to force one decay sweep:
-	// count 8 → 4, still above DemoteHits=2 → stays hot.
-	for i := 0; i < 8; i++ {
+	// count 8 → 4, still above hotDemoteHits=2 → stays hot.
+	for i := hotPromoteHits; i < hotWindowOps; i++ {
 		s.hot.touch(filler)
 	}
 	if !s.hot.isHot(key) {
 		t.Fatal("demoted after one decay window with count 4 > 2 (no hysteresis)")
 	}
-	// Second idle window: 4 → 2 ≤ DemoteHits → demoted.
-	for i := 0; i < 16; i++ {
+	// Second idle window: 4 → 2 ≤ hotDemoteHits → demoted.
+	for i := 0; i < hotWindowOps; i++ {
 		s.hot.touch(filler)
 	}
 	if s.hot.isHot(key) {
@@ -272,28 +270,28 @@ func TestHotKeyDemotionHysteresis(t *testing.T) {
 		s.hot.touch(key)
 	}
 	if s.hot.isHot(key) {
-		t.Fatal("re-promoted below PromoteHits: thresholds are flapping")
+		t.Fatal("re-promoted below hotPromoteHits: thresholds are flapping")
 	}
 }
 
-// TestHotSetCapacity: the hot set never exceeds HotCapacity.
+// TestHotSetCapacity: the hot set never exceeds hotCapacity.
 func TestHotSetCapacity(t *testing.T) {
-	opts := ShardedOptions{PromoteHits: 2, DemoteHits: 1, HotCapacity: 4, WindowOps: 1 << 20}
-	s, _ := testFleet(t, 3, opts)
-	for i := 0; i < 32; i++ {
+	s, _ := testFleet(t, 3)
+	for i := 0; i < 2*hotCapacity; i++ {
 		key := syntheticKey(i)
-		s.hot.touch(key)
-		s.hot.touch(key)
+		for j := 0; j < hotPromoteHits; j++ {
+			s.hot.touch(key)
+		}
 	}
-	if n := s.hot.len(); n > 4 {
-		t.Errorf("hot set holds %d keys, capacity 4", n)
+	if n := s.hot.len(); n > hotCapacity {
+		t.Errorf("hot set holds %d keys, capacity %d", n, hotCapacity)
 	}
 }
 
 // TestClaimExactlyOneWinner is the fleet-wide anti-stampede guarantee:
 // N concurrent claimants polling for one cold key get exactly one grant.
 func TestClaimExactlyOneWinner(t *testing.T) {
-	s, _ := testFleet(t, 3, ShardedOptions{})
+	s, _ := testFleet(t, 3)
 	key := syntheticKey(0)
 	const n = 32
 
@@ -342,7 +340,7 @@ func TestClaimExactlyOneWinner(t *testing.T) {
 // TestClaimDoneAfterResult: once the result exists, claimants are told
 // done immediately — they re-Get instead of simulating.
 func TestClaimDoneAfterResult(t *testing.T) {
-	s, _ := testFleet(t, 3, ShardedOptions{})
+	s, _ := testFleet(t, 3)
 	key := syntheticKey(0)
 	if err := s.Put(ctx, key, testReport(1)); err != nil {
 		t.Fatal(err)
@@ -359,7 +357,7 @@ func TestClaimDoneAfterResult(t *testing.T) {
 // TestClaimReleaseFreesWaiters: a winner whose simulation fails releases,
 // and the next claimant is granted instead of waiting out the TTL.
 func TestClaimReleaseFreesWaiters(t *testing.T) {
-	s, _ := testFleet(t, 3, ShardedOptions{})
+	s, _ := testFleet(t, 3)
 	key := syntheticKey(0)
 	held, err := s.Claim(ctx, key, "")
 	if err != nil || held.State != ClaimGranted {
@@ -383,7 +381,7 @@ func TestClaimReleaseFreesWaiters(t *testing.T) {
 // TestClaimOwnerDownDegrades: an unreachable owner must not stall the
 // fleet — the claimant is granted with no token and simulates locally.
 func TestClaimOwnerDownDegrades(t *testing.T) {
-	s, fakes := testFleet(t, 3, ShardedOptions{})
+	s, fakes := testFleet(t, 3)
 	nodes := byName(fakes)
 	key := syntheticKey(0)
 	nodes[s.Ring().Owner(key)].down.Store(true)
@@ -401,7 +399,7 @@ func TestClaimOwnerDownDegrades(t *testing.T) {
 // at once — and a cancelled context is the caller's error, not a
 // degraded grant.
 func TestClaimHonoursContext(t *testing.T) {
-	s, _ := testFleet(t, 3, ShardedOptions{})
+	s, _ := testFleet(t, 3)
 	key := syntheticKey(0)
 	if cr, err := s.Claim(ctx, key, ""); err != nil || cr.State != ClaimGranted {
 		t.Fatalf("first claim: %+v err=%v", cr, err)
@@ -419,7 +417,7 @@ func TestClaimHonoursContext(t *testing.T) {
 // TestShardedPutOwnerFailureSurfaces: the owner write's error belongs to
 // the caller (the runner re-tries or counts it), not the void.
 func TestShardedPutOwnerFailureSurfaces(t *testing.T) {
-	s, fakes := testFleet(t, 3, ShardedOptions{})
+	s, fakes := testFleet(t, 3)
 	nodes := byName(fakes)
 	key := syntheticKey(0)
 	nodes[s.Ring().Owner(key)].down.Store(true)
@@ -435,7 +433,7 @@ func TestShardedPutOwnerFailureSurfaces(t *testing.T) {
 // error, not a silent miss (which would hide a dead shard behind
 // re-simulation).
 func TestShardedGetErrorSurfaces(t *testing.T) {
-	s, fakes := testFleet(t, 3, ShardedOptions{})
+	s, fakes := testFleet(t, 3)
 	nodes := byName(fakes)
 	key := syntheticKey(0)
 	nodes[s.Ring().Owner(key)].down.Store(true)
@@ -447,13 +445,9 @@ func TestShardedGetErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsBadHysteresis: demote >= promote is a config error.
-func TestShardedRejectsBadHysteresis(t *testing.T) {
-	shards := []Shard{newFakeShard("a")}
-	if _, err := NewSharded(shards, ShardedOptions{PromoteHits: 4, DemoteHits: 4}); err == nil {
-		t.Error("demote == promote accepted")
-	}
-	if _, err := NewSharded(nil, ShardedOptions{}); err == nil {
+// TestShardedRejectsEmptyFleet: a fleet needs at least one shard.
+func TestShardedRejectsEmptyFleet(t *testing.T) {
+	if _, err := NewSharded(nil); err == nil {
 		t.Error("empty fleet accepted")
 	}
 }
