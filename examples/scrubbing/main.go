@@ -45,7 +45,6 @@ func run() error {
 		{"BaseP + scrub(1k)", func(r *config.Run) {
 			r.Scheme = core.BaseP()
 			r.ScrubInterval = 1000
-			r.ScrubLines = 4
 		}},
 		{"BaseP + 2KB r-cache", func(r *config.Run) {
 			r.Scheme = core.BaseP()
@@ -55,7 +54,6 @@ func run() error {
 		{"ICR-P-PS(S) + scrub(1k)", func(r *config.Run) {
 			r.Scheme = icr
 			r.ScrubInterval = 1000
-			r.ScrubLines = 4
 		}},
 		{"BaseECC", func(r *config.Run) { r.Scheme = core.BaseECC(false) }},
 	}

@@ -96,10 +96,9 @@ type Run struct {
 	Instructions uint64
 	Seed         int64
 
-	// WriteThrough switches the dL1 to write-through with a coalescing
-	// write buffer (the §5.8 comparison).
-	WriteThrough       bool
-	WriteBufferEntries int
+	// WriteThrough switches the dL1 to write-through with an 8-entry
+	// coalescing write buffer (the §5.8 comparison).
+	WriteThrough bool
 
 	Fault  FaultConfig
 	Energy energy.Params
@@ -114,12 +113,9 @@ type Run struct {
 	DupCacheKB int
 
 	// ScrubInterval, when > 0, runs a background scrubber that verifies
-	// ScrubLines dL1 lines every ScrubInterval cycles (Saleh-style
-	// scrubbing; the paper's reference [21]).
+	// 4 dL1 lines every ScrubInterval cycles (Saleh-style scrubbing; the
+	// paper's reference [21]).
 	ScrubInterval uint64
-	// ScrubLines is the number of lines verified per scrub step
-	// (default 1).
-	ScrubLines int
 
 	// Prefetch enables next-block prefetching into dead lines (the
 	// competing use of dead real estate from the prefetching literature
@@ -220,12 +216,11 @@ const DefaultInstructions = 1_000_000
 // uses for §5.1-5.2, and CACTI-class energy parameters.
 func NewRun(benchmark string, scheme core.Scheme) Run {
 	return Run{
-		Benchmark:          benchmark,
-		Scheme:             scheme,
-		Instructions:       DefaultInstructions,
-		Seed:               1,
-		WriteBufferEntries: 8,
-		Energy:             energy.DefaultParams(),
+		Benchmark:    benchmark,
+		Scheme:       scheme,
+		Instructions: DefaultInstructions,
+		Seed:         1,
+		Energy:       energy.DefaultParams(),
 	}
 }
 

@@ -62,9 +62,6 @@ func TestNewRunDefaults(t *testing.T) {
 	if r.Instructions != DefaultInstructions || r.Seed != 1 {
 		t.Errorf("defaults wrong: %+v", r)
 	}
-	if r.WriteBufferEntries != 8 {
-		t.Errorf("write buffer entries = %d, want 8 (§5.8)", r.WriteBufferEntries)
-	}
 	if r.Energy.L1Read == 0 {
 		t.Error("energy params not defaulted")
 	}

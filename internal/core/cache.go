@@ -281,26 +281,36 @@ func (c *Cache) invalidateReplicas(blockAddr uint64) {
 // another primary block" (§3.1).
 func (c *Cache) evictFor(set int, now uint64) *Line {
 	v := c.arr.LRUWay(set)
-	if v.Valid {
-		if v.Replica {
-			c.stats.ReplicaEvictions++
-			// The mirrored primary may have just lost its protection.
-			defer c.revalVuln(c.arr.Primary(v.BlockAddr), now)
-		} else {
-			if v.prefetched {
-				c.stats.PrefetchUnused++
-			}
-			if v.Dirty {
-				c.writeback(v, now)
-			}
-			c.setVuln(v, now, false)
-			if c.cfg.Scheme.HasReplication() && !c.cfg.Repl.LeaveReplicas {
-				c.invalidateReplicas(v.BlockAddr)
-			}
-		}
-		v.Valid = false
-	}
+	c.evict(v, now)
 	return v
+}
+
+// evict drops a line if it is resident. A replica is counted, and its
+// mirrored primary may have just lost its protection. A primary is
+// written back if dirty, closes its vulnerability interval, counts as an
+// unused prefetch if no demand access reached it, and takes its replicas
+// with it unless LeaveReplicas is set.
+func (c *Cache) evict(v *Line, now uint64) {
+	if !v.Valid {
+		return
+	}
+	if v.Replica {
+		c.stats.ReplicaEvictions++
+		v.Valid = false
+		c.revalVuln(c.arr.Primary(v.BlockAddr), now)
+		return
+	}
+	if v.prefetched {
+		c.stats.PrefetchUnused++
+	}
+	if v.Dirty {
+		c.writeback(v, now)
+	}
+	c.setVuln(v, now, false)
+	if !c.cfg.Repl.LeaveReplicas {
+		c.invalidateReplicas(v.BlockAddr)
+	}
+	v.Valid = false
 }
 
 // ---------------------------------------------------------------------------

@@ -217,19 +217,7 @@ func (c *Cache) prefetchNext(ba uint64, now uint64) {
 	if victim == nil {
 		return
 	}
-	if victim.Valid {
-		if victim.prefetched {
-			c.stats.PrefetchUnused++
-		}
-		if victim.Dirty {
-			c.writeback(victim, now)
-		}
-		c.setVuln(victim, now, false)
-		if c.cfg.Scheme.HasReplication() && !c.cfg.Repl.LeaveReplicas {
-			c.invalidateReplicas(victim.BlockAddr)
-		}
-		victim.Valid = false
-	}
+	c.evict(victim, now)
 	c.cfg.Next.Access(now, c.arr.Addr(nb), cache.Read)
 	c.fill(victim, nb, now)
 	victim.prefetched = true
@@ -344,25 +332,13 @@ func (c *Cache) replicate(primary *Line, now uint64) int {
 	return created
 }
 
-// evictReplicaSite frees a resident line chosen as a replica or guest site
-// and accounts for the eviction.
+// evictReplicaSite frees a resident line chosen as a replica or guest
+// site; a primary evicted for one is a dead eviction.
 func (c *Cache) evictReplicaSite(v *Line, now uint64) {
-	if v.Replica {
-		c.stats.ReplicaEvictions++
-		// The mirrored primary may have just lost its protection.
-		defer c.revalVuln(c.arr.Primary(v.BlockAddr), now)
-	} else {
-		// A dead primary: write back if dirty, drop its replicas.
+	if !v.Replica {
 		c.stats.DeadEvictions++
-		if v.Dirty {
-			c.writeback(v, now)
-		}
-		c.setVuln(v, now, false)
-		if !c.cfg.Repl.LeaveReplicas {
-			c.invalidateReplicas(v.BlockAddr)
-		}
 	}
-	v.Valid = false
+	c.evict(v, now)
 }
 
 // installReplica copies a primary into a victim way as a replica.

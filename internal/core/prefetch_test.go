@@ -150,3 +150,24 @@ func TestCorruptedLeftoverReplicaNotServed(t *testing.T) {
 		t.Error("replica corruption should have been detected")
 	}
 }
+
+func TestPrefetchUnusedCountedAtReplicaSite(t *testing.T) {
+	c, _ := testCache(t, func(cfg *Config) {
+		cfg.PrefetchIntoDead = true // with ICR-P-PS(S)
+	})
+	c.Load(0, addrOfBlock(3))  // prefetches block 4 into set 4
+	c.Load(1, addrOfBlock(12)) // fills set 4's other way
+	// A store to block 0 replicates at distance 4 into set 4, whose LRU
+	// dead line is the never-demanded prefetch of block 4.
+	c.Store(2, addrOfBlock(0))
+	s := c.Stats()
+	if c.HasPrimary(addrOfBlock(4)) || s.DeadEvictions != 1 {
+		t.Fatalf("block 4 not evicted as a replica site (DeadEvictions %d)", s.DeadEvictions)
+	}
+	if s.PrefetchUnused != 1 {
+		t.Errorf("PrefetchUnused = %d, want 1", s.PrefetchUnused)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

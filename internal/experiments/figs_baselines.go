@@ -68,7 +68,6 @@ func scrub(ctx context.Context, o Options) (*Result, error) {
 	return lossSweep(ctx, o, res, []core.Scheme{core.BaseP(), icrPS(core.ReplStores)}, len(intervals), func(r *config.Run, i int) {
 		r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
 		r.ScrubInterval = intervals[i]
-		r.ScrubLines = 4
 	})
 }
 

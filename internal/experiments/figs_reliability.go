@@ -85,10 +85,7 @@ func faultModels(ctx context.Context, o Options) (*Result, error) {
 func fig16(ctx context.Context, o Options) (*Result, error) {
 	reps, all, err := runArms(ctx, o,
 		o.benchArm(icrPS(core.ReplStores), relaxedIfReplicating(o.sets())),
-		o.benchArm(core.BaseP(), func(r *config.Run) {
-			r.WriteThrough = true
-			r.WriteBufferEntries = 8
-		}))
+		o.benchArm(core.BaseP(), func(r *config.Run) { r.WriteThrough = true }))
 	if err != nil {
 		return nil, err
 	}

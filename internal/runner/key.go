@@ -2,20 +2,17 @@ package runner
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"math"
 
 	"repro/internal/config"
-	"repro/internal/core"
 )
 
-// Key is the content address of one simulation: a SHA-256 over a canonical
-// serialization of (config.Machine, config.Run). Two runs share a Key iff
-// they are observationally identical inputs to sim.Simulate, so a Key is
-// safe to use for memoization and is stable across processes (no pointer,
-// map-order, or per-run state leaks into it).
+// Key is the content address of one simulation: a SHA-256 over
+// config.AppendCanonical's encoding of (config.Machine, config.Run). Two
+// runs share a Key iff they are observationally identical inputs to
+// sim.Simulate, so a Key is safe to use for memoization and is stable
+// across processes (no pointer, map-order, or per-run state leaks into
+// it).
 type Key [sha256.Size]byte
 
 // String returns the key as hex.
@@ -24,166 +21,11 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // KeyFor fingerprints a (machine, run) pair. The second result is false
 // when the pair cannot be fingerprinted — a behavioural input hides behind
 // an opaque value (a non-nil function hook, or a HintPolicy implementation
-// the hasher doesn't know) — in which case the run must not be memoized.
+// the encoding doesn't know) — in which case the run must not be memoized.
 func KeyFor(m config.Machine, r config.Run) (Key, bool) {
-	h := newHasher()
-
-	// Machine. Function hooks cannot be fingerprinted: a machine carrying
-	// one is not memoizable.
-	if m.CPU.EachCycle != nil || m.CPU.Halt != nil {
+	b, ok := config.AppendCanonical(make([]byte, 0, 1024), m, r)
+	if !ok {
 		return Key{}, false
 	}
-	h.section("machine.cpu")
-	h.ints(m.CPU.FetchWidth, m.CPU.IssueWidth, m.CPU.CommitWidth,
-		m.CPU.RUUSize, m.CPU.LSQSize, m.CPU.FetchQueue,
-		m.CPU.IntALUs, m.CPU.IntMulDiv, m.CPU.FPALUs, m.CPU.FPMulDiv,
-		m.CPU.MemPorts, m.CPU.MSHRs, m.CPU.RASDepth)
-	h.u64s(m.CPU.IntMulLat, m.CPU.IntDivLat, m.CPU.FPALULat,
-		m.CPU.FPMulLat, m.CPU.FPDivLat, m.CPU.BranchPenalty)
-	h.section("machine.hierarchy")
-	h.ints(m.IL1Size, m.IL1Assoc, m.IL1Block,
-		m.DL1Size, m.DL1Assoc, m.DL1Block,
-		m.L2Size, m.L2Assoc, m.L2Block)
-	h.u64s(m.IL1Latency, m.DL1Latency, m.L2Latency, m.MemLatency)
-
-	// Run.
-	h.section("run")
-	h.str(r.Benchmark)
-	h.ints(int(r.Scheme.Trigger), int(r.Scheme.Protection), int(r.Scheme.Lookup))
-	h.bool(r.Scheme.SpeculativeECC)
-	h.section("run.repl")
-	h.intSlice(r.Repl.Distances)
-	h.ints(r.Repl.Replicas, int(r.Repl.Victim), int(r.Repl.Decay))
-	h.u64s(r.Repl.DecayWindow)
-	h.bool(r.Repl.LeaveReplicas)
-	h.section("run.budget")
-	h.u64s(r.Instructions)
-	h.i64(r.Seed)
-	h.bool(r.WriteThrough)
-	h.ints(r.WriteBufferEntries)
-	h.section("run.sample")
-	h.u64s(r.Sample.Period, r.Sample.Detail, r.Sample.Warmup)
-	h.ints(r.Sample.Confidence)
-	h.section("run.fault")
-	h.ints(int(r.Fault.Model))
-	h.f64(r.Fault.Prob)
-	h.i64(r.Fault.Seed)
-	h.section("run.energy")
-	h.f64s(r.Energy.L1Read, r.Energy.L1Write, r.Energy.L1WordWrite,
-		r.Energy.L2Read, r.Energy.L2Write,
-		r.Energy.MemRead, r.Energy.MemWrite,
-		r.Energy.ParityFrac, r.Energy.ECCFrac,
-		r.Energy.RCacheRead, r.Energy.RCacheWrite)
-	h.section("run.extensions")
-	if !h.hints(r.Hints) {
-		return Key{}, false
-	}
-	h.ints(r.DupCacheKB, r.ScrubLines)
-	h.u64s(r.ScrubInterval)
-	h.bool(r.Prefetch)
-	h.section("run.adapt")
-	h.ints(int(r.Adapt.Predictor), r.Adapt.Hysteresis, r.Adapt.MaxReplicas)
-	h.u64s(r.Adapt.Epoch, r.Adapt.MinWindow, r.Adapt.MaxWindow)
-	h.section("run.twotier")
-	h.ints(int(r.TwoTier.Protect), int(r.TwoTier.Victim))
-	h.bool(r.TwoTier.Replicate)
-	h.bool(r.TwoTier.CrossTier)
-	h.u64s(r.TwoTier.DecayWindow, r.TwoTier.ExtraLatency)
-	h.ints(int(r.TwoTier.Fault.Model))
-	h.f64(r.TwoTier.Fault.Prob)
-	h.i64(r.TwoTier.Fault.Seed)
-
-	return h.sum(), true
-}
-
-// hasher serializes typed fields into a SHA-256. Every value is written
-// with a fixed width and every section with a length-prefixed tag, so no
-// two distinct field sequences can collide by concatenation ambiguity.
-type hasher struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func newHasher() *hasher { return &hasher{h: sha256.New()} }
-
-func (h *hasher) sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
-	return k
-}
-
-func (h *hasher) section(name string) { h.str(name) }
-
-func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	h.h.Write(h.buf[:]) //icrvet:ignore droppederr hash.Hash.Write is documented to never return an error
-}
-
-func (h *hasher) u64s(vs ...uint64) {
-	for _, v := range vs {
-		h.u64(v)
-	}
-}
-
-func (h *hasher) i64(v int64) { h.u64(uint64(v)) }
-
-func (h *hasher) ints(vs ...int) {
-	for _, v := range vs {
-		h.u64(uint64(int64(v)))
-	}
-}
-
-func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
-
-func (h *hasher) f64s(vs ...float64) {
-	for _, v := range vs {
-		h.f64(v)
-	}
-}
-
-func (h *hasher) bool(v bool) {
-	if v {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-}
-
-func (h *hasher) str(s string) {
-	h.u64(uint64(len(s)))
-	h.h.Write([]byte(s)) //icrvet:ignore droppederr hash.Hash.Write is documented to never return an error
-}
-
-func (h *hasher) intSlice(vs []int) {
-	h.u64(uint64(len(vs)))
-	h.ints(vs...)
-}
-
-// hints fingerprints the known HintPolicy implementations. An unknown
-// implementation (user code with arbitrary behaviour) is not hashable, so
-// the run is reported non-memoizable.
-func (h *hasher) hints(p core.HintPolicy) bool {
-	switch pol := p.(type) {
-	case nil:
-		h.u64(0)
-	case core.ReplicateAll:
-		h.u64(1)
-	case *core.RangePolicy:
-		if pol == nil {
-			h.u64(0)
-			return true
-		}
-		h.u64(2)
-		h.u64(uint64(len(pol.Ranges)))
-		for _, rr := range pol.Ranges {
-			h.u64s(rr.Start, rr.End)
-			h.bool(rr.Hint.Replicate)
-			h.ints(rr.Hint.Replicas)
-		}
-		h.bool(pol.Default.Replicate)
-		h.ints(pol.Default.Replicas)
-	default:
-		return false
-	}
-	return true
+	return sha256.Sum256(b), true
 }

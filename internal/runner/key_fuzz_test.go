@@ -2,53 +2,58 @@ package runner
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/fault"
 )
 
 // FuzzKeyFor drives the content-address hash with fuzzer-chosen inputs and
 // single-field mutations, asserting the two properties memoization rests
 // on: equal inputs always hash equal (stability), and any observable input
 // difference hashes different (no collisions that would serve one run's
-// report for another's configuration).
+// report for another's configuration). The mutated field is a leaf of the
+// same walk TestKeyForFieldSensitivity uses, so every hashable field of
+// config.Machine and config.Run is in reach.
 func FuzzKeyFor(f *testing.F) {
-	// One seed per mutation selector so the corpus exercises every arm.
-	for sel := uint8(0); sel < 24; sel++ {
-		f.Add(uint64(1_000_000), int64(1), sel, uint64(1))
+	var leaves []fieldLeaf
+	for _, l := range structLeaves(reflect.TypeOf(keyInputs{}), "", nil) {
+		if l.kind != reflect.Func && l.kind != reflect.Interface {
+			leaves = append(leaves, l)
+		}
+	}
+	// One seed per leaf so the corpus exercises every field.
+	for sel := range leaves {
+		f.Add(uint64(1_000_000), int64(1), uint8(sel), uint64(1))
 	}
 	f.Add(uint64(0), int64(-5), uint8(3), uint64(0))          // delta 0: no-op mutation
 	f.Add(uint64(1<<63), int64(1<<40), uint8(9), uint64(255)) // extreme values
 
 	f.Fuzz(func(t *testing.T, instructions uint64, seed int64, sel uint8, delta uint64) {
-		m1 := config.Default()
-		r1 := config.NewRun("vpr", core.BaseP())
-		r1.Instructions = instructions
-		r1.Seed = seed
+		in1 := baseKeyInputs()
+		in1.Run.Instructions = instructions
+		in1.Run.Seed = seed
 
-		k1, ok := KeyFor(m1, r1)
+		k1, ok := KeyFor(in1.Machine, in1.Run)
 		if !ok {
 			t.Fatal("base inputs must be memoizable")
 		}
-		if k2, _ := KeyFor(m1, cloneRun(r1)); k1 != k2 {
+		if k2, _ := KeyFor(in1.Machine, cloneRun(in1.Run)); k1 != k2 {
 			t.Fatalf("same inputs, different keys: %s vs %s", k1, k2)
 		}
 
-		m2, r2 := m1, cloneRun(r1)
-		mutateInput(&m2, &r2, sel, delta)
-		k2, ok := KeyFor(m2, r2)
+		in2 := keyInputs{in1.Machine, cloneRun(in1.Run)}
+		leaf := leaves[int(sel)%len(leaves)]
+		bumpField(reflect.ValueOf(&in2).Elem().FieldByIndex(leaf.path), delta)
+		k2, ok := KeyFor(in2.Machine, in2.Run)
 		if !ok {
 			t.Fatal("mutated inputs must stay memoizable")
 		}
-		same := reflect.DeepEqual(m1, m2) && reflect.DeepEqual(r1, r2)
+		same := reflect.DeepEqual(in1, in2)
 		if same && k1 != k2 {
-			t.Errorf("sel=%d delta=%d: equal inputs hashed differently", sel, delta)
+			t.Errorf("%s delta=%d: equal inputs hashed differently", leaf.name, delta)
 		}
 		if !same && k1 == k2 {
-			t.Errorf("sel=%d delta=%d: distinct inputs collided on %s", sel, delta, k1)
+			t.Errorf("%s delta=%d: distinct inputs collided on %s", leaf.name, delta, k1)
 		}
 	})
 }
@@ -59,68 +64,4 @@ func cloneRun(r config.Run) config.Run {
 	cp := r
 	cp.Repl.Distances = append([]int(nil), r.Repl.Distances...)
 	return cp
-}
-
-// mutateInput applies one fuzzer-selected single-field change. delta == 0
-// leaves numeric fields untouched (the equal-inputs arm of the property);
-// boolean/enum arms derive their change from delta so the fuzzer controls
-// both directions.
-func mutateInput(m *config.Machine, r *config.Run, sel uint8, delta uint64) {
-	switch sel % 24 {
-	case 0:
-		r.Instructions += delta
-	case 1:
-		r.Seed += int64(delta)
-	case 2:
-		r.WriteBufferEntries += int(delta % 1024)
-	case 3:
-		r.Fault.Prob += float64(delta%1000) / 1000
-	case 4:
-		r.Fault.Seed += int64(delta)
-	case 5:
-		r.Fault.Model = fault.Model(delta % 4)
-	case 6:
-		r.Repl.DecayWindow += delta
-	case 7:
-		r.Repl.Replicas += int(delta % 8)
-	case 8:
-		r.Repl.Victim = core.VictimPolicy(delta % 4)
-	case 9:
-		r.Repl.Decay = core.DecayMode(delta % 2)
-	case 10:
-		if delta%2 == 1 {
-			r.Repl.LeaveReplicas = !r.Repl.LeaveReplicas
-		}
-	case 11:
-		r.Repl.Distances = append(r.Repl.Distances, int(delta%512))
-	case 12:
-		r.Benchmark += strings.Repeat("x", int(delta%4))
-	case 13:
-		schemes := core.AllSchemes()
-		r.Scheme = schemes[int(delta)%len(schemes)]
-	case 14:
-		if delta%2 == 1 {
-			r.WriteThrough = !r.WriteThrough
-		}
-	case 15:
-		if delta%2 == 1 {
-			r.Prefetch = !r.Prefetch
-		}
-	case 16:
-		r.Energy.L1Read += float64(delta%4096) / 256
-	case 17:
-		r.Energy.ECCFrac += float64(delta%100) / 100
-	case 18:
-		r.DupCacheKB += int(delta % 64)
-	case 19:
-		r.ScrubInterval += delta
-	case 20:
-		r.ScrubLines += int(delta % 16)
-	case 21:
-		m.DL1Assoc += int(delta % 8)
-	case 22:
-		m.MemLatency += delta
-	case 23:
-		m.CPU.RUUSize += int(delta % 64)
-	}
 }

@@ -16,6 +16,18 @@ func baseInputs() (config.Machine, config.Run) {
 	return m, r
 }
 
+// keyInputs is KeyFor's argument pair as one value, so a single field walk
+// covers both.
+type keyInputs struct {
+	Machine config.Machine
+	Run     config.Run
+}
+
+func baseKeyInputs() keyInputs {
+	m, r := baseInputs()
+	return keyInputs{m, r}
+}
+
 func mustKey(t *testing.T, m config.Machine, r config.Run) Key {
 	t.Helper()
 	k, ok := KeyFor(m, r)
@@ -48,7 +60,7 @@ func TestKeyForDeterministic(t *testing.T) {
 // format change has to be deliberate (update the constant when it is).
 func TestKeyForGolden(t *testing.T) {
 	m, r := baseInputs()
-	const want = "b7cf86bb16f7149d2f6c24ccd9bb8aea8c3f696e37a365f0c81ef8df70080cc0"
+	const want = "8ebb57c79698ab75f539cddbf5d6b63ce594c018fbec343feab193e6680046c8"
 	if got := mustKey(t, m, r).String(); got != want {
 		t.Errorf("golden key changed:\n got %s\nwant %s\n(update the constant only for a deliberate serialization change)", got, want)
 	}
@@ -57,7 +69,9 @@ func TestKeyForGolden(t *testing.T) {
 // hookFields are the func- and interface-typed inputs KeyFor handles
 // without hashing their values: a non-nil cpu.Config hook makes a run
 // non-memoizable, and Hints is fingerprinted per known policy
-// (TestKeyForNonMemoizableInputs, TestKeyForHintPolicies).
+// (TestKeyForNonMemoizableInputs, TestKeyForHintPolicies). A new one must
+// be pinned here once config.AppendCanonical refuses it when set (or
+// fingerprints it).
 var hookFields = map[string]bool{
 	"Machine.CPU.EachCycle": true,
 	"Machine.CPU.Halt":      true,
@@ -67,14 +81,14 @@ var hookFields = map[string]bool{
 // TestKeyForFieldSensitivity walks every field of config.Machine and
 // config.Run by reflection, bumps each hashable one in isolation, and
 // asserts the key changes — and that no two single-field mutations
-// collide. Because the walk enumerates struct fields dynamically, adding a
-// field to any of the hashed structs without teaching KeyFor about it
-// fails this test, and so does any func- or interface-typed field outside
-// hookFields: KeyFor cannot hash behaviour, so a new one must refuse
-// memoization when set (or be fingerprinted) before it joins that list.
+// collide. Because the walk enumerates struct fields dynamically, a field
+// of a kind the encoding cannot take fails this test, and so does any
+// func- or interface-typed field outside hookFields: KeyFor cannot hash
+// behaviour, so a new one must refuse memoization when set (or be
+// fingerprinted) before it joins that list.
 func TestKeyForFieldSensitivity(t *testing.T) {
-	baseM, baseR := baseInputs()
-	baseKey := mustKey(t, baseM, baseR)
+	base := baseKeyInputs()
+	baseKey := mustKey(t, base.Machine, base.Run)
 	seen := map[Key]string{baseKey: "base"}
 
 	check := func(name string, k Key) {
@@ -96,18 +110,11 @@ func TestKeyForFieldSensitivity(t *testing.T) {
 		return false
 	}
 
-	for _, l := range structLeaves(reflect.TypeOf(baseM), "Machine", nil) {
+	for _, l := range structLeaves(reflect.TypeOf(base), "", nil) {
 		if hashable(l) {
-			m, r := baseInputs()
-			bumpField(reflect.ValueOf(&m).Elem().FieldByIndex(l.path))
-			check(l.name, mustKey(t, m, r))
-		}
-	}
-	for _, l := range structLeaves(reflect.TypeOf(baseR), "Run", nil) {
-		if hashable(l) {
-			m, r := baseInputs()
-			bumpField(reflect.ValueOf(&r).Elem().FieldByIndex(l.path))
-			check(l.name, mustKey(t, m, r))
+			in := baseKeyInputs()
+			bumpField(reflect.ValueOf(&in).Elem().FieldByIndex(l.path), 1)
+			check(l.name, mustKey(t, in.Machine, in.Run))
 		}
 	}
 }
@@ -125,7 +132,10 @@ func structLeaves(t reflect.Type, prefix string, base []int) []fieldLeaf {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		path := append(append([]int(nil), base...), i)
-		name := prefix + "." + f.Name
+		name := f.Name
+		if prefix != "" {
+			name = prefix + "." + f.Name
+		}
 		if f.Type.Kind() == reflect.Struct {
 			out = append(out, structLeaves(f.Type, name, path)...)
 		} else {
@@ -135,22 +145,25 @@ func structLeaves(t reflect.Type, prefix string, base []int) []fieldLeaf {
 	return out
 }
 
-// bumpField changes a field's value minimally: +1 for numbers, flip for
-// bools, append for strings and slices.
-func bumpField(v reflect.Value) {
+// bumpField changes a field by delta: +delta for integers, +delta/2 for
+// floats, a flip for odd delta on bools, and delta%4 appended elements for
+// strings and slices. delta 0 leaves every kind unchanged.
+func bumpField(v reflect.Value, delta uint64) {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(v.Int() + 1)
+		v.SetInt(v.Int() + int64(delta))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(v.Uint() + 1)
+		v.SetUint(v.Uint() + delta)
 	case reflect.Float32, reflect.Float64:
-		v.SetFloat(v.Float() + 0.5)
+		v.SetFloat(v.Float() + float64(delta)/2)
 	case reflect.Bool:
-		v.SetBool(!v.Bool())
+		v.SetBool(v.Bool() != (delta%2 == 1))
 	case reflect.String:
-		v.SetString(v.String() + "x")
+		v.SetString(v.String() + strings.Repeat("x", int(delta%4)))
 	case reflect.Slice:
-		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		for range delta % 4 {
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		}
 	default:
 		panic("bumpField: unhandled kind " + v.Kind().String())
 	}
@@ -220,6 +233,9 @@ func TestKeyForNonMemoizableInputs(t *testing.T) {
 		}},
 		{"unknown hint policy", func(m *config.Machine, r *config.Run) {
 			r.Hints = opaqueHints{}
+		}},
+		{"nil RangePolicy", func(m *config.Machine, r *config.Run) {
+			r.Hints = (*core.RangePolicy)(nil)
 		}},
 	}
 	for _, tc := range cases {

@@ -97,16 +97,10 @@ type Server struct {
 	eng        *runner.Runner
 	backend    store.Backend
 	claims     *store.ClaimTable
-	admit      chan struct{}
-	storeAdmit chan struct{}
+	runGate    *gate // the simulation endpoints
+	storeGate  *gate // the store endpoints
 	reqTimeout time.Duration
 	mux        *http.ServeMux
-
-	inflight      atomic.Int64
-	admitted      atomic.Uint64
-	rejected      atomic.Uint64
-	storeInflight atomic.Int64
-	storeRejected atomic.Uint64
 }
 
 // activeServer backs the process-wide expvar page. expvar registration is
@@ -133,8 +127,8 @@ func New(o Options) *Server {
 	s := &Server{
 		eng:        o.Runner,
 		backend:    o.Backend,
-		admit:      make(chan struct{}, depth),
-		storeAdmit: make(chan struct{}, storeDepth),
+		runGate:    newGate(depth, o.Runner.Draining, "admission queue", "server draining"),
+		storeGate:  newGate(storeDepth, o.Runner.Draining, "store queue", "shard draining"),
 		reqTimeout: o.RequestTimeout,
 		mux:        http.NewServeMux(),
 	}
@@ -201,10 +195,10 @@ func (s *Server) stats() map[string]any {
 		"cache_errors": snap.CacheErrors,
 		"put_errors":   snap.PutErrors,
 		"evictions":    snap.Evictions,
-		"inflight":     s.inflight.Load(),
-		"admitted":     s.admitted.Load(),
-		"rejected":     s.rejected.Load(),
-		"queue_depth":  cap(s.admit),
+		"inflight":     s.runGate.inflight.Load(),
+		"admitted":     s.runGate.admitted.Load(),
+		"rejected":     s.runGate.rejected.Load(),
+		"queue_depth":  cap(s.runGate.slots),
 		"draining":     s.eng.Draining(),
 	}
 	if s.backend != nil {
@@ -231,9 +225,9 @@ func (s *Server) stats() map[string]any {
 			"claims_granted": s.claims.Granted(),
 			"claims_waited":  s.claims.Waited(),
 			"claims_expired": s.claims.Expired(),
-			"inflight":       s.storeInflight.Load(),
-			"rejected":       s.storeRejected.Load(),
-			"queue_depth":    cap(s.storeAdmit),
+			"inflight":       s.storeGate.inflight.Load(),
+			"rejected":       s.storeGate.rejected.Load(),
+			"queue_depth":    cap(s.storeGate.slots),
 		}
 	}
 	return out
@@ -309,7 +303,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.tryAdmit(w)
+	release, ok := s.runGate.admit(w)
 	if !ok {
 		return
 	}
@@ -336,7 +330,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.tryAdmit(w)
+	release, ok := s.runGate.admit(w)
 	if !ok {
 		return
 	}
@@ -368,31 +362,49 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// tryAdmit claims an admission slot or rejects the request. On success
-// the caller must invoke the returned release exactly once.
-func (s *Server) tryAdmit(w http.ResponseWriter) (release func(), ok bool) {
-	if s.eng.Draining() {
+// gate bounds the requests inside one group of endpoints. A full gate
+// rejects with 429 and a draining runner with 503, each with a
+// Retry-After hint.
+type gate struct {
+	slots    chan struct{}
+	draining func() bool
+	name     string // the gate in its 429 message
+	drainMsg string // the 503 message
+
+	inflight atomic.Int64
+	admitted atomic.Uint64
+	rejected atomic.Uint64
+}
+
+func newGate(depth int, draining func() bool, name, drainMsg string) *gate {
+	return &gate{slots: make(chan struct{}, depth), draining: draining, name: name, drainMsg: drainMsg}
+}
+
+// admit claims a slot or rejects the request. On success the caller must
+// invoke the returned release exactly once.
+func (g *gate) admit(w http.ResponseWriter) (release func(), ok bool) {
+	if g.draining() {
 		// A drain usually precedes a restart or a failover; a few seconds
 		// is the honest hint.
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server draining"))
+		writeError(w, http.StatusServiceUnavailable, errors.New(g.drainMsg))
 		return nil, false
 	}
 	select {
-	case s.admit <- struct{}{}:
-		s.admitted.Add(1)
-		s.inflight.Add(1)
+	case g.slots <- struct{}{}:
+		g.admitted.Add(1)
+		g.inflight.Add(1)
 		return func() {
-			s.inflight.Add(-1)
-			<-s.admit
+			g.inflight.Add(-1)
+			<-g.slots
 		}, true
 	default:
-		s.rejected.Add(1)
-		// Queue-full is transient at simulation timescales: slots free as
-		// soon as the next run settles.
+		g.rejected.Add(1)
+		// A full queue is transient: slots free as soon as the next
+		// request settles.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("admission queue full (%d in flight); retry later", cap(s.admit)))
+			fmt.Errorf("%s full (%d in flight); retry later", g.name, cap(g.slots)))
 		return nil, false
 	}
 }

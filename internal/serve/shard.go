@@ -27,30 +27,6 @@ import (
 // waiters prompt without hammering the shard.
 const claimRetryHintMS = 50
 
-// tryAdmitStore is tryAdmit for the store endpoints: same discipline,
-// separate (deeper) queue.
-func (s *Server) tryAdmitStore(w http.ResponseWriter) (release func(), ok bool) {
-	if s.eng.Draining() {
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, errors.New("shard draining"))
-		return nil, false
-	}
-	select {
-	case s.storeAdmit <- struct{}{}:
-		s.storeInflight.Add(1)
-		return func() {
-			s.storeInflight.Add(-1)
-			<-s.storeAdmit
-		}, true
-	default:
-		s.storeRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("store queue full (%d in flight); retry later", cap(s.storeAdmit)))
-		return nil, false
-	}
-}
-
 // storeKey validates the {key} path segment once for every handler.
 func storeKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	key := r.PathValue("key")
@@ -65,7 +41,7 @@ func storeKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 // for a miss. Real backend trouble (sick disk) is 500 — the client
 // counts it instead of mistaking it for an empty shard.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.tryAdmitStore(w)
+	release, ok := s.storeGate.admit(w)
 	if !ok {
 		return
 	}
@@ -89,7 +65,7 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // any claim on the key — a landed result is the claim protocol's
 // success path, so waiters' next poll answers "done".
 func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.tryAdmitStore(w)
+	release, ok := s.storeGate.admit(w)
 	if !ok {
 		return
 	}
@@ -125,7 +101,7 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // granted claim is cleared by a PUT of the result, the holder's DELETE,
 // or the TTL running out on a holder that stopped renewing.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.tryAdmitStore(w)
+	release, ok := s.storeGate.admit(w)
 	if !ok {
 		return
 	}
@@ -167,7 +143,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 // simulation failed, free the waiters early. Only the holder's token
 // releases the claim.
 func (s *Server) handleUnclaim(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.tryAdmitStore(w)
+	release, ok := s.storeGate.admit(w)
 	if !ok {
 		return
 	}

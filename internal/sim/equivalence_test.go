@@ -154,7 +154,6 @@ func pathPins() []equivRun {
 
 	sc := mk("mcf", icrPS)
 	sc.ScrubInterval = 5000
-	sc.ScrubLines = 4
 	runs = append(runs, pinRun("mcf_ICR-P-PS-S_scrub5000_seed1.json", sc))
 
 	sa := mk("vpr", icrPS)
@@ -164,7 +163,6 @@ func pathPins() []equivRun {
 
 	wt := mk("vortex", core.BaseP())
 	wt.WriteThrough = true
-	wt.WriteBufferEntries = 8
 	runs = append(runs, pinRun("vortex_BaseP_writethrough8_seed1.json", wt))
 
 	dup := mk("gcc", core.BaseP())

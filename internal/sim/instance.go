@@ -47,48 +47,44 @@ type instance struct {
 }
 
 // shapeOf fingerprints everything that determines an instance's
-// construction: the memory-hierarchy geometry and the dl1 configuration
-// knobs (scheme, replication, write policy, duplicate cache, prefetching).
-// Deliberately absent — absorbed by per-run resets — are the benchmark and
-// seed (fresh generator each run), the instruction budget, sampling and
-// scrubbing parameters, fault injection, energy parameters
-// (meter.Reset takes new ones), and the whole cpu.Config (core.Reset
-// takes it wholesale). ok is false when the run cannot share an instance:
-// a HintPolicy is baked into the dl1 at construction and is an open
-// interface, so hinted runs always build fresh.
+// construction: config.AppendCanonical's encoding of the run with its
+// per-run fields zeroed. Those fields are exactly the ones the instance's
+// reset absorbs: the benchmark and seed (fresh generator each run), the
+// instruction budget, fault injection at either tier (per-run injectors),
+// energy parameters (meter.Reset takes new ones), scrubbing and sampling
+// (per-run hooks), and the whole cpu.Config (core.Reset takes it
+// wholesale). Every other field is construction state, so a new knob
+// splits the pool until it is listed here: it costs reuse, never a wrong
+// arena. ok is false when the run cannot share an instance: a HintPolicy
+// is baked into the dl1 at construction and is an open interface, so
+// hinted runs always build fresh.
 func shapeOf(m config.Machine, r config.Run) (string, bool) {
 	if r.Hints != nil {
 		return "", false
 	}
-	// Scheme, Repl, Adapt, and TwoTier are fingerprinted wholesale (%+v
-	// covers every field, including the slice of distances) so a new knob
-	// on any of them can never silently collide two different
-	// constructions. The tier's fault config is zeroed first: the tier
-	// injector is per-run, exactly like the L1's, so differently-seeded
-	// injection runs still share an arena.
-	tt := r.TwoTier
-	tt.Fault = config.FaultConfig{}
-	return fmt.Sprintf("%d/%d/%d/%d|%d/%d/%d/%d|%d/%d/%d/%d|%d|%+v|%+v|%t/%d|%d|%t|%+v|%+v",
-		m.IL1Size, m.IL1Assoc, m.IL1Block, m.IL1Latency,
-		m.DL1Size, m.DL1Assoc, m.DL1Block, m.DL1Latency,
-		m.L2Size, m.L2Assoc, m.L2Block, m.L2Latency,
-		m.MemLatency,
-		r.Scheme, r.Repl,
-		r.WriteThrough, r.WriteBufferEntries,
-		r.DupCacheKB,
-		r.Prefetch,
-		r.Adapt,
-		tt,
-	), true
+	m.CPU = cpu.Config{}
+	r.Benchmark, r.Seed, r.Instructions = "", 0, 0
+	r.Fault, r.TwoTier.Fault = config.FaultConfig{}, config.FaultConfig{}
+	r.Energy = energy.Params{}
+	r.ScrubInterval = 0
+	r.Sample = config.SampleConfig{}
+	if b, ok := config.AppendCanonical(make([]byte, 0, 1024), m, r); ok {
+		return string(b), true
+	}
+	return "", false
 }
+
+// The dL1's write-buffer depth in write-through mode (§5.8), and the
+// lines each scrub step verifies.
+const (
+	writeBufferEntries = 8
+	scrubLines         = 4
+)
 
 // newInstance assembles a machine for the given shape-determining inputs,
 // mirroring what Simulate historically built inline.
 func newInstance(m config.Machine, r config.Run) *instance {
-	shape, ok := shapeOf(m, r)
-	if !ok {
-		shape = ""
-	}
+	shape, _ := shapeOf(m, r)
 
 	// Memory hierarchy, bottom up. The L2 is unified: both L1s miss into
 	// it, as in Table 1. When the run protects the second tier, a
@@ -157,11 +153,7 @@ func newInstance(m config.Machine, r config.Run) *instance {
 	var wbuf *cache.WriteBuffer
 	if r.WriteThrough {
 		dl1cfg.WritePolicy = cache.WriteThrough
-		entries := r.WriteBufferEntries
-		if entries <= 0 {
-			entries = 8
-		}
-		wbuf = cache.NewWriteBuffer(entries, m.L2Latency, l2level)
+		wbuf = cache.NewWriteBuffer(writeBufferEntries, m.L2Latency, l2level)
 		dl1cfg.WriteBuf = wbuf
 	}
 	dl1 := core.New(dl1cfg)
@@ -234,16 +226,12 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		hooks = append(hooks, hook)
 	}
 	if r.ScrubInterval > 0 {
-		lines := r.ScrubLines
-		if lines <= 0 {
-			lines = 1
-		}
 		tick := newScrubTicker(r.ScrubInterval)
 		dl1 := in.dl1
 		//icrvet:hot installed behind Config.EachCycle, which the call graph cannot follow
 		hooks = append(hooks, func(now uint64) uint64 {
 			if tick.due(now) {
-				dl1.Scrub(now, lines)
+				dl1.Scrub(now, scrubLines)
 			}
 			return tick.next
 		})

@@ -49,12 +49,10 @@ func identityMatrix() []config.Run {
 	r.Repl = repl
 	r.Fault = config.FaultConfig{Model: fault.Direct, Prob: 1e-3, Seed: 11}
 	r.ScrubInterval = 5000
-	r.ScrubLines = 2
 	runs = append(runs, r)
 
 	r = config.NewRun("gzip", core.BaseP())
 	r.WriteThrough = true
-	r.WriteBufferEntries = 4
 	runs = append(runs, r)
 
 	r = config.NewRun("vpr", core.BaseECC(false))
@@ -310,52 +308,70 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPoolReuseAcrossNewKnobConfigs pins the hazard resetcoverage exists
-// to prevent: two configs that differ only in a recently added knob
-// (sampling, scrubbing — both deliberately absent from the shape key)
-// share a pool slot, so a Reset that misses the knob's per-run state
-// would leak the first config's behaviour into the second. The A-B-A
-// pattern forces one arena through both configs and compares every
-// report against a never-pooled oracle.
+// to prevent: two configs that differ only in a per-run field — one that
+// shapeOf zeroes — share a pool slot, so a reset that misses the field's
+// per-run state would leak the first config's behaviour into the second.
+// The cases cover every field class shapeOf zeroes. The A-B-A pattern
+// forces one arena through both configs and compares every report
+// against a never-pooled oracle.
 func TestPoolReuseAcrossNewKnobConfigs(t *testing.T) {
-	m := config.Default()
-	base := config.NewRun("gzip", core.ICR(core.ECCProt, core.LookupParallel, core.ReplLoadsStores))
-	base.Instructions = 120_000
-
+	icr := config.NewRun("gzip", icrECCPPLS())
 	cases := []struct {
 		name string
-		mut  func(*config.Run)
+		base config.Run
+		mut  func(*config.Machine, *config.Run)
 	}{
-		{"sample", func(r *config.Run) {
+		{"benchmark", icr, func(_ *config.Machine, r *config.Run) { r.Benchmark = "vpr" }},
+		{"seed", icr, func(_ *config.Machine, r *config.Run) { r.Seed = 2 }},
+		{"budget", icr, func(_ *config.Machine, r *config.Run) { r.Instructions = 60_000 }},
+		{"energy", icr, func(_ *config.Machine, r *config.Run) {
+			r.Energy.L1Read *= 2
+			r.Energy.ECCFrac *= 2
+		}},
+		{"fault", icr, func(_ *config.Machine, r *config.Run) {
+			r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
+		}},
+		{"tier-fault", twoTierRun(), func(_ *config.Machine, r *config.Run) {
+			r.TwoTier.Fault = config.FaultConfig{Model: fault.Direct, Prob: 2e-3, Seed: 5}
+		}},
+		{"scrub", icr, func(_ *config.Machine, r *config.Run) { r.ScrubInterval = 5_000 }},
+		{"sample", icr, func(_ *config.Machine, r *config.Run) {
 			r.Sample = config.SampleConfig{Period: 20_000, Detail: 1_000, Warmup: 400}
 		}},
-		{"scrub", func(r *config.Run) {
-			r.ScrubInterval = 5_000
-			r.ScrubLines = 2
+		{"cpu", icr, func(m *config.Machine, _ *config.Run) {
+			m.CPU.RUUSize /= 2
+			m.CPU.MemPorts = 1
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := base, base
-			tc.mut(&b)
-			sa, okA := shapeOf(m, a)
-			sb, okB := shapeOf(m, b)
+			ma, a := config.Default(), tc.base
+			a.Instructions = 120_000
+			mb, b := ma, a
+			tc.mut(&mb, &b)
+			sa, okA := shapeOf(ma, a)
+			sb, okB := shapeOf(mb, b)
 			if !okA || !okB || sa != sb {
-				t.Fatalf("configs must share a pool shape for this test to bite: %q vs %q", sa, sb)
+				t.Fatal("configs must share a pool shape for this test to bite")
 			}
-			wantA := freshReport(t, m, a)
-			wantB := freshReport(t, m, b)
+			wantA := freshReport(t, ma, a)
+			wantB := freshReport(t, mb, b)
+			if string(wantA) == string(wantB) {
+				t.Fatal("the mutation must change the report for this test to bite")
+			}
 			steps := []struct {
 				label string
+				m     config.Machine
 				run   config.Run
 				want  []byte
 			}{
-				{"A-first", a, wantA},
-				{"B-on-A's-arena", b, wantB},
-				{"A-on-B's-arena", a, wantA},
+				{"A-first", ma, a, wantA},
+				{"B-on-A's-arena", mb, b, wantB},
+				{"A-on-B's-arena", ma, a, wantA},
 			}
 			for _, step := range steps {
-				rep, err := Simulate(m, step.run)
+				rep, err := Simulate(step.m, step.run)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -247,7 +247,6 @@ func TestScrubberIntegration(t *testing.T) {
 	r.Instructions = testInstrs
 	r.Fault = config.FaultConfig{Model: fault.Random, Prob: 1e-3, Seed: 7}
 	r.ScrubInterval = 500
-	r.ScrubLines = 4
 	rep, err := Simulate(config.Default(), r)
 	if err != nil {
 		t.Fatal(err)
