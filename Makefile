@@ -13,12 +13,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# icrvet: the repo's own static analyzer (internal/lint). Enforces the
-# determinism, concurrency, pooling, allocation, and context invariants
-# the parallel/distributed runner depends on; see DESIGN.md "Invariants".
-# CI runs the same binary with -json to archive a machine-readable report
-# (scripts/ci.sh).
+# lint: gofmt -l over the whole tree (testdata fixtures included), then
+# icrvet, the repo's own static analyzer (internal/lint). icrvet enforces
+# the determinism, concurrency, pooling, allocation, and context
+# invariants the parallel/distributed runner depends on; see DESIGN.md
+# "Invariants". CI runs the same checks, icrvet with -json to archive a
+# machine-readable report (scripts/ci.sh).
 lint:
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/icrvet ./...
 
 # No lint prerequisite: internal/lint's TestLiveTreeClean already runs

@@ -21,8 +21,8 @@ func TestParse(t *testing.T) {
 		{"predictor=ehc,epoch=5000", Config{Predictor: PredictorEHC, Epoch: 5000}, false},
 		{"predictor=decay,hysteresis=3,maxreplicas=1,minwindow=100,maxwindow=9000",
 			Config{Predictor: PredictorDecay, Hysteresis: 3, MaxReplicas: 1, MinWindow: 100, MaxWindow: 9000}, false},
-		{"epoch=5000", Config{}, true},          // no predictor selected
-		{"predictor=foo", Config{}, true},       // unknown predictor
+		{"epoch=5000", Config{}, true},            // no predictor selected
+		{"predictor=foo", Config{}, true},         // unknown predictor
 		{"predictor=decay,bad=1", Config{}, true}, // unknown key
 		{"predictor=decay,epoch=x", Config{}, true},
 		{"gibberish", Config{}, true},

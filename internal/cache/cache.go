@@ -10,7 +10,10 @@
 // and the ICR cache sit above.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind is the type of a cache access.
 type Kind uint8
@@ -422,15 +425,39 @@ func (w *WriteBuffer) Add(now uint64, blockAddr uint64) (stall uint64) {
 // written read as a deterministic pseudo-random pattern derived from their
 // address, so simulations are reproducible and data-carrying levels can be
 // verified against ground truth.
+//
+// Written blocks live in a flat open-addressed table keyed by block
+// address (linear probing, at most half full) whose slots point into
+// fixed-size payload chunks: a lookup is a multiply and a short probe of
+// one array, and storing a block allocates nothing but an occasional new
+// chunk or a table doubling.
 type Memory struct {
 	Latency   uint64 //icrvet:persistent construction parameter, identical for every run sharing the pool shape
 	BlockSize int
-	blocks    map[uint64][]byte
+	slots     []memSlot // power-of-two length; nil until the first stored block
+	chunks    [][]byte  // payloads, memChunkBlocks blocks per chunk, in store order
+	stored    int       //icrvet:persistent stored-block count: Reset keeps every block, re-synthesized in place
+	shift     uint      //icrvet:persistent 64 - log2 of the table's group count, the hash's shift, changed only with the table
 	reads     uint64
 	writes    uint64
 	fetches   uint64
 	scratch   []byte //icrvet:persistent PeekBlock's synthesis buffer for never-written blocks, fully overwritten before each use
 }
+
+// memSlot is one slot of Memory's block table: a block address and 1 +
+// the index of its payload, 0 marking an empty slot.
+type memSlot struct {
+	key uint64
+	ref uint32
+}
+
+const (
+	// memChunkBlocks is the number of block payloads per allocated chunk.
+	memChunkBlocks = 128
+	// memGroupBlocks is the number of consecutive blocks whose table
+	// slots are adjacent: four 16-byte slots fill a 64-byte cache line.
+	memGroupBlocks = 4
+)
 
 var _ Level = (*Memory)(nil)
 
@@ -439,7 +466,7 @@ func NewMemory(latency uint64, blockSize int) *Memory {
 	if blockSize <= 0 {
 		panic("cache: memory block size must be positive")
 	}
-	return &Memory{Latency: latency, BlockSize: blockSize, blocks: make(map[uint64][]byte)}
+	return &Memory{Latency: latency, BlockSize: blockSize}
 }
 
 // Access implements Level. Reads, writes, and instruction fetches are
@@ -492,11 +519,91 @@ func (m *Memory) synthesize(out []byte, blockAddr uint64) {
 	}
 }
 
+// home returns the table slot a block address hashes to. Fibonacci
+// hashing of the address's group of memGroupBlocks consecutive blocks
+// spreads groups over the table, and a group's blocks take consecutive
+// slots, so a run of neighbouring blocks shares a host cache line of the
+// table.
+func (m *Memory) home(blockAddr uint64) int {
+	g := (blockAddr / memGroupBlocks * 0x9e3779b97f4a7c15) >> m.shift
+	return int(g*memGroupBlocks + blockAddr%memGroupBlocks)
+}
+
+// lookup returns the stored payload of a block, or nil if the block was
+// never written.
+func (m *Memory) lookup(blockAddr uint64) []byte {
+	if m.stored == 0 {
+		return nil
+	}
+	mask := len(m.slots) - 1
+	for i := m.home(blockAddr); ; i = (i + 1) & mask {
+		s := m.slots[i]
+		if s.ref == 0 {
+			return nil
+		}
+		if s.key == blockAddr {
+			return m.payload(s.ref - 1)
+		}
+	}
+}
+
+// payload returns the p-th stored block's bytes.
+func (m *Memory) payload(p uint32) []byte {
+	c := m.chunks[p/memChunkBlocks]
+	off := int(p%memChunkBlocks) * m.BlockSize
+	return c[off : off+m.BlockSize : off+m.BlockSize]
+}
+
+// store adds a block that lookup does not find and returns its payload,
+// whose content the caller sets. The table doubles before it would pass
+// half full; a full last chunk gets a successor.
+func (m *Memory) store(blockAddr uint64) []byte {
+	if 2*(m.stored+1) > len(m.slots) {
+		m.grow()
+	}
+	p := uint32(m.stored)
+	if int(p/memChunkBlocks) == len(m.chunks) {
+		//icrvet:ignore allocfree amortized growth: one chunk per memChunkBlocks stored blocks, kept across Reset
+		m.chunks = append(m.chunks, make([]byte, memChunkBlocks*m.BlockSize))
+	}
+	m.place(blockAddr, p+1)
+	m.stored++
+	return m.payload(p)
+}
+
+// place puts a slot for a block that is not in the table.
+func (m *Memory) place(blockAddr uint64, ref uint32) {
+	mask := len(m.slots) - 1
+	i := m.home(blockAddr)
+	for m.slots[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	m.slots[i] = memSlot{key: blockAddr, ref: ref}
+}
+
+// grow doubles the table (64 slots at first) and re-places every slot;
+// payloads stay where they are.
+func (m *Memory) grow() {
+	old := m.slots
+	n := 2 * len(old)
+	if n == 0 {
+		n = 64
+	}
+	//icrvet:ignore allocfree amortized growth: the table doubles, so each stored block pays O(1), and it is kept across Reset
+	m.slots = make([]memSlot, n)
+	m.shift = uint(64 - bits.TrailingZeros(uint(n/memGroupBlocks)))
+	for _, s := range old {
+		if s.ref != 0 {
+			m.place(s.key, s.ref)
+		}
+	}
+}
+
 // FetchBlock returns the architectural content of the block with the given
 // block address (addr >> log2(BlockSize)). The returned slice is a copy.
 func (m *Memory) FetchBlock(blockAddr uint64) []byte {
 	out := make([]byte, m.BlockSize)
-	if b, ok := m.blocks[blockAddr]; ok {
+	if b := m.lookup(blockAddr); b != nil {
 		copy(out, b)
 		return out
 	}
@@ -511,7 +618,7 @@ func (m *Memory) FetchBlock(blockAddr uint64) []byte {
 // PeekBlock, WriteBlock, or WriteWord call (never-written blocks are
 // synthesized into a single reusable scratch buffer).
 func (m *Memory) PeekBlock(blockAddr uint64) []byte {
-	if b, ok := m.blocks[blockAddr]; ok {
+	if b := m.lookup(blockAddr); b != nil {
 		return b
 	}
 	if m.scratch == nil {
@@ -523,14 +630,12 @@ func (m *Memory) PeekBlock(blockAddr uint64) []byte {
 }
 
 // WriteBlock stores new architectural content for a block. The data is
-// copied (into the block's existing buffer when one exists, so steady-state
-// write-backs do not allocate).
+// copied (into the block's existing payload when one exists, so
+// steady-state write-backs do not allocate).
 func (m *Memory) WriteBlock(blockAddr uint64, data []byte) {
-	b, ok := m.blocks[blockAddr]
-	if !ok {
-		//icrvet:ignore allocfree amortized lazy allocation: each block is materialized once on first write-back, then reused
-		b = make([]byte, m.BlockSize)
-		m.blocks[blockAddr] = b
+	b := m.lookup(blockAddr)
+	if b == nil {
+		b = m.store(blockAddr)
 	}
 	copy(b, data)
 }
@@ -540,12 +645,10 @@ func (m *Memory) WriteBlock(blockAddr uint64, data []byte) {
 // without materializing a full block copy per store. First touch of a
 // block synthesizes its deterministic content.
 func (m *Memory) WriteWord(blockAddr uint64, off int, value uint64) {
-	b, ok := m.blocks[blockAddr]
-	if !ok {
-		//icrvet:ignore allocfree amortized lazy allocation: each block is materialized once on first touch, then reused
-		b = make([]byte, m.BlockSize)
+	b := m.lookup(blockAddr)
+	if b == nil {
+		b = m.store(blockAddr)
 		m.synthesize(b, blockAddr)
-		m.blocks[blockAddr] = b
 	}
 	w := off &^ 7
 	for i := 0; i < 8 && w+i < len(b); i++ {
@@ -577,13 +680,15 @@ func (w *WriteBuffer) Reset() {
 }
 
 // Reset restores the memory to its post-construction state without
-// releasing the block map: every retained block is re-synthesized to the
-// deterministic never-written pattern for its address, which is exactly
-// what a fresh Memory would return for it, so steady-state reuse
+// releasing the block table: every retained block is re-synthesized to
+// the deterministic never-written pattern for its address, which is
+// exactly what a fresh Memory would return for it, so steady-state reuse
 // allocates nothing.
 func (m *Memory) Reset() {
-	for addr, b := range m.blocks {
-		m.synthesize(b, addr)
+	for _, s := range m.slots {
+		if s.ref != 0 {
+			m.synthesize(m.payload(s.ref-1), s.key)
+		}
 	}
 	m.reads = 0
 	m.writes = 0

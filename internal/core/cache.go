@@ -22,15 +22,11 @@ type Cache struct {
 	stats    Stats
 	storeSeq uint64 // deterministic store-value generator state
 
-	// replDistances is cfg.Repl.Distances normalized modulo the set count
-	// and deduplicated (order preserved): the candidate-set walk for any
-	// block is home+d for each d, with no per-access slice or dedup pass.
-	replDistances []int //icrvet:persistent derived from cfg.Repl at construction, part of the pool shape
-
 	// Scratch buffers reused across accesses so the hot path allocates
-	// nothing. replScratch backs findReplicas results (valid until the
-	// next findReplicas call); usedSets backs replicate's used-set list.
-	// Neither ever reaches a Report: they carry only intra-access state.
+	// nothing. replScratch backs findReplicas and replicasOf results
+	// (valid until the next call of either); usedSets backs replicate's
+	// used-set list. Neither ever reaches a Report: they carry only
+	// intra-access state.
 	replScratch []*Line
 	usedSets    []int
 
@@ -63,25 +59,32 @@ func New(cfg Config) *Cache {
 	}
 	c.arr.predict = c
 	c.initTune()
+	// The distances, normalized modulo the set count and deduplicated
+	// (order preserved), become the dL1's candidate sets: the walk for any
+	// block is home+d for each d, with no per-access dedup.
 	sets := c.arr.Sets()
+	var dists []int
 	for _, d := range cfg.Repl.Distances {
 		nd := d % sets
 		if nd < 0 {
 			nd += sets
 		}
 		dup := false
-		for _, prev := range c.replDistances {
+		for _, prev := range dists {
 			if prev == nd {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			c.replDistances = append(c.replDistances, nd)
+			dists = append(dists, nd)
 		}
 	}
-	c.replScratch = make([]*Line, 0, len(c.replDistances)*cfg.Assoc)
-	c.usedSets = make([]int, 0, len(c.replDistances))
+	if cfg.Scheme.HasReplication() {
+		c.arr.setCandidates(dists)
+	}
+	c.replScratch = make([]*Line, 0, len(c.arr.dists)*cfg.Assoc)
+	c.usedSets = make([]int, 0, len(c.arr.dists))
 	return c
 }
 
@@ -136,7 +139,7 @@ func (c *Cache) revalVuln(ln *Line, now uint64) {
 	}
 	vuln := ln.Dirty &&
 		c.cfg.Scheme.Protection != ECCProt &&
-		!c.hasReplica(ln.BlockAddr)
+		!c.arr.hasLinked(ln)
 	c.setVuln(ln, now, vuln)
 }
 
@@ -167,53 +170,30 @@ func (c *Cache) touch(ln *Line, now uint64) {
 // attempt order. The distance list was normalized and deduplicated at New,
 // so home+d needs at most one wrap.
 func (c *Cache) candidateSet(blockAddr uint64, i int) int {
-	return c.arr.SetAt(blockAddr, c.replDistances[i])
+	return c.arr.SetAt(blockAddr, c.arr.dists[i])
 }
 
-// findReplicas returns every resident replica of a block, searching the
-// candidate sets the placement policy could have used (this mirrors the
-// bounded parallel lookup real hardware would perform).
+// findReplicas returns every resident replica of a block by a tag scan of
+// the candidate sets the placement policy could have used (this mirrors
+// the bounded parallel lookup real hardware would perform). It serves the
+// miss paths, which have no primary to follow links from.
 //
 // The returned slice is backed by c.replScratch and is valid only until
-// the next findReplicas call on this cache; callers that need a fact about
-// the replicas across a nested call must capture it (e.g. the length)
-// first. hasReplica is the clobber-free alternative for yes/no questions.
+// the next findReplicas or replicasOf call on this cache; callers that
+// need a fact about the replicas across a nested call must capture it
+// (e.g. the length) first. LineArray.anyReplica is the clobber-free
+// alternative for yes/no questions.
 func (c *Cache) findReplicas(blockAddr uint64) []*Line {
-	if !c.cfg.Scheme.HasReplication() {
-		return nil
-	}
-	out := c.replScratch[:0]
-	for i := range c.replDistances {
-		ways := c.arr.Set(c.candidateSet(blockAddr, i))
-		for w := range ways {
-			ln := &ways[w]
-			if ln.Valid && ln.Replica && ln.BlockAddr == blockAddr {
-				out = append(out, ln)
-			}
-		}
-	}
-	c.replScratch = out
-	return out
+	c.replScratch = c.arr.scanReplicas(blockAddr, c.replScratch[:0])
+	return c.replScratch
 }
 
-// hasReplica reports whether any resident replica of the block exists. It
-// early-exits and never touches the shared scratch buffer, so it is safe
-// inside deferred revalidation while a caller still holds a findReplicas
-// result.
-func (c *Cache) hasReplica(blockAddr uint64) bool {
-	if !c.cfg.Scheme.HasReplication() {
-		return false
-	}
-	for i := range c.replDistances {
-		ways := c.arr.Set(c.candidateSet(blockAddr, i))
-		for w := range ways {
-			ln := &ways[w]
-			if ln.Valid && ln.Replica && ln.BlockAddr == blockAddr {
-				return true
-			}
-		}
-	}
-	return false
+// replicasOf returns the replicas of a resident primary by its links: the
+// same lines, in the same order, as findReplicas(p.BlockAddr), without
+// the scan. The result shares findReplicas's scratch buffer.
+func (c *Cache) replicasOf(p *Line) []*Line {
+	c.replScratch = c.arr.linked(p, c.replScratch[:0])
+	return c.replScratch
 }
 
 // ---------------------------------------------------------------------------
@@ -267,11 +247,11 @@ func (c *Cache) writeback(ln *Line, now uint64) {
 	c.cfg.Next.Access(now, c.arr.Addr(ln.BlockAddr), cache.Write)
 }
 
-// invalidateReplicas drops every replica of a block (used when the primary
-// is evicted and LeaveReplicas is off).
-func (c *Cache) invalidateReplicas(blockAddr uint64) {
-	for _, rep := range c.findReplicas(blockAddr) {
-		rep.Valid = false
+// invalidateReplicas drops every replica of a primary (used when the
+// primary is evicted and LeaveReplicas is off).
+func (c *Cache) invalidateReplicas(p *Line) {
+	for _, rep := range c.replicasOf(p) {
+		c.arr.Invalidate(rep)
 		c.stats.ReplicaEvictions++
 	}
 }
@@ -295,9 +275,13 @@ func (c *Cache) evict(v *Line, now uint64) {
 		return
 	}
 	if v.Replica {
+		// The back link names the primary whose protection counted v. A
+		// guest outside its block's candidate sets has none, and its
+		// block's primary never counted it.
 		c.stats.ReplicaEvictions++
-		v.Valid = false
-		c.revalVuln(c.arr.Primary(v.BlockAddr), now)
+		p := c.arr.linkedPrimary(v)
+		c.arr.Invalidate(v)
+		c.revalVuln(p, now)
 		return
 	}
 	if v.prefetched {
@@ -308,9 +292,9 @@ func (c *Cache) evict(v *Line, now uint64) {
 	}
 	c.setVuln(v, now, false)
 	if !c.cfg.Repl.LeaveReplicas {
-		c.invalidateReplicas(v.BlockAddr)
+		c.invalidateReplicas(v)
 	}
-	v.Valid = false
+	c.arr.Invalidate(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +364,7 @@ func (c *Cache) WouldHit(addr uint64) bool {
 	if c.arr.Primary(ba) != nil {
 		return true
 	}
-	return c.cfg.Repl.LeaveReplicas && c.hasReplica(ba)
+	return c.cfg.Repl.LeaveReplicas && c.arr.anyReplica(ba)
 }
 
 // ReplicaCount returns the number of resident replicas for the block
@@ -397,8 +381,13 @@ func (c *Cache) ReplicaCount(addr uint64) int {
 //  2. every replica belongs to a scheme with replication enabled;
 //  3. a guest line is a replica, and a primary carries no guest bit;
 //  4. a replica carries no prefetched or spilled bit;
-//  5. check bits lengths match the geometry.
+//  5. check bits lengths match the geometry;
+//  6. the array's tag words and replica links agree with its lines
+//     (LineArray.CheckInvariants).
 func (c *Cache) CheckInvariants() error {
+	if err := c.arr.CheckInvariants(); err != nil {
+		return err
+	}
 	for i := range c.arr.Lines {
 		ln := &c.arr.Lines[i]
 		if !ln.Valid {

@@ -580,12 +580,16 @@ func TestEnergyAccountingDiffersByScheme(t *testing.T) {
 	}
 }
 
-// TestRandomOperationInvariants drives random loads and stores through
-// random scheme configurations and checks the invariants and counter
-// identities after each run. The stressed variant turns on every option
-// that reuses a way with state left in it: leftover replicas serving
-// misses (§5.6), prefetching into dead lines, and guest lines hosted for
-// a far tier.
+// TestRandomOperationInvariants drives random operations through random
+// scheme configurations and checks the invariants — tag words and replica
+// links included — after every operation, and the counter identities after
+// each run. Placements cover vertical, multi-attempt and horizontal
+// (distance-0) replication, the last putting guests in a candidate set.
+// Runs retune, evict single lines and reset mid-way. The stressed variant turns on every
+// option that reuses a way with state left in it — leftover replicas
+// serving misses (§5.6), prefetching into dead lines, guest lines hosted
+// for a far tier — and adds the far tier's repairs and drops, bit flips
+// and scrubbing.
 func TestRandomOperationInvariants(t *testing.T) {
 	for _, stressed := range []bool{false, true} {
 		f := func(seed int64) bool {
@@ -606,8 +610,12 @@ func randomOperationsHold(t *testing.T, seed int64, stressed bool) bool {
 		cfg.Repl.DecayWindow = uint64(rng.Intn(3)) * 500
 		cfg.Repl.Victim = VictimPolicy(1 + rng.Intn(4))
 		cfg.Repl.LeaveReplicas = rng.Intn(2) == 0
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			cfg.Repl.Distances = []int{4, 2}
+			cfg.Repl.Replicas = 1 + rng.Intn(2)
+		case 1:
+			cfg.Repl.Distances = []int{0, 4}
 			cfg.Repl.Replicas = 1 + rng.Intn(2)
 		}
 		if stressed {
@@ -617,20 +625,56 @@ func randomOperationsHold(t *testing.T, seed int64, stressed bool) bool {
 		}
 	})
 	guest := make([]byte, 64)
+	var word [8]byte
 	for i := 0; i < 400; i++ {
+		now := uint64(i * 3)
 		a := addrOfBlock(rng.Intn(32)) + uint64(rng.Intn(8)*8)
-		switch {
-		case stressed && rng.Intn(4) == 0:
-			c.OfferReplica(uint64(i*3), uint64(rng.Intn(32)), guest)
-		case rng.Intn(3) == 0:
-			c.Store(uint64(i*3), a)
+		ba := uint64(rng.Intn(32))
+		var op string
+		switch r := rng.Intn(40); {
+		case r == 0:
+			op = "retune"
+			c.Retune(TuneState{
+				Replicas:    rng.Intn(3),
+				Victim:      VictimPolicy(rng.Intn(5)),
+				Lookup:      LookupMode(rng.Intn(3)),
+				DecayWindow: uint64(rng.Intn(3)) * 500,
+			})
+		case r == 1 && rng.Intn(4) == 0:
+			op = "reset"
+			c.Reset()
+		case stressed && r < 8:
+			op = "offer"
+			c.OfferReplica(now, ba, guest)
+		case stressed && r < 10:
+			op = "repair"
+			c.RepairWord(now, ba, rng.Intn(8)*8, word[:])
+		case stressed && r < 12:
+			op = "drop"
+			c.DropReplica(ba)
+		case stressed && r < 14:
+			op = "flip"
+			ln := &c.arr.Lines[rng.Intn(len(c.arr.Lines))]
+			ln.Data[rng.Intn(len(ln.Data))] ^= 1 << uint(rng.Intn(8))
+		case stressed && r < 15:
+			op = "scrub"
+			c.Scrub(now, 4)
+		case r == 15:
+			// Evictions are otherwise always followed by a reinstall of
+			// the way; this one leaves the line invalid.
+			op = "evict"
+			c.evict(&c.arr.Lines[rng.Intn(len(c.arr.Lines))], now)
+		case r < 25:
+			op = "store"
+			c.Store(now, a)
 		default:
-			c.Load(uint64(i*3), a)
+			op = "load"
+			c.Load(now, a)
 		}
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Logf("seed %d scheme %s: %v", seed, s, err)
-		return false
+		if err := c.CheckInvariants(); err != nil {
+			t.Logf("seed %d scheme %s: after op %d (%s): %v", seed, s, i, op, err)
+			return false
+		}
 	}
 	st := c.Stats()
 	if st.ReadHits+st.ReadMisses != st.Reads || st.WriteHits+st.WriteMisses != st.Writes {

@@ -62,7 +62,7 @@ func (c *Cache) OfferReplica(now uint64, blockAddr uint64, data []byte) bool {
 	if !c.cfg.Scheme.HasReplication() || len(data) != c.cfg.BlockSize {
 		return false
 	}
-	if c.arr.Primary(blockAddr) != nil || c.hasReplica(blockAddr) {
+	if c.arr.Primary(blockAddr) != nil || c.arr.anyReplica(blockAddr) {
 		// Already covered here: the resident copy is at least as fresh.
 		return false
 	}

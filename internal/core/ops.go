@@ -29,7 +29,7 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 			ln.prefetched = false
 			c.stats.PrefetchHits++
 		}
-		replicas := c.findReplicas(ba)
+		replicas := c.replicasOf(ln)
 		if len(replicas) > 0 {
 			c.stats.ReadHitsWithReplica++
 		}
@@ -154,7 +154,7 @@ func (c *Cache) Store(now uint64, addr uint64) uint64 {
 		// attempts that create nothing, which is what keeps the measured
 		// replication ability "relatively low" even while loads-with-
 		// replica stays high (§5.1): the hot data is already duplicated.
-		replicas := c.findReplicas(ba)
+		replicas := c.replicasOf(ln)
 		nrep := len(replicas) // replicate() below reuses the scratch buffer
 		for _, rep := range replicas {
 			c.writeWord(rep, addr, value)
@@ -279,7 +279,7 @@ func (c *Cache) loadHitLatency(replicated bool) uint64 {
 // number of replicas created.
 func (c *Cache) replicate(primary *Line, now uint64) int {
 	ba := primary.BlockAddr
-	existing := c.findReplicas(ba)
+	existing := c.replicasOf(primary)
 	want := c.replicaQuota(ba) - len(existing)
 	if want <= 0 {
 		return 0
@@ -292,7 +292,7 @@ func (c *Cache) replicate(primary *Line, now uint64) int {
 		used = append(used, rep.idx/c.cfg.Assoc)
 	}
 	created := 0
-	for i := range c.replDistances {
+	for i := range c.arr.dists {
 		if created >= want {
 			break
 		}

@@ -55,7 +55,7 @@ func (c *Cache) repairLine(ln *Line, now uint64) bool {
 	var replicas []*Line
 	var one [1]*Line
 	if !ln.Replica {
-		replicas = c.findReplicas(ln.BlockAddr)
+		replicas = c.replicasOf(ln)
 	} else if p := c.arr.Primary(ln.BlockAddr); p != nil {
 		// A corrupted replica heals from its primary.
 		one[0] = p

@@ -30,8 +30,8 @@ func Collect(m map[string]int) []string {
 	var out []string
 	var csv string
 	for k := range m {
-		out = append(out, k)    // want: append under map range
-		csv += k + ","          // want: string accumulation under map range
+		out = append(out, k)       // want: append under map range
+		csv += k + ","             // want: string accumulation under map range
 		fmt.Fprintln(os.Stderr, k) // want: ordered write under map range
 	}
 	return out

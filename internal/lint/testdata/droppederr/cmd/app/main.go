@@ -19,6 +19,6 @@ func main() {
 	_ = f.Close()   // fine: explicit, greppable discard
 
 	var b strings.Builder
-	b.WriteString("ok")   // fine: Builder writes never fail
+	b.WriteString("ok")     // fine: Builder writes never fail
 	fmt.Println(b.String()) // fine: fmt print family is fire-and-forget
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/adapt"
@@ -385,5 +386,22 @@ func TestPoolReuseAcrossNewKnobConfigs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSimulateRejectsNilRangePolicy pins the typed-nil guard: a Run whose
+// Hints interface holds a nil *core.RangePolicy is an error, not a panic
+// at the first replication trigger.
+func TestSimulateRejectsNilRangePolicy(t *testing.T) {
+	r := config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
+	r.Instructions = 2000
+	var p *core.RangePolicy
+	r.Hints = p
+	rep, err := Simulate(config.Default(), r)
+	if err == nil || rep != nil {
+		t.Fatalf("Simulate = (%v, %v), want a nil report and an error", rep, err)
+	}
+	if !strings.Contains(err.Error(), "RangePolicy") {
+		t.Errorf("error %q does not name the nil policy", err)
 	}
 }

@@ -60,6 +60,11 @@ func SimulateContext(ctx context.Context, m config.Machine, r config.Run) (*metr
 	if err := r.Fault.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if p, ok := r.Hints.(*core.RangePolicy); ok && p == nil {
+		// A non-nil interface holding a nil policy would panic at the
+		// first replication trigger.
+		return nil, fmt.Errorf("sim: Run.Hints holds a nil *core.RangePolicy")
+	}
 	// Canonicalize before shapeOf so equal-after-defaulting configs share
 	// a pool shape.
 	r.Adapt = r.Adapt.Normalized()

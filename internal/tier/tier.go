@@ -366,7 +366,7 @@ func (t *Protected) refetchFromMem(now uint64, ln *core.Line) (extra uint64) {
 func (t *Protected) evictLine(v *core.Line, now uint64) {
 	if v.Replica {
 		t.tstats.ReplicaEvictions++
-		v.Valid = false
+		t.lines.Invalidate(v)
 		return
 	}
 	if v.Dirty {
@@ -376,13 +376,13 @@ func (t *Protected) evictLine(v *core.Line, now uint64) {
 		t.cfg.Next.Access(now, t.lines.Addr(v.BlockAddr), cache.Write)
 	}
 	if rep := t.findReplica(v.BlockAddr); rep != nil {
-		rep.Valid = false
+		t.lines.Invalidate(rep)
 		t.tstats.ReplicaEvictions++
 	}
 	if v.Spilled && t.cross != nil {
 		t.cross.DropReplica(v.BlockAddr)
 	}
-	v.Valid = false
+	t.lines.Invalidate(v)
 }
 
 // evictSite evicts a resident line chosen as a replica or guest site: a
@@ -400,14 +400,7 @@ func (t *Protected) findReplica(ba uint64) *core.Line {
 	if !t.cfg.Replicate {
 		return nil
 	}
-	ways := t.lines.Set(t.lines.SetAt(ba, t.replDist))
-	for w := range ways {
-		ln := &ways[w]
-		if ln.Valid && ln.Replica && !ln.Guest && ln.BlockAddr == ba {
-			return ln
-		}
-	}
-	return nil
+	return t.lines.ReplicaIn(t.lines.SetAt(ba, t.replDist), ba)
 }
 
 // replicate tries to place one in-tier replica of a just-filled primary

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -351,5 +352,65 @@ func TestTierConfigPanics(t *testing.T) {
 			}()
 			New(tc.cfg)
 		})
+	}
+}
+
+// TestTierRandomOperationsKeepTags drives random demand accesses, guest
+// offers, repairs and drops, bit flips, single-line evictions and resets
+// through a replicating
+// tier with a far tier attached, and checks after every operation that
+// each line's tag word still matches its fields (core.LineArray's
+// invariants): every eviction and drop goes through LineArray.Invalidate.
+func TestTierRandomOperationsKeepTags(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, mem := testTier(t, func(cfg *Config) {
+			cfg.Replicate = true
+			cfg.DecayWindow = uint64(rng.Intn(3)) * 300
+			cfg.Victim = core.VictimPolicy(1 + rng.Intn(4))
+		})
+		tr.SetCross(&sinkStub{acceptOffers: rng.Intn(2) == 0})
+		in := fault.NewInjector(fault.Random, 1e-2, 16, seed)
+		guest := make([]byte, 64)
+		var word [8]byte
+		for i := 0; i < 400; i++ {
+			now := uint64(i * 11)
+			blk := rng.Intn(48)
+			var op string
+			switch r := rng.Intn(20); {
+			case r == 0:
+				op = "offer"
+				tr.OfferReplica(now, uint64(blk), guest)
+			case r == 1:
+				op = "repair"
+				tr.RepairWord(now, uint64(blk), rng.Intn(8)*8, word[:])
+			case r == 2:
+				op = "drop"
+				tr.DropReplica(uint64(blk))
+			case r == 3:
+				op = "inject"
+				tr.Inject(in)
+			case r == 4 && rng.Intn(10) == 0:
+				op = "reset"
+				tr.Reset()
+			case r == 5:
+				// Evictions are otherwise always followed by a reinstall
+				// of the way; this one leaves the line invalid.
+				op = "evict"
+				if v := &tr.lines.Lines[rng.Intn(len(tr.lines.Lines))]; v.Valid {
+					tr.evictLine(v, now)
+				}
+			case r < 9:
+				op = "write"
+				mem.WriteWord(uint64(blk), 0, uint64(i))
+				tr.Access(now, addrOfBlock(blk), cache.Write)
+			default:
+				op = "read"
+				tr.Access(now, addrOfBlock(blk)+uint64(rng.Intn(8)*8), cache.Read)
+			}
+			if err := tr.lines.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d: after op %d (%s): %v", seed, i, op, err)
+			}
+		}
 	}
 }

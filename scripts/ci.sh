@@ -121,12 +121,15 @@ $GO build ./...
 stage vet
 $GO vet ./...
 
-# icrvet emits its findings twice: human-readable for the log and as a
-# versioned JSON artifact for CI to archive. The stage also enforces a
-# wall-clock budget: the analyzer runs on every push, so a regression that
-# drags whole-module type-checking past 30s fails the build rather than
-# slowly taxing everyone.
+# The stage first requires gofmt-clean sources (fixtures under testdata
+# included). icrvet then emits its findings twice: human-readable for the
+# log and as a versioned JSON artifact for CI to archive. The stage also
+# enforces a wall-clock budget: the analyzer runs on every push, so a
+# regression that drags whole-module type-checking past 30s fails the
+# build rather than slowly taxing everyone.
 stage icrvet
+unformatted=$("$($GO env GOROOT)/bin/gofmt" -l .)
+[ -z "$unformatted" ] || fail "gofmt -l lists unformatted files: $unformatted"
 ICRVET_OUT="${ICRVET_OUT:-icrvet.json}"
 ICRVET_BUDGET="${ICRVET_BUDGET:-30}"
 icrvet_start=$(date +%s)
