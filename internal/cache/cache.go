@@ -432,11 +432,11 @@ func (w *WriteBuffer) Add(now uint64, blockAddr uint64) (stall uint64) {
 // one array, and storing a block allocates nothing but an occasional new
 // chunk or a table doubling.
 type Memory struct {
-	Latency   uint64 //icrvet:persistent construction parameter, identical for every run sharing the pool shape
-	BlockSize int
+	Latency   uint64    //icrvet:persistent construction parameter, identical for every run sharing the pool shape
+	BlockSize int       //icrvet:persistent construction parameter, identical for every run sharing the pool shape
 	slots     []memSlot // power-of-two length; nil until the first stored block
-	chunks    [][]byte  // payloads, memChunkBlocks blocks per chunk, in store order
-	stored    int       //icrvet:persistent stored-block count: Reset keeps every block, re-synthesized in place
+	chunks    [][]byte  //icrvet:persistent payloads, memChunkBlocks blocks per chunk, in store order; kept across Reset, reachable only through a slot, and set by their storer
+	stored    int       // stored-block count
 	shift     uint      //icrvet:persistent 64 - log2 of the table's group count, the hash's shift, changed only with the table
 	reads     uint64
 	writes    uint64
@@ -498,6 +498,9 @@ func (m *Memory) Writes() uint64 { return m.writes }
 
 // Fetches returns how many instruction fetches reached memory.
 func (m *Memory) Fetches() uint64 { return m.fetches }
+
+// Blocks returns how many blocks hold written content.
+func (m *Memory) Blocks() int { return m.stored }
 
 // splitmix64 is a tiny, high-quality mixing function used to synthesize
 // deterministic block contents.
@@ -679,17 +682,14 @@ func (w *WriteBuffer) Reset() {
 	w.stats = WriteBufferStats{}
 }
 
-// Reset restores the memory to its post-construction state without
-// releasing the block table: every retained block is re-synthesized to
-// the deterministic never-written pattern for its address, which is
-// exactly what a fresh Memory would return for it, so steady-state reuse
-// allocates nothing.
+// Reset restores the memory to its post-construction content: every
+// stored block is dropped, so each reads as its never-written pattern
+// again, as it would on a fresh Memory, and the table holds only what the
+// next run writes. The table and the payload chunks keep their capacity,
+// so steady-state reuse allocates nothing.
 func (m *Memory) Reset() {
-	for _, s := range m.slots {
-		if s.ref != 0 {
-			m.synthesize(m.payload(s.ref-1), s.key)
-		}
-	}
+	clear(m.slots)
+	m.stored = 0
 	m.reads = 0
 	m.writes = 0
 	m.fetches = 0

@@ -97,9 +97,17 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 			m.WriteWord(ba, off, v)
 			ref.writeWord(ba, off, v)
 		default:
-			if rng.Intn(20) == 0 {
-				m.Reset()
-				ref = newRefMemory(bs)
+			if rng.Intn(20) != 0 {
+				break
+			}
+			// A reset drops every stored block and keeps the table and
+			// the payload chunks for the blocks written next.
+			slots, chunks := len(m.slots), len(m.chunks)
+			m.Reset()
+			ref = newRefMemory(bs)
+			if m.Blocks() != 0 || len(m.slots) != slots || len(m.chunks) != chunks {
+				t.Fatalf("op %d: Reset left %d blocks, %d of %d slots, %d of %d chunks",
+					i, m.Blocks(), len(m.slots), slots, len(m.chunks), chunks)
 			}
 		}
 	}
@@ -136,7 +144,7 @@ func TestPeekBlockAliasing(t *testing.T) {
 }
 
 // A reset Memory re-running the same traffic allocates nothing: Reset
-// keeps every stored block, so the table and its chunks are reused.
+// keeps the table and its chunks, which the re-run's blocks reuse.
 func TestMemoryResetRerunAllocFree(t *testing.T) {
 	m := NewMemory(0, 32)
 	data := make([]byte, 32)

@@ -39,6 +39,22 @@ type HitPredictor interface {
 	WouldHit(addr uint64) bool
 }
 
+// DetailStream is an optional isa.Stream extension: a stream that writes
+// its next instructions into a buffer in one call, which fetch uses below
+// the commit budget (see refill). workload.Generator implements it.
+//
+// Fill writes up to len(buf) instructions into buf and returns how many
+// it wrote; fewer than len(buf) means the stream has ended, and a later
+// Fill writes none. Filling n instructions must draw exactly what n Next
+// calls would, so the batch size never changes the stream.
+type DetailStream interface {
+	Fill(buf []isa.Inst) int
+}
+
+// fetchBatch is the most instructions fetch draws from the stream at
+// once.
+const fetchBatch = 64
+
 // Config holds the core's structural parameters. ZeroValue fields default
 // to the paper's Table 1 machine via DefaultConfig.
 type Config struct {
@@ -171,17 +187,19 @@ type Core struct {
 	stats Stats
 
 	// Fetch state. The fetch queue is a fixed ring (head/count over a
-	// cfg.FetchQueue-sized array) and the one-instruction peek buffer is
-	// held by value: both would otherwise allocate on every fetched
-	// instruction (slice growth after re-slicing; &inst escaping to the
-	// heap), the dominant allocation source in the whole simulator.
+	// cfg.FetchQueue-sized array), and instructions drawn from the stream
+	// wait in a fixed buffer, fetchBuf[fbHead:fbLen], until fetch takes
+	// them: a growing slice or an escaping instruction would allocate on
+	// every fetched instruction.
 	fetchQ       []fqEntry // ring buffer, len == cfg.FetchQueue
 	fqHead       int
 	fqCount      int
-	fetchStall   uint64 // fetch blocked until this cycle
-	pendingInst  isa.Inst
-	havePending  bool
-	streamDone   bool
+	fetchStall   uint64       // fetch blocked until this cycle
+	detail       DetailStream // stream's batch fill, nil if it has none
+	fetchBuf     []isa.Inst   //icrvet:persistent scratch: only fetchBuf[fbHead:fbLen] is read, and Reset empties it
+	fbHead       int
+	fbLen        int
+	streamDone   bool   // the stream has ended (fetchBuf is then empty)
 	lastFetchBlk uint64 // last icache block fetched (to count per-block accesses)
 	seqCounter   uint64
 
@@ -243,15 +261,18 @@ func New(cfg Config, stream isa.Stream, icache cache.Level, dcache DataCache) *C
 		// fetch groups, as in DefaultConfig.
 		cfg.FetchQueue = 2 * cfg.FetchWidth
 	}
+	detail, _ := stream.(DetailStream)
 	return &Core{
 		cfg:           cfg,
 		stream:        stream,
+		detail:        detail,
 		icache:        icache,
 		dcache:        dcache,
 		pred:          branch.NewCombined(branch.DefaultConfig()),
 		btb:           branch.NewBTB(512, 4),
 		ras:           branch.NewRAS(cfg.RASDepth),
 		fetchQ:        make([]fqEntry, cfg.FetchQueue),
+		fetchBuf:      make([]isa.Inst, fetchBatch),
 		ruu:           make([]entry, cfg.RUUSize),
 		unissued:      make([]int, 0, cfg.RUUSize),
 		portFreeAt:    make([]uint64, cfg.MemPorts),
@@ -270,7 +291,7 @@ func (c *Core) Now() uint64 { return c.now }
 func (c *Core) Run(maxInstructions uint64) Stats {
 	c.maxInstrs = maxInstructions
 	for c.stats.Instructions < maxInstructions {
-		if c.streamDone && c.ruuCount == 0 && c.fqCount == 0 && !c.havePending {
+		if c.streamDone && c.ruuCount == 0 && c.fqCount == 0 {
 			break
 		}
 		if c.cfg.Halt != nil && c.cfg.Halt() {
@@ -362,31 +383,32 @@ func after(t, next, x uint64) uint64 {
 // Fetch
 // ---------------------------------------------------------------------------
 
-// nextInst peeks/consumes the stream through a one-instruction buffer.
-func (c *Core) nextInst() (isa.Inst, bool) {
-	if c.havePending {
-		c.havePending = false
-		return c.pendingInst, true
+// refill draws the next instructions into the empty fetch buffer and
+// returns how many it drew, 0 once the stream has ended. A stream without
+// Fill gives one instruction, when fetch needs it. A DetailStream is
+// filled in batches, but never ahead of that one-by-one pace: every drawn
+// instruction is committed, in the fetch queue or RUU, or (not now) in
+// the buffer, and those below the commit budget are certain to be fetched
+// before Run returns, so refill fills up to the budget at once and past
+// it draws one. The split of the stream between detailed and warming
+// draws therefore does not depend on batching: when Run returns, at most
+// the one instruction an iL1 miss left waiting is drawn and not fetched.
+func (c *Core) refill() int {
+	n := 0
+	if c.detail == nil {
+		if in, ok := c.stream.Next(); ok {
+			c.fetchBuf[0] = in
+			n = 1
+		}
+	} else {
+		want := 1
+		if drawn := c.stats.Instructions + uint64(c.ruuCount+c.fqCount); drawn < c.maxInstrs {
+			want = int(min(c.maxInstrs-drawn, uint64(len(c.fetchBuf))))
+		}
+		n = c.detail.Fill(c.fetchBuf[:want])
 	}
-	if c.streamDone {
-		return isa.Inst{}, false
-	}
-	in, ok := c.stream.Next()
-	if !ok {
-		c.streamDone = true
-		return isa.Inst{}, false
-	}
-	return in, true
-}
-
-// fqPush appends to the fetch-queue ring; the caller has checked capacity.
-func (c *Core) fqPush(fe fqEntry) {
-	i := c.fqHead + c.fqCount
-	if i >= len(c.fetchQ) {
-		i -= len(c.fetchQ)
-	}
-	c.fetchQ[i] = fe
-	c.fqCount++
+	c.fbHead, c.fbLen = 0, n
+	return n
 }
 
 // fetch runs the fetch stage and reports whether it changed any state.
@@ -396,45 +418,52 @@ func (c *Core) fetch() bool {
 		return false
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.fqCount >= len(c.fetchQ) || (c.streamDone && !c.havePending) {
+		if c.fqCount >= len(c.fetchQ) || c.streamDone {
 			return n > 0
 		}
-		in, ok := c.nextInst()
-		if !ok {
+		if c.fbHead == c.fbLen && c.refill() == 0 {
+			c.streamDone = true
 			return true // the stream just ended
 		}
+		next := &c.fetchBuf[c.fbHead]
 		// Instruction-cache access once per new block.
-		blk := in.PC / 32 // Table 1: 32-byte iL1 blocks
+		blk := next.PC / 32 // Table 1: 32-byte iL1 blocks
 		if blk != c.lastFetchBlk {
 			c.lastFetchBlk = blk
-			lat := c.icache.Access(c.now, in.PC, cache.Fetch)
+			lat := c.icache.Access(c.now, next.PC, cache.Fetch)
 			if lat > 1 {
-				// Miss: this instruction arrives when the fill completes.
+				// Miss: this instruction arrives when the fill
+				// completes, and waits at the buffer's head until then.
 				c.fetchStall = c.now + lat
-				c.pendingInst = in
-				c.havePending = true
 				return true
 			}
 		}
+		c.fbHead++
 		c.seqCounter++
-		fe := fqEntry{inst: in, seq: c.seqCounter, readyAt: c.now + 1}
-		if in.Op.IsCtrl() {
-			fe.mispred = c.predict(&in)
+		i := c.fqHead + c.fqCount
+		if i >= len(c.fetchQ) {
+			i -= len(c.fetchQ)
+		}
+		c.fqCount++
+		fe := &c.fetchQ[i]
+		fe.inst = *next
+		fe.seq = c.seqCounter
+		fe.readyAt = c.now + 1
+		fe.mispred = false
+		if in := &fe.inst; in.Op.IsCtrl() {
+			fe.mispred = c.predict(in)
 			if fe.mispred {
 				c.stats.Mispredicts++
 				// Trace-driven: stall fetch; the redirect is released
 				// when the branch resolves (see issue()).
 				c.fetchStall = neverDone
-				c.fqPush(fe)
 				return true
 			}
 			if in.Taken {
 				// Can't fetch past a predicted-taken branch this cycle.
-				c.fqPush(fe)
 				return true
 			}
 		}
-		c.fqPush(fe)
 	}
 	return true
 }
@@ -505,7 +534,7 @@ func (c *Core) dispatch() bool {
 			c.stats.RUUFull++
 			return n > 0
 		}
-		fe := c.fetchQ[c.fqHead]
+		fe := &c.fetchQ[c.fqHead]
 		if fe.inst.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize {
 			c.stats.LSQFull++
 			return n > 0
@@ -518,13 +547,17 @@ func (c *Core) dispatch() bool {
 		if idx >= len(c.ruu) {
 			idx -= len(c.ruu)
 		}
-		c.ruu[idx] = entry{
-			inst:    fe.inst,
-			seq:     fe.seq,
-			doneAt:  neverDone,
-			mispred: fe.mispred,
-			src:     [2]producer{c.producerOf(idx, fe.seq, fe.inst.SrcDist1), c.producerOf(idx, fe.seq, fe.inst.SrcDist2)},
-		}
+		// Every field of the slot is written in place: building the entry
+		// as a value and copying it in costs a block copy per instruction.
+		e := &c.ruu[idx]
+		e.inst = fe.inst
+		e.seq = fe.seq
+		e.issued = false
+		e.doneAt = neverDone
+		e.mispred = fe.mispred
+		e.resolved = false
+		e.src[0] = c.producerOf(idx, fe.seq, fe.inst.SrcDist1)
+		e.src[1] = c.producerOf(idx, fe.seq, fe.inst.SrcDist2)
 		c.ruuCount++
 		c.unissued = append(c.unissued, idx)
 		if fe.inst.Op.IsMem() {
@@ -824,6 +857,7 @@ func (c *Core) Reset(cfg Config, stream isa.Stream) {
 	}
 	c.cfg = cfg
 	c.stream = stream
+	c.detail, _ = stream.(DetailStream)
 
 	c.pred.Reset()
 	c.btb.Reset()
@@ -842,8 +876,8 @@ func (c *Core) Reset(cfg Config, stream isa.Stream) {
 	c.fqHead = 0
 	c.fqCount = 0
 	c.fetchStall = 0
-	c.pendingInst = isa.Inst{}
-	c.havePending = false
+	c.fbHead = 0
+	c.fbLen = 0
 	c.streamDone = false
 	c.lastFetchBlk = 0
 	c.seqCounter = 0

@@ -1,0 +1,84 @@
+package cpu
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/workload"
+)
+
+// nextOnly is a generator with its batch Fill hidden, so fetch draws it
+// one Next at a time, exactly when it needs an instruction. Warming still
+// fills through FillWarm.
+type nextOnly struct{ g *workload.Generator }
+
+func (s nextOnly) Next() (isa.Inst, bool)      { return s.g.Next() }
+func (s nextOnly) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
+
+// TestFetchNeverDrawsAhead runs a sampled plan — functional warming, then
+// back-to-back detailed warm-up and measured Runs, per unit — on a core
+// over the bare generator, which fetch fills in batches, and on one over
+// the same generator behind nextOnly. After every segment both must agree
+// on Stats and on how many instructions the generator has drawn: batching
+// below the commit budget must neither change a draw nor move the
+// boundary between detailed and warming draws. When a Run returns, at
+// most one drawn instruction may still wait unfetched, the one an iL1
+// miss left at the buffer's head.
+func TestFetchNeverDrawsAhead(t *testing.T) {
+	const (
+		units  = 64
+		warm   = 3_100
+		warmup = 400
+		detail = 1_000
+	)
+	for _, p := range workload.Profiles() {
+		t.Run(p.Name, func(t *testing.T) {
+			gb, gn := workload.MustNew(p, 1), workload.MustNew(p, 1)
+			batched := New(DefaultConfig(), gb, &skipICache{}, &skipDCache{})
+			single := New(DefaultConfig(), nextOnly{gn}, &skipICache{}, &skipDCache{})
+			if batched.detail == nil || single.detail != nil {
+				t.Fatal("the bare generator must fill in batches and the wrapper must not")
+			}
+			var cum uint64
+			check := func(seg string) {
+				t.Helper()
+				if a, b := batched.Stats(), single.Stats(); a != b {
+					t.Fatalf("%s: batched stats %+v, one by one %+v", seg, a, b)
+				}
+				if a, b := gb.Count(), gn.Count(); a != b {
+					t.Fatalf("%s: batched core drew %d instructions, one by one %d", seg, a, b)
+				}
+				// Every drawn instruction is committed, in flight, or
+				// waiting in the fetch buffer: none is lost or repeated.
+				if held := uint64(batched.ruuCount+batched.fqCount+batched.fbLen-batched.fbHead) + cum; gb.Count() != held {
+					t.Fatalf("%s: generator drew %d instructions, core holds %d", seg, gb.Count(), held)
+				}
+				for _, c := range []*Core{batched, single} {
+					if c.Stats().Instructions != cum {
+						t.Fatalf("%s: committed %d, want %d", seg, c.Stats().Instructions, cum)
+					}
+				}
+			}
+			for u := 0; u < units; u++ {
+				cum += warm
+				batched.RunWarming(cum, 0, 0)
+				single.RunWarming(cum, 0, 0)
+				check(fmt.Sprintf("unit %d warming", u))
+				if batched.fbLen != batched.fbHead {
+					t.Fatalf("unit %d: warming left a drawn instruction unfetched, so it would run out of order", u)
+				}
+				for _, n := range []uint64{warmup, detail} {
+					cum += n
+					batched.Run(cum)
+					single.Run(cum)
+					seg := fmt.Sprintf("unit %d run to %d", u, cum)
+					check(seg)
+					if left := batched.fbLen - batched.fbHead; left > 1 {
+						t.Fatalf("%s: %d drawn instructions left unfetched, want at most 1", seg, left)
+					}
+				}
+			}
+		})
+	}
+}

@@ -136,18 +136,15 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 }
 
 // fillWarm fills buf, which is never empty, with the next instructions
-// to warm: the one fetch peeked at, if any, then the stream's own. It
-// returns how many it wrote; fewer than len(buf) means the stream has
-// ended.
+// to warm: first those fetch drew and did not take (after a full Run, at
+// most the one an iL1 miss left waiting; see refill), then the stream's
+// own. It returns how many it wrote; fewer than len(buf) means the stream
+// has ended.
 func (c *Core) fillWarm(ws WarmStream, buf []isa.Inst) int {
-	n := 0
-	if c.havePending {
-		buf[0] = c.pendingInst
-		c.havePending = false
-		n = 1
-	}
+	n := copy(buf, c.fetchBuf[c.fbHead:c.fbLen])
+	c.fbHead += n
 	switch {
-	case c.streamDone:
+	case c.streamDone || n == len(buf):
 	case ws != nil:
 		n += ws.FillWarm(buf[n:])
 		c.streamDone = n < len(buf)

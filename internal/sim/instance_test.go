@@ -405,3 +405,42 @@ func TestSimulateRejectsNilRangePolicy(t *testing.T) {
 		t.Errorf("error %q does not name the nil policy", err)
 	}
 }
+
+// TestPooledMemoryKeepsOneRun runs gzip, vpr and mcf on one arena, as the
+// pool hands it from run to run, and requires the architectural memory to
+// end holding exactly the blocks mcf writes on a fresh arena: a reset
+// drops what earlier runs wrote instead of carrying their union along.
+// Each report must also match the fresh arena's byte for byte.
+func TestPooledMemoryKeepsOneRun(t *testing.T) {
+	m := config.Default()
+	var pooled *instance
+	for _, bench := range []string{"gzip", "vpr", "mcf"} {
+		r := sampledRun(bench, icrPPSS())
+		r.Instructions = 500_000
+		r.Energy = energy.DefaultParams()
+		if pooled == nil {
+			pooled = newInstance(m, r)
+		}
+		profile, err := workload.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := newInstance(m, r)
+		var reports [2][]byte
+		for i, in := range []*instance{pooled, fresh} {
+			rep, err := in.simulate(context.Background(), m, r, workload.MustNew(profile, r.Seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reports[i], err = json.Marshal(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(reports[0]) != string(reports[1]) {
+			t.Fatalf("%s: the pooled arena's report differs from a fresh one's", bench)
+		}
+		if got, want := pooled.mem.Blocks(), fresh.mem.Blocks(); got != want || want == 0 {
+			t.Errorf("%s: pooled memory holds %d blocks, a fresh run writes %d", bench, got, want)
+		}
+	}
+}

@@ -29,3 +29,15 @@ func BenchmarkWorkloadGenerationWarm(b *testing.B) {
 		g.FillWarm(buf[:min(len(buf), b.N-n)])
 	}
 }
+
+// BenchmarkWorkloadGenerationFill is BenchmarkWorkloadGeneration filled
+// 64 instructions at a time, as cpu.Core's fetch does below its commit
+// budget; one op is one instruction.
+func BenchmarkWorkloadGenerationFill(b *testing.B) {
+	g := MustNew(Gcc(), 1)
+	buf := make([]isa.Inst, 64)
+	b.ResetTimer()
+	for n := 0; n < b.N; n += len(buf) {
+		g.Fill(buf[:min(len(buf), b.N-n)])
+	}
+}

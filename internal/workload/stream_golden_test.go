@@ -63,31 +63,34 @@ func hashInst(h hash.Hash, buf *[instBytes]byte, in *isa.Inst) {
 	h.Write(b)
 }
 
-// warmFunc pulls n functional-warming instructions from g into h.
-type warmFunc func(t *testing.T, g *Generator, h hash.Hash, n int)
+// pullFunc pulls n instructions of one of g's streams into h.
+type pullFunc func(t *testing.T, g *Generator, h hash.Hash, n int)
 
-// warmOneByOne warms through NextWarm, one instruction per call.
-func warmOneByOne(t *testing.T, g *Generator, h hash.Hash, n int) {
-	var buf [instBytes]byte
-	for i := 0; i < n; i++ {
-		in, ok := g.NextWarm()
-		if !ok {
-			t.Fatal("stream ended")
+// oneByOne pulls through next, one instruction per call: Next for the
+// detailed stream, NextWarm for the warming one.
+func oneByOne(next func(g *Generator) (isa.Inst, bool)) pullFunc {
+	return func(t *testing.T, g *Generator, h hash.Hash, n int) {
+		var buf [instBytes]byte
+		for i := 0; i < n; i++ {
+			in, ok := next(g)
+			if !ok {
+				t.Fatal("stream ended")
+			}
+			hashInst(h, &buf, &in)
 		}
-		hashInst(h, &buf, &in)
 	}
 }
 
-// warmBatches warms through FillWarm in batches of size n; the last batch
-// of each stretch is short.
-func warmBatches(size int) warmFunc {
+// inBatches pulls through fill — Fill or FillWarm — in batches of size;
+// the last batch of each stretch is short.
+func inBatches(fill func(g *Generator, buf []isa.Inst) int, size int) pullFunc {
 	return func(t *testing.T, g *Generator, h hash.Hash, n int) {
 		buf := make([]isa.Inst, size)
 		var enc [instBytes]byte
 		for n > 0 {
 			b := buf[:min(n, size)]
-			if got := g.FillWarm(b); got != len(b) {
-				t.Fatalf("FillWarm wrote %d of %d", got, len(b))
+			if got := fill(g, b); got != len(b) {
+				t.Fatalf("filled %d of %d", got, len(b))
 			}
 			for i := range b {
 				hashInst(h, &enc, &b[i])
@@ -97,20 +100,20 @@ func warmBatches(size int) warmFunc {
 	}
 }
 
-// streamDigest hashes the sampled-plan stream of profile p under seed.
-func streamDigest(t *testing.T, p Profile, seed int64, warm warmFunc) string {
+var (
+	warmOneByOne   = oneByOne((*Generator).NextWarm)
+	detailOneByOne = oneByOne((*Generator).Next)
+)
+
+// streamDigest hashes the sampled-plan stream of profile p under seed,
+// pulling the warming stretches through warm and the detailed ones
+// through detail.
+func streamDigest(t *testing.T, p Profile, seed int64, warm, detail pullFunc) string {
 	g := MustNew(p, seed)
 	h := sha256.New()
-	var buf [instBytes]byte
 	for done := 0; done < streamBudget; done += streamPeriod {
 		warm(t, g, h, streamWarm)
-		for i := 0; i < streamDetail; i++ {
-			in, ok := g.Next()
-			if !ok {
-				t.Fatal("stream ended")
-			}
-			hashInst(h, &buf, &in)
-		}
+		detail(t, g, h, streamDetail)
 	}
 	if g.Count() != streamBudget {
 		t.Fatalf("generator emitted %d instructions, want %d", g.Count(), streamBudget)
@@ -140,15 +143,15 @@ func readStreamGoldens(t *testing.T) map[string]string {
 }
 
 // checkStreamGoldens compares every profile × seed digest, pulled through
-// warm, against the committed goldens.
-func checkStreamGoldens(t *testing.T, warm warmFunc) {
+// warm and detail, against the committed goldens.
+func checkStreamGoldens(t *testing.T, warm, detail pullFunc) {
 	want := readStreamGoldens(t)
 	for _, p := range goldenProfiles() {
 		for _, seed := range []int64{1, 2} {
 			key := streamKey(p, seed)
 			t.Run(key, func(t *testing.T) {
 				t.Parallel()
-				if got := streamDigest(t, p, seed, warm); got != want[key] {
+				if got := streamDigest(t, p, seed, warm, detail); got != want[key] {
 					t.Errorf("stream digest %s, golden %q", got, want[key])
 				}
 			})
@@ -161,7 +164,7 @@ func TestStreamGoldens(t *testing.T) {
 		var sb strings.Builder
 		for _, p := range goldenProfiles() {
 			for _, seed := range []int64{1, 2} {
-				fmt.Fprintf(&sb, "%s %s\n", streamKey(p, seed), streamDigest(t, p, seed, warmOneByOne))
+				fmt.Fprintf(&sb, "%s %s\n", streamKey(p, seed), streamDigest(t, p, seed, warmOneByOne, detailOneByOne))
 			}
 		}
 		if err := os.MkdirAll(filepath.Dir(streamGoldenPath), 0o755); err != nil {
@@ -172,20 +175,33 @@ func TestStreamGoldens(t *testing.T) {
 		}
 		return
 	}
-	checkStreamGoldens(t, warmOneByOne)
+	checkStreamGoldens(t, warmOneByOne, detailOneByOne)
 }
 
 // TestStreamGoldensFillWarm pulls every warming stretch through FillWarm
 // in batches of several sizes: batching must not change a single draw.
 func TestStreamGoldensFillWarm(t *testing.T) {
 	for _, size := range []int{1, 7, 256, 4096} {
-		t.Run(fmt.Sprint(size), func(t *testing.T) { checkStreamGoldens(t, warmBatches(size)) })
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			checkStreamGoldens(t, inBatches((*Generator).FillWarm, size), detailOneByOne)
+		})
+	}
+}
+
+// TestStreamGoldensFill pulls every detailed stretch through Fill in
+// batches of several sizes, 64 being cpu.Core's fetch batch: batching
+// must not change a single draw.
+func TestStreamGoldensFill(t *testing.T) {
+	for _, size := range []int{1, 7, 64, 4096} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			checkStreamGoldens(t, warmOneByOne, inBatches((*Generator).Fill, size))
+		})
 	}
 }
 
 // TestFillWarmAllocFree pins both streams' steady state at zero
-// allocations: the warming stream filled in batches and the detailed
-// stream drawn one instruction at a time.
+// allocations: each filled in batches, and the detailed stream also drawn
+// one instruction at a time.
 func TestFillWarmAllocFree(t *testing.T) {
 	buf := make([]isa.Inst, 256)
 	for _, tc := range []struct {
@@ -193,6 +209,7 @@ func TestFillWarmAllocFree(t *testing.T) {
 		pull func(g *Generator)
 	}{
 		{"FillWarm", func(g *Generator) { g.FillWarm(buf) }},
+		{"Fill", func(g *Generator) { g.Fill(buf) }},
 		{"Next", func(g *Generator) {
 			for range buf {
 				if _, ok := g.Next(); !ok {

@@ -132,9 +132,9 @@ type block struct {
 	insts   []staticInst
 	startPC uint64
 	kind    blockKind
-	bias    float64 // taken bias for condKind
-	callee  int     // function index for callKind
-	isLast  bool    // last block of its function
+	taken   uint64 // condKind: lessThan of the taken bias (see source.float)
+	callee  int    // function index for callKind
+	isLast  bool   // last block of its function
 }
 
 type blockKind uint8
@@ -154,7 +154,9 @@ type fn struct {
 // isa.Stream and never ends.
 type Generator struct {
 	profile Profile
-	rng     *rand.Rand
+	src     source     // the state every draw comes from
+	rng     *rand.Rand // over &src, for the draws not taken from src directly
+	cuts    cuts
 	blocks  []block
 	funcs   []fn
 	regions []*region
@@ -175,6 +177,17 @@ type Generator struct {
 	cycleBase   uint64
 	regionMap   []int
 	nextPhaseAt uint64
+}
+
+// cuts holds the detailed path's Float64 tests as integer thresholds on
+// source.float: each names the test it replaces.
+type cuts struct {
+	noDep   uint64 // lessThan(0.15): depDistance draws no dependence
+	depMore uint64 // atMost(DepGeomP): depDistance's distance grows
+	src2    uint64 // lessThan(0.4): a second source operand
+	loadUse uint64 // lessThan(LoadUseProb): use of the previous load
+	use2    uint64 // lessThan(0.35): use of the load two back
+	chain   uint64 // lessThan(0.55): a load's address from an earlier load
 }
 
 type frameState struct {
@@ -198,11 +211,24 @@ func New(p Profile, seed int64) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	lup := p.LoadUseProb
+	if lup == 0 {
+		lup = 0.55
+	}
 	g := &Generator{
 		profile: p,
-		rng:     rand.New(rand.NewSource(seed ^ 0x5eed)),
-		stack:   []frameState{{fn: 0}},
+		cuts: cuts{
+			noDep:   lessThan(0.15),
+			depMore: atMost(p.DepGeomP),
+			src2:    lessThan(0.4),
+			loadUse: lessThan(lup),
+			use2:    lessThan(0.35),
+			chain:   lessThan(0.55),
+		},
+		stack: []frameState{{fn: 0}},
 	}
+	g.src.Seed(seed ^ 0x5eed)
+	g.rng = rand.New(&g.src)
 	g.layoutRegions()
 	g.buildCode()
 	g.loopLeft = make([]int32, len(g.blocks))
@@ -420,7 +446,7 @@ func (g *Generator) buildCode() {
 					blk.callee = 1 + g.rng.Intn(nf-1)
 				case len(p.CondBias) > 0 && b+2 < perFn:
 					blk.kind = condKind
-					blk.bias = p.CondBias[g.rng.Intn(len(p.CondBias))]
+					blk.taken = lessThan(p.CondBias[g.rng.Intn(len(p.CondBias))])
 				}
 			}
 			// Plain interior blocks fall through without a terminator
@@ -437,53 +463,42 @@ func (g *Generator) buildCode() {
 	}
 }
 
-// depDistance draws a dependence distance (0 = none).
+// depDistance draws a dependence distance (0 = none). The loop draws
+// before it tests d, so a distance of 15 still costs its draw.
 func (g *Generator) depDistance() uint16 {
-	if g.rng.Float64() < 0.15 {
+	if g.src.float() < g.cuts.noDep {
 		return 0
 	}
 	d := 1
-	for g.rng.Float64() > g.profile.DepGeomP && d < 15 {
+	for g.src.float() >= g.cuts.depMore && d < 15 {
 		d++
 	}
 	return uint16(d)
 }
 
-// Next implements isa.Stream. The stream is infinite.
+// Next implements isa.Stream: Fill for a single instruction. The stream
+// is infinite.
 func (g *Generator) Next() (isa.Inst, bool) {
-	g.phaseCheck()
-	for {
-		top := &g.stack[len(g.stack)-1]
-		f := &g.funcs[top.fn]
-		bi := f.blocks[top.block]
-		blk := &g.blocks[bi]
-
-		if top.inst < len(blk.insts) {
-			in := g.emitBody(blk, top.inst)
-			top.inst++
-			g.count++
-			return in, true
-		}
-		// Terminator.
-		var in isa.Inst
-		if g.emitTerminator(top, blk, bi, &in) {
-			g.count++
-			return in, true
-		}
-		// plainKind emits no terminator instruction: fall through.
-	}
+	var buf [1]isa.Inst
+	g.Fill(buf[:])
+	return buf[0], true
 }
 
-// emitBody materializes a body instruction from its static slot.
-func (g *Generator) emitBody(blk *block, idx int) isa.Inst {
+// Fill writes the next len(buf) instructions of the detailed stream into
+// buf, in place, and returns len(buf): the stream never ends. Filling n
+// instructions draws exactly what n Next calls would, so any split of a
+// detailed stretch into batches yields the same stream.
+func (g *Generator) Fill(buf []isa.Inst) int { return g.fill(buf, false) }
+
+// emitBody materializes a body instruction from its static slot into *in.
+func (g *Generator) emitBody(blk *block, idx int, in *isa.Inst) {
 	si := blk.insts[idx]
-	in := isa.Inst{
+	*in = isa.Inst{
 		PC:       blk.startPC + uint64(4*idx),
 		Op:       si.op,
 		SrcDist1: g.depDistance(),
-		SrcDist2: 0,
 	}
-	if g.rng.Float64() < 0.4 {
+	if g.src.float() < g.cuts.src2 {
 		in.SrcDist2 = g.depDistance()
 	}
 	// Loop-carried dependence: the first slot of a loop body models the
@@ -500,14 +515,10 @@ func (g *Generator) emitBody(blk *block, idx int) isa.Inst {
 	// load results are used within one or two instructions, which is what
 	// exposes load-hit latency.
 	if g.sinceLoad == 1 {
-		lup := g.profile.LoadUseProb
-		if lup == 0 {
-			lup = 0.55
-		}
-		if g.rng.Float64() < lup {
+		if g.src.float() < g.cuts.loadUse {
 			in.SrcDist1 = 1
 		}
-	} else if g.sinceLoad == 2 && g.rng.Float64() < 0.35 {
+	} else if g.sinceLoad == 2 && g.src.float() < g.cuts.use2 {
 		in.SrcDist2 = 2
 	}
 	if si.op == isa.OpLoad {
@@ -527,7 +538,7 @@ func (g *Generator) emitBody(blk *block, idx int) isa.Inst {
 				if gap >= 1 && gap < 512 {
 					in.SrcDist1 = uint16(gap)
 				}
-			} else if g.lastLoadAt > 0 && g.rng.Float64() < 0.55 {
+			} else if g.lastLoadAt > 0 && g.src.float() < g.cuts.chain {
 				// Address chains: many loads compute their address from
 				// an earlier load (field access through a pointer, array
 				// index loaded from memory), making load latency
@@ -541,7 +552,6 @@ func (g *Generator) emitBody(blk *block, idx int) isa.Inst {
 			g.lastLoadAt = g.count
 		}
 	}
-	return in
 }
 
 // emitTerminator handles the end of a block, updating the frame. It
@@ -595,7 +605,7 @@ func (g *Generator) emitTerminator(top *frameState, blk *block, bi int, in *isa.
 		return true
 
 	case blk.kind == condKind:
-		taken := g.rng.Float64() < blk.bias
+		taken := g.src.float() < blk.taken
 		if taken && top.block+2 < len(f.blocks) {
 			skip := &g.blocks[f.blocks[top.block+2]]
 			top.block += 2
@@ -638,13 +648,20 @@ func (g *Generator) emitTerminator(top *frameState, blk *block, bi int, in *isa.
 // Filling n instructions at once draws exactly what n NextWarm calls
 // would, so any split of a warming stretch into batches yields the same
 // stream.
-func (g *Generator) FillWarm(buf []isa.Inst) int {
+func (g *Generator) FillWarm(buf []isa.Inst) int { return g.fill(buf, true) }
+
+// fill writes the next len(buf) instructions of the warming stream (warm)
+// or the detailed one into buf and returns len(buf). The two streams walk
+// the same code and draw control flow and addresses alike; a detailed
+// body instruction also draws its dependences (emitBody).
+func (g *Generator) fill(buf []isa.Inst, warm bool) int {
 	for i := 0; i < len(buf); {
 		g.phaseCheck()
 		top := &g.stack[len(g.stack)-1]
 		bi := g.funcs[top.fn].blocks[top.block]
 		blk := &g.blocks[bi]
 		if top.inst >= len(blk.insts) {
+			// plainKind emits no terminator instruction: it falls through.
 			if g.emitTerminator(top, blk, bi, &buf[i]) {
 				i++
 				g.count++
@@ -656,6 +673,15 @@ func (g *Generator) FillWarm(buf []isa.Inst) int {
 		n := min(len(blk.insts)-top.inst, len(buf)-i)
 		if left := g.nextPhaseAt - g.count; left < uint64(n) {
 			n = int(left)
+		}
+		if !warm {
+			for range n {
+				g.emitBody(blk, top.inst, &buf[i])
+				top.inst++
+				i++
+				g.count++
+			}
+			continue
 		}
 		pc := blk.startPC + uint64(4*top.inst)
 		for _, si := range blk.insts[top.inst : top.inst+n] {
