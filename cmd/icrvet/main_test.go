@@ -16,10 +16,10 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestCLICleanTree is the acceptance smoke test: `icrvet ./...` over the
-// live repository exits 0 with no output.
+// TestCLICleanTree is the acceptance smoke test: `icrvet` over the live
+// repository exits 0 with no output.
 func TestCLICleanTree(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-C", filepath.Join("..", ".."), "./...")
+	code, stdout, stderr := runCLI(t, "-C", filepath.Join("..", ".."))
 	if code != 0 {
 		t.Fatalf("exit %d on live tree\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -37,7 +37,6 @@ func TestCLIFixturesFail(t *testing.T) {
 	}{
 		{"determinism", "[determinism]"},
 		{"resetcoverage", "[resetcoverage]"},
-		{"syncmisuse", "[syncmisuse]"},
 		{"floatorder", "[floatorder]"},
 		{"droppederr", "[droppederr]"},
 		{"suppress", "[directive]"},
@@ -45,7 +44,7 @@ func TestCLIFixturesFail(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
 			dir := filepath.Join("..", "..", "internal", "lint", "testdata", tc.fixture)
-			code, stdout, _ := runCLI(t, "-C", dir, "./...")
+			code, stdout, _ := runCLI(t, "-C", dir)
 			if code != 1 {
 				t.Fatalf("exit %d, want 1\nstdout:\n%s", code, stdout)
 			}
@@ -56,33 +55,15 @@ func TestCLIFixturesFail(t *testing.T) {
 	}
 }
 
-// TestCLIPatternFilter pins that a directory pattern narrows the report:
-// the droppederr fixture has findings in both cmd/ and internal/runner,
-// and asking for cmd/... must only show the former.
-func TestCLIPatternFilter(t *testing.T) {
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "droppederr")
-	code, stdout, _ := runCLI(t, "-C", dir, "cmd/...")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstdout:\n%s", code, stdout)
-	}
-	if strings.Contains(stdout, "internal/runner") {
-		t.Errorf("pattern cmd/... leaked internal/runner findings:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "cmd/app/main.go") {
-		t.Errorf("pattern cmd/... lost the cmd findings:\n%s", stdout)
-	}
-}
-
-// TestCLIPassSubset pins -passes narrowing and unknown-pass rejection.
-func TestCLIPassSubset(t *testing.T) {
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "determinism")
-	code, stdout, _ := runCLI(t, "-C", dir, "-passes", "droppederr", "./...")
-	if code != 0 || stdout != "" {
-		t.Errorf("droppederr-only over determinism fixture: exit %d, out %q", code, stdout)
-	}
-	code, _, stderr := runCLI(t, "-C", dir, "-passes", "bogus", "./...")
-	if code != 2 || !strings.Contains(stderr, "unknown pass") {
-		t.Errorf("bogus pass: exit %d, stderr %q; want exit 2 naming the pass", code, stderr)
+// TestCLIRejectsArguments pins that icrvet takes no package patterns: the
+// engine always analyzes the whole module, so a pattern could only hide
+// findings. Any argument is a usage error.
+func TestCLIRejectsArguments(t *testing.T) {
+	for _, args := range [][]string{{"./..."}, {"internal/sim/..."}, {"-passes", "determinism"}, {"-json"}} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 2 || stdout != "" {
+			t.Errorf("icrvet %q: exit %d, stdout %q, stderr %q; want exit 2 and no output", args, code, stdout, stderr)
+		}
 	}
 }
 

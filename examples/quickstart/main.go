@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/config"
@@ -13,13 +14,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run simulates both schemes and writes the comparison to w.
+func run(w io.Writer) error {
 	machine := config.Default() // the paper's Table 1 configuration
 
 	// A baseline: parity-protected dL1, 1-cycle loads, no replication.
@@ -45,15 +47,12 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("=== BaseP ===")
-	fmt.Print(baseRep.String())
-	fmt.Println("\n=== ICR-P-PS(S) ===")
-	fmt.Print(icrRep.String())
-
 	slowdown := float64(icrRep.Cycles)/float64(baseRep.Cycles) - 1
-	fmt.Printf("\nICR performance cost over BaseP: %+.1f%%\n", 100*slowdown)
-	fmt.Printf("Read hits that had a replica available: %.1f%%\n", 100*icrRep.LoadsWithReplica())
-	fmt.Println("\nThat is the paper's headline: near-baseline performance with a")
-	fmt.Println("redundant in-cache copy standing behind most of the data loads.")
-	return nil
+	_, err = fmt.Fprintf(w, "=== BaseP ===\n%s\n=== ICR-P-PS(S) ===\n%s\n"+
+		"ICR performance cost over BaseP: %+.1f%%\n"+
+		"Read hits that had a replica available: %.1f%%\n\n"+
+		"That is the paper's headline: near-baseline performance with a\n"+
+		"redundant in-cache copy standing behind most of the data loads.\n",
+		baseRep.String(), icrRep.String(), 100*slowdown, 100*icrRep.LoadsWithReplica())
+	return err
 }

@@ -21,13 +21,13 @@ var globalRandFuncs = map[string]bool{
 	"Perm": true, "Shuffle": true, "Read": true, "Seed": true, "N": true,
 }
 
-// runDeterminism flags sources of nondeterminism inside the simulation hot
-// path: wall-clock reads, the global math/rand source, and map iteration
+// runDeterminism flags sources of nondeterminism inside the simulation
+// packages (hotPaths): wall-clock reads, the global math/rand source, and map iteration
 // whose body accumulates ordered output (appends, string building, writes).
 // Floating-point accumulation under map iteration is the floatorder pass's
 // job module-wide, so it is not duplicated here.
 func runDeterminism(_ *Analysis, pkg *Package, r *Reporter) {
-	if !inScope(pkg.Rel, r.hotPaths()) {
+	if !inScope(pkg.Rel, hotPaths) {
 		return
 	}
 	for _, f := range pkg.Files {

@@ -22,16 +22,14 @@ var errIgnoredCallees = map[string]bool{
 	"(*bytes.Buffer).WriteRune":      true,
 }
 
-// runDroppedErr flags call statements that discard an error result inside
-// the CLIs and the parallel runner: in cmd/, a dropped error means the
-// process exits 0 with wrong or missing output; in internal/runner it
-// means a failed simulation is silently folded into the figures. Deferred
-// calls and explicit `_ =` discards are allowed — the first is accepted
-// cleanup idiom, the second is a visible, greppable decision.
+// runDroppedErr flags, module-wide, call statements that discard an error
+// result: in cmd/, a dropped error means the process exits 0 with wrong or
+// missing output; in the runner it folds a failed simulation into the
+// figures; in the store it turns I/O failure into silent data loss; in a
+// model package it silently misconfigures a simulation. Deferred calls and
+// explicit `_ =` discards are allowed — the first is accepted cleanup
+// idiom, the second is a visible, greppable decision.
 func runDroppedErr(_ *Analysis, pkg *Package, r *Reporter) {
-	if !inScope(pkg.Rel, r.errPaths()) {
-		return
-	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)

@@ -1,22 +1,23 @@
 // Package lint is icrvet's analysis engine: a standard-library-only static
 // analyzer (go/ast, go/parser, go/types) that enforces the repository's
-// determinism, concurrency, and pooling invariants. Seven passes run over
-// the whole module, sharing one type-checked load and (for the
-// reachability-based passes) one static call graph:
+// determinism, pooling, allocation and context invariants. Six passes run
+// over the whole module, sharing one type-checked load and (for the
+// reachability-based passes) one static call graph. Each holds an
+// invariant that neither `go vet` nor a run-time test checks (copied
+// locks are go vet's copylocks check, so no pass repeats it):
 //
 //   - determinism: wall-clock time, global math/rand, and order-dependent
-//     map iteration in the simulation hot path
-//   - syncmisuse: by-value copies of lock- or atomic-bearing structs, and
-//     64-bit atomics at 32-bit-unsafe struct offsets
+//     map iteration in the simulation packages (internal/sim, its import
+//     closure, internal/experiments and internal/reliability)
 //   - floatorder: floating-point accumulation fed by map iteration order
-//   - droppederr: discarded error returns in the CLIs and the runner
+//   - droppederr: discarded error returns, module-wide
 //   - resetcoverage: every field of an //icrvet:pooled type must be
 //     assigned in its Reset or be declared //icrvet:persistent — a missed
 //     field is cross-run state contamination through the instance pool
 //   - allocfree: no allocation-inducing constructs in functions statically
 //     reachable from the simulator's steady-state loop
-//   - ctxflow: context.Context plumbing discipline in the serving, runner
-//     and store layers
+//   - ctxflow: context.Context plumbing discipline (the time.Sleep rule
+//     only in the serving, runner and store layers)
 //
 // Findings can be suppressed with a justified directive on the flagged
 // line or the line above:
@@ -76,7 +77,6 @@ func relName(root, name string) string {
 // shard of a pass) can use it concurrently.
 type Analysis struct {
 	Mod  *Module
-	opts Options
 	dirs *directives
 
 	cgOnce sync.Once
@@ -104,13 +104,12 @@ type Pass struct {
 // Passes returns the analyses in their canonical order.
 func Passes() []Pass {
 	return []Pass{
-		{Name: "determinism", Doc: "wall-clock, global rand, and map-order dependence in hot packages", Package: runDeterminism},
-		{Name: "syncmisuse", Doc: "copied locks/atomics and misaligned 64-bit atomics", Package: runSyncMisuse},
+		{Name: "determinism", Doc: "wall-clock, global rand, and map-order dependence in simulation packages", Package: runDeterminism},
 		{Name: "floatorder", Doc: "float accumulation in map-iteration order", Package: runFloatOrder},
-		{Name: "droppederr", Doc: "discarded error returns in cmd/ and the runner/store/serve layers", Package: runDroppedErr},
+		{Name: "droppederr", Doc: "discarded error returns", Package: runDroppedErr},
 		{Name: "resetcoverage", Doc: "pooled types must Reset every field or declare it persistent", Module: runResetCoverage},
 		{Name: "allocfree", Doc: "no allocation in functions reachable from the steady-state loop", Module: runAllocFree},
-		{Name: "ctxflow", Doc: "context.Context plumbing discipline in the serving, runner and store layers", Package: runCtxFlow},
+		{Name: "ctxflow", Doc: "context.Context plumbing discipline", Package: runCtxFlow},
 	}
 }
 
@@ -124,62 +123,28 @@ func PassNames() []string {
 	return names
 }
 
-// Options configures an analysis.
-type Options struct {
-	// Passes selects a subset of pass names; nil runs all.
-	Passes []string
-
-	// HotPaths lists the module-relative directory prefixes the
-	// determinism pass polices. Nil means DefaultHotPaths. A single "*"
-	// covers the whole module.
-	HotPaths []string
-
-	// ErrPaths lists the module-relative prefixes the droppederr pass
-	// polices. Nil means DefaultErrPaths. A single "*" covers the whole
-	// module.
-	ErrPaths []string
+// hotPaths is the determinism scope: the module-relative directories
+// whose behaviour must be a pure function of (Machine, Run) for results
+// to be reproducible and memoizable. It is the import closure of
+// internal/sim plus the experiment drivers and the reliability model.
+var hotPaths = []string{
+	"internal/adapt", "internal/branch", "internal/cache", "internal/config",
+	"internal/core", "internal/cpu", "internal/ecc", "internal/energy",
+	"internal/experiments", "internal/fault", "internal/isa",
+	"internal/metrics", "internal/rcache", "internal/reliability",
+	"internal/sim", "internal/tier", "internal/workload",
 }
 
-// DefaultHotPaths is the simulation hot path: packages whose behaviour
-// must be a pure function of (Machine, Run) for results to be reproducible
-// and memoizable.
-func DefaultHotPaths() []string {
-	return []string{
-		"internal/sim", "internal/cpu", "internal/cache",
-		"internal/experiments", "internal/reliability", "internal/energy",
-		"internal/metrics",
-		"internal/branch", "internal/ecc", "internal/rcache",
-		"internal/fault", "internal/isa", "internal/config",
-		"internal/adapt",
-	}
-}
-
-// DefaultErrPaths is where droppederr applies: the CLIs (exit paths must
-// observe failures), the parallel runner (a swallowed error there turns
-// into a silently wrong figure), the persistent result store (a swallowed
-// I/O error turns into silent data loss), the HTTP serving layer (a
-// swallowed error turns into a wrong response), and the model packages
-// themselves — a swallowed error in branch
-// or fault construction turns into a silently misconfigured simulation.
-func DefaultErrPaths() []string {
-	return []string{
-		"cmd", "internal/runner", "internal/store", "internal/serve",
-		"internal/adapt",
-		"internal/branch", "internal/ecc", "internal/rcache",
-		"internal/fault", "internal/isa", "internal/config",
-	}
-}
-
-// Analyze loads the module at or above dir and runs the selected passes,
+// Analyze loads the module at or above dir and runs every pass,
 // returning the surviving (unsuppressed) findings sorted by position.
 // Malformed or unused suppression directives are reported under the
 // "directive" pseudo-pass.
-func Analyze(dir string, opts Options) ([]Finding, error) {
+func Analyze(dir string) ([]Finding, error) {
 	mod, err := Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	return Run(mod, opts)
+	return Run(mod), nil
 }
 
 // workItem is one schedulable unit: a package shard of a Package pass, or
@@ -189,19 +154,15 @@ type workItem struct {
 	pkg  *Package // nil for Module passes
 }
 
-// Run executes the selected passes over an already loaded module. Work is
-// sharded per (pass, package) and runs on up to GOMAXPROCS goroutines;
-// each shard reports into its own Reporter and the shards are merged and
-// sorted at the end, so the output is independent of scheduling.
-func Run(mod *Module, opts Options) ([]Finding, error) {
-	selected, err := selectPasses(opts.Passes)
-	if err != nil {
-		return nil, err
-	}
-	a := &Analysis{Mod: mod, opts: opts, dirs: collectDirectives(mod)}
+// Run executes every pass over an already loaded module. Work is sharded
+// per (pass, package) and runs on up to GOMAXPROCS goroutines; each shard
+// reports into its own Reporter and the shards are merged and sorted at
+// the end, so the output is independent of scheduling.
+func Run(mod *Module) []Finding {
+	a := &Analysis{Mod: mod, dirs: collectDirectives(mod)}
 
 	var items []workItem
-	for _, p := range selected {
+	for _, p := range Passes() {
 		if p.Package != nil {
 			for _, pkg := range mod.Packages {
 				items = append(items, workItem{pass: p, pkg: pkg})
@@ -221,7 +182,7 @@ func Run(mod *Module, opts Options) ([]Finding, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			r := &Reporter{
-				mod: mod, opts: opts, pass: it.pass.Name,
+				mod: mod, pass: it.pass.Name,
 				dirs: a.dirs, used: make(map[*directive]bool),
 			}
 			shards[i] = r
@@ -243,7 +204,7 @@ func Run(mod *Module, opts Options) ([]Finding, error) {
 		}
 	}
 	findings = append(findings, a.dirs.problems...)
-	findings = append(findings, unusedDirectives(a.dirs, selected, used)...)
+	findings = append(findings, unusedDirectives(a.dirs, used)...)
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -261,31 +222,14 @@ func Run(mod *Module, opts Options) ([]Finding, error) {
 		}
 		return a.Message < b.Message
 	})
-	return findings, nil
+	return findings
 }
 
-// unusedDirectives flags every suppression that suppressed nothing. A
-// directive is only judged when every pass it names actually ran this
-// invocation — running a single pass with -passes must not condemn the
-// suppressions that belong to the others.
-func unusedDirectives(dirs *directives, selected []Pass, used map[*directive]bool) []Finding {
-	ran := make(map[string]bool, len(selected))
-	for _, p := range selected {
-		ran[p.Name] = true
-	}
+// unusedDirectives flags every suppression that suppressed nothing.
+func unusedDirectives(dirs *directives, used map[*directive]bool) []Finding {
 	var out []Finding
 	for _, d := range dirs.all {
 		if used[d] {
-			continue
-		}
-		judgeable := true
-		for _, p := range d.passes {
-			if !ran[p] {
-				judgeable = false
-				break
-			}
-		}
-		if !judgeable {
 			continue
 		}
 		out = append(out, Finding{
@@ -297,33 +241,11 @@ func unusedDirectives(dirs *directives, selected []Pass, used map[*directive]boo
 	return out
 }
 
-func selectPasses(names []string) ([]Pass, error) {
-	all := Passes()
-	if len(names) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]Pass, len(all))
-	for _, p := range all {
-		byName[p.Name] = p
-	}
-	var out []Pass
-	for _, n := range names {
-		p, ok := byName[strings.TrimSpace(n)]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown pass %q (have %s)",
-				n, strings.Join(PassNames(), ", "))
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // Reporter collects findings for one work item (one pass over one package,
 // or one module-level pass) and applies suppression directives. Each shard
 // has its own Reporter, so passes never contend on it.
 type Reporter struct {
 	mod      *Module
-	opts     Options
 	pass     string
 	findings []Finding
 	dirs     *directives
@@ -343,29 +265,10 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 	r.findings = append(r.findings, Finding{Pass: r.pass, Pos: p, Message: fmt.Sprintf(format, args...)})
 }
 
-// hotPaths resolves the determinism scope.
-func (r *Reporter) hotPaths() []string {
-	if r.opts.HotPaths != nil {
-		return r.opts.HotPaths
-	}
-	return DefaultHotPaths()
-}
-
-// errPaths resolves the droppederr scope.
-func (r *Reporter) errPaths() []string {
-	if r.opts.ErrPaths != nil {
-		return r.opts.ErrPaths
-	}
-	return DefaultErrPaths()
-}
-
 // inScope reports whether a package's module-relative directory falls under
-// one of the given prefixes ("*" matches everything).
+// one of the given prefixes.
 func inScope(rel string, prefixes []string) bool {
 	for _, p := range prefixes {
-		if p == "*" {
-			return true
-		}
 		if rel == p || strings.HasPrefix(rel, p+"/") {
 			return true
 		}

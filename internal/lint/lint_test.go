@@ -3,6 +3,7 @@ package lint
 import (
 	"flag"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,13 +11,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
 
-// fixtureOpts maps each fixture to the options its golden run uses. The
-// fixtures lay their packages out on the real module's paths
-// (internal/sim, cmd/, internal/runner), so every fixture runs with the
-// default scopes — exactly what `icrvet ./...` does.
+// fixtures are the testdata modules TestGolden runs. They lay their
+// packages out on the real module's paths (internal/sim, internal/core,
+// cmd/, internal/runner), so every fixture sees the scopes `icrvet` applies
+// to the live tree.
 var fixtures = []string{
 	"determinism",
-	"syncmisuse",
 	"floatorder",
 	"droppederr",
 	"suppress",
@@ -33,7 +33,6 @@ var fixtures = []string{
 // regenerated without looking.
 var fixturePass = map[string]string{
 	"determinism":   "determinism",
-	"syncmisuse":    "syncmisuse",
 	"floatorder":    "floatorder",
 	"droppederr":    "droppederr",
 	"resetcoverage": "resetcoverage",
@@ -52,7 +51,7 @@ func analyzeFixture(t *testing.T, name string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Analyze(root, Options{})
+	findings, err := Analyze(root)
 	if err != nil {
 		t.Fatalf("Analyze(%s): %v", name, err)
 	}
@@ -107,8 +106,9 @@ func TestGolden(t *testing.T) {
 // TestLiveTreeClean is the end-to-end smoke test: the repository's own
 // module must analyze clean, so `make lint` only ever fails on a real
 // regression. The allocfree pass must also reach the workload generator's
-// warming path from (*cpu.Core).RunWarming through the cpu.WarmStream
-// interface, or the clean result would say nothing about it.
+// batch paths, the warming FillWarm from (*cpu.Core).RunWarming through
+// cpu.WarmStream and the detailed Fill from (*cpu.Core).Run through
+// cpu.DetailStream, or the clean result would say nothing about them.
 func TestLiveTreeClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -118,11 +118,7 @@ func TestLiveTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(repo): %v", err)
 	}
-	findings, err := Run(mod, Options{})
-	if err != nil {
-		t.Fatalf("Run(repo): %v", err)
-	}
-	for _, f := range findings {
+	for _, f := range Run(mod) {
 		t.Errorf("live tree finding: %s", f.Relative(root))
 	}
 
@@ -133,6 +129,8 @@ func TestLiveTreeClean(t *testing.T) {
 	}
 	for _, fn := range []string{
 		"(*workload.Generator).FillWarm",
+		"(*workload.Generator).Fill",
+		"(*workload.source).float",
 		"(*workload.region).next",
 		"(*workload.zipfTable).draw",
 		"(*workload.zipfTable).verbatim",
@@ -236,99 +234,25 @@ func TestSuppressFixture(t *testing.T) {
 	}
 }
 
-// TestSelectPasses covers the pass-subset plumbing and unknown names.
-func TestSelectPasses(t *testing.T) {
-	if _, err := selectPasses([]string{"determinism", "droppederr"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := selectPasses([]string{"bogus"}); err == nil {
-		t.Fatal("selectPasses(bogus): want error")
-	}
-	root, err := filepath.Abs(filepath.Join("testdata", "determinism"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only droppederr selected: the determinism fixture must come back
-	// clean, proving the subset actually narrows the run.
-	findings, err := Analyze(root, Options{Passes: []string{"droppederr"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("droppederr-only run over determinism fixture: %d findings, want 0", len(findings))
-	}
-}
-
-// TestHotPathScope pins that determinism only polices the hot packages:
-// the fixture's tools/ package commits the same sins and stays clean.
+// TestHotPathScope pins that determinism only polices the simulation
+// packages: the fixture's tools/ package commits the same sins and stays
+// clean, while internal/sim and internal/core are both flagged.
 func TestHotPathScope(t *testing.T) {
 	lines := analyzeFixture(t, "determinism")
+	flagged := map[string]bool{}
 	for _, l := range lines {
-		if strings.Contains(l, "tools/") {
-			t.Errorf("determinism flagged an off-hot-path package: %s", l)
-		}
-		if !strings.HasPrefix(l, "internal/sim/") {
-			t.Errorf("unexpected finding outside internal/sim: %s", l)
-		}
+		file, _, _ := strings.Cut(l, ":")
+		flagged[path.Dir(file)] = true
 	}
-}
-
-// TestJSONRoundTrip pins the -json artifact schema: Encode output decodes
-// back to the same report, findings carry root-relative paths, and an
-// empty run still encodes "findings": [] (never null).
-func TestJSONRoundTrip(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "suppress"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := Analyze(root, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) == 0 {
-		t.Fatal("suppress fixture produced no findings to encode")
-	}
-	rep := NewJSONReport(root, nil, findings)
-	if rep.Version != JSONVersion {
-		t.Errorf("version = %d, want %d", rep.Version, JSONVersion)
-	}
-	if len(rep.Passes) != len(PassNames()) {
-		t.Errorf("passes = %v, want the full roster", rep.Passes)
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeJSONReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Findings) != len(findings) {
-		t.Fatalf("round trip lost findings: %d != %d", len(back.Findings), len(findings))
-	}
-	for i, jf := range back.Findings {
-		want := findings[i].Relative(root)
-		gotPrefix := jf.File
-		if !strings.HasPrefix(want, gotPrefix+":") {
-			t.Errorf("finding %d: file %q does not prefix rendered %q", i, jf.File, want)
-		}
-		if strings.ContainsRune(jf.File, os.PathSeparator) && os.PathSeparator != '/' {
-			t.Errorf("finding %d: file %q is not slash-separated", i, jf.File)
+	for dir := range flagged {
+		if !inScope(dir, hotPaths) {
+			t.Errorf("determinism flagged %s, outside its scope:\n%s", dir, strings.Join(lines, "\n"))
 		}
 	}
-
-	// Empty reports still carry [] and the roster.
-	empty, err := NewJSONReport(root, []string{"determinism"}, nil).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(empty), `"findings": []`) {
-		t.Errorf("empty report encodes findings as null:\n%s", empty)
-	}
-
-	// Future versions are refused, not misparsed.
-	if _, err := DecodeJSONReport([]byte(`{"version": 99, "passes": [], "findings": []}`)); err == nil {
-		t.Error("DecodeJSONReport accepted an unknown version")
+	for _, dir := range []string{"internal/sim", "internal/core"} {
+		if !flagged[dir] {
+			t.Errorf("no determinism finding in %s:\n%s", dir, strings.Join(lines, "\n"))
+		}
 	}
 }
 

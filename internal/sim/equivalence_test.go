@@ -80,9 +80,11 @@ func equivalenceRuns() []equivRun {
 // jumped clock, and the dL1's optional structures: a write-through dL1
 // with its write buffer, a duplication cache, and prefetching into dead
 // lines. The last three run on vortex, gcc and parser, whose Hot-region
-// Zipf shapes the scheme matrix does not reach. The final pin runs the
-// §5.6 replica-served miss against a cross-tier L2 shrunk to 32KB, the
-// one pin on a machine other than config.Default().
+// Zipf shapes the scheme matrix does not reach. The last two pins run on
+// machines other than config.Default(): the §5.6 replica-served miss
+// against a cross-tier L2 shrunk to 32KB, and a sampled run whose iL1 is
+// shrunk to 1KB, so detailed windows end with fetch waiting on an iL1
+// miss and that drawn instruction must be warmed first.
 func pathPins() []equivRun {
 	m := config.Default()
 	relaxed := core.ReplConfig{
@@ -183,7 +185,14 @@ func pathPins() []equivRun {
 	lv.TwoTier = config.TwoTier{Protect: core.ParityProt, Replicate: true, Victim: core.ReplicaOnly, DecayWindow: 1000, CrossTier: true}
 	small := pinRun("gcc_ICR-P-PS-LS_leave-prefetch_twotier32k-ICR-P+x-replicaonly_seed1.json", lv)
 	small.machine.L2Size = 32 << 10
-	return append(runs, small)
+	runs = append(runs, small)
+
+	si := mk("gcc", icrPS)
+	si.Instructions = 200_000
+	si.Sample = config.SampleConfig{Period: 20_000}
+	tinyIL1 := pinRun("gcc_ICR-P-PS-S_sampled20k_il1-1k_seed1.json", si)
+	tinyIL1.machine.IL1Size = 1 << 10
+	return append(runs, tinyIL1)
 }
 
 // goldenName maps a run to its golden file name (scheme names contain
