@@ -51,6 +51,17 @@ type DetailStream interface {
 	Fill(buf []isa.Inst) int
 }
 
+// QuotaStream is an optional DetailStream extension: a stream that Run
+// tells, as it starts, how many more detailed draws it is now certain to
+// make. That count is the commit budget less every instruction already
+// drawn (committed, in flight, or waiting in the fetch buffer), the bound
+// refill fills up to, so the Fill calls of a Run that reaches its budget
+// draw at least the announced quota. A halted Run may stop short of it.
+type QuotaStream interface {
+	DetailStream
+	Quota(n uint64)
+}
+
 // fetchBatch is the most instructions fetch draws from the stream at
 // once.
 const fetchBatch = 64
@@ -196,6 +207,7 @@ type Core struct {
 	fqCount      int
 	fetchStall   uint64       // fetch blocked until this cycle
 	detail       DetailStream // stream's batch fill, nil if it has none
+	quota        QuotaStream  // stream told each Run's certain draws, nil if it has none
 	fetchBuf     []isa.Inst   //icrvet:persistent scratch: only fetchBuf[fbHead:fbLen] is read, and Reset empties it
 	fbHead       int
 	fbLen        int
@@ -262,10 +274,12 @@ func New(cfg Config, stream isa.Stream, icache cache.Level, dcache DataCache) *C
 		cfg.FetchQueue = 2 * cfg.FetchWidth
 	}
 	detail, _ := stream.(DetailStream)
+	quota, _ := stream.(QuotaStream)
 	return &Core{
 		cfg:           cfg,
 		stream:        stream,
 		detail:        detail,
+		quota:         quota,
 		icache:        icache,
 		dcache:        dcache,
 		pred:          branch.NewCombined(branch.DefaultConfig()),
@@ -287,9 +301,13 @@ func (c *Core) Stats() Stats { return c.stats }
 func (c *Core) Now() uint64 { return c.now }
 
 // Run simulates until maxInstructions have committed or the stream ends,
-// and returns the final statistics.
+// and returns the final statistics. A QuotaStream is first told how many
+// draws the run is certain to make.
 func (c *Core) Run(maxInstructions uint64) Stats {
 	c.maxInstrs = maxInstructions
+	if drawn := c.drawn(); c.quota != nil && drawn < maxInstructions {
+		c.quota.Quota(maxInstructions - drawn)
+	}
 	for c.stats.Instructions < maxInstructions {
 		if c.streamDone && c.ruuCount == 0 && c.fqCount == 0 {
 			break
@@ -402,13 +420,20 @@ func (c *Core) refill() int {
 		}
 	} else {
 		want := 1
-		if drawn := c.stats.Instructions + uint64(c.ruuCount+c.fqCount); drawn < c.maxInstrs {
+		if drawn := c.drawn(); drawn < c.maxInstrs {
 			want = int(min(c.maxInstrs-drawn, uint64(len(c.fetchBuf))))
 		}
 		n = c.detail.Fill(c.fetchBuf[:want])
 	}
 	c.fbHead, c.fbLen = 0, n
 	return n
+}
+
+// drawn returns how many instructions the core has drawn from its
+// stream: every one is committed, in the RUU or fetch queue, or waiting
+// in the fetch buffer.
+func (c *Core) drawn() uint64 {
+	return c.stats.Instructions + uint64(c.ruuCount+c.fqCount+c.fbLen-c.fbHead)
 }
 
 // fetch runs the fetch stage and reports whether it changed any state.
@@ -858,6 +883,7 @@ func (c *Core) Reset(cfg Config, stream isa.Stream) {
 	c.cfg = cfg
 	c.stream = stream
 	c.detail, _ = stream.(DetailStream)
+	c.quota, _ = stream.(QuotaStream)
 
 	c.pred.Reset()
 	c.btb.Reset()

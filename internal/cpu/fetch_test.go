@@ -10,11 +10,32 @@ import (
 
 // nextOnly is a generator with its batch Fill hidden, so fetch draws it
 // one Next at a time, exactly when it needs an instruction. Warming still
-// fills through FillWarm.
-type nextOnly struct{ g *workload.Generator }
+// fills through FillWarm. certain counts the detailed draws a Run to limit
+// could not have done without: those of the instructions up to the
+// limit-th of the stream, which the Run commits.
+type nextOnly struct {
+	g       *workload.Generator
+	limit   uint64
+	certain uint64
+}
 
-func (s nextOnly) Next() (isa.Inst, bool)      { return s.g.Next() }
-func (s nextOnly) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
+func (s *nextOnly) Next() (isa.Inst, bool) {
+	if s.g.Count() < s.limit {
+		s.certain++
+	}
+	return s.g.Next()
+}
+
+func (s *nextOnly) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
+
+// quotaTally is the bare generator plus the sum of the quotas Run
+// announces to it.
+type quotaTally struct {
+	*workload.Generator
+	quotas uint64
+}
+
+func (q *quotaTally) Quota(n uint64) { q.quotas += n }
 
 // TestFetchNeverDrawsAhead runs a sampled plan — functional warming, then
 // back-to-back detailed warm-up and measured Runs, per unit — on a core
@@ -24,21 +45,29 @@ func (s nextOnly) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
 // below the commit budget must neither change a draw nor move the
 // boundary between detailed and warming draws. When a Run returns, at
 // most one drawn instruction may still wait unfetched, the one an iL1
-// miss left at the buffer's head.
+// miss left at the buffer's head. The quotas Run announces to the batched
+// core's stream are draws it is certain to make: after every segment
+// their sum must equal, and so never exceed, the one-by-one core's
+// detailed draws of instructions its Runs committed. Fetch also draws
+// past the budget, so comparing with all detailed draws would let a quota
+// overstate by up to a window's worth. A long exact Run after the plan
+// announces one quota of many batches.
 func TestFetchNeverDrawsAhead(t *testing.T) {
 	const (
 		units  = 64
 		warm   = 3_100
 		warmup = 400
 		detail = 1_000
+		exact  = 20_000
 	)
 	for _, p := range workload.Profiles() {
 		t.Run(p.Name, func(t *testing.T) {
 			gb, gn := workload.MustNew(p, 1), workload.MustNew(p, 1)
-			batched := New(DefaultConfig(), gb, &skipICache{}, &skipDCache{})
-			single := New(DefaultConfig(), nextOnly{gn}, &skipICache{}, &skipDCache{})
-			if batched.detail == nil || single.detail != nil {
-				t.Fatal("the bare generator must fill in batches and the wrapper must not")
+			tally, one := &quotaTally{Generator: gb}, &nextOnly{g: gn}
+			batched := New(DefaultConfig(), tally, &skipICache{}, &skipDCache{})
+			single := New(DefaultConfig(), one, &skipICache{}, &skipDCache{})
+			if batched.detail == nil || batched.quota == nil || single.detail != nil {
+				t.Fatal("the tallied generator must fill in batches and take quotas, and the wrapper must not")
 			}
 			var cum uint64
 			check := func(seg string) {
@@ -59,6 +88,9 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 						t.Fatalf("%s: committed %d, want %d", seg, c.Stats().Instructions, cum)
 					}
 				}
+				if tally.quotas != one.certain {
+					t.Fatalf("%s: Run announced %d certain draws, the one-by-one core made %d", seg, tally.quotas, one.certain)
+				}
 			}
 			for u := 0; u < units; u++ {
 				cum += warm
@@ -70,6 +102,7 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 				}
 				for _, n := range []uint64{warmup, detail} {
 					cum += n
+					one.limit = cum
 					batched.Run(cum)
 					single.Run(cum)
 					seg := fmt.Sprintf("unit %d run to %d", u, cum)
@@ -79,6 +112,11 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 					}
 				}
 			}
+			cum += exact
+			one.limit = cum
+			batched.Run(cum)
+			single.Run(cum)
+			check("exact run")
 		})
 	}
 }

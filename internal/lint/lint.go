@@ -135,18 +135,6 @@ var hotPaths = []string{
 	"internal/sim", "internal/tier", "internal/workload",
 }
 
-// Analyze loads the module at or above dir and runs every pass,
-// returning the surviving (unsuppressed) findings sorted by position.
-// Malformed or unused suppression directives are reported under the
-// "directive" pseudo-pass.
-func Analyze(dir string) ([]Finding, error) {
-	mod, err := Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return Run(mod), nil
-}
-
 // workItem is one schedulable unit: a package shard of a Package pass, or
 // the single whole-module item of a Module pass.
 type workItem struct {
@@ -157,7 +145,10 @@ type workItem struct {
 // Run executes every pass over an already loaded module. Work is sharded
 // per (pass, package) and runs on up to GOMAXPROCS goroutines; each shard
 // reports into its own Reporter and the shards are merged and sorted at
-// the end, so the output is independent of scheduling.
+// the end, so the output is independent of scheduling. It returns the
+// surviving (unsuppressed) findings sorted by position; malformed or
+// unused suppression directives are reported under the "directive"
+// pseudo-pass.
 func Run(mod *Module) []Finding {
 	a := &Analysis{Mod: mod, dirs: collectDirectives(mod)}
 

@@ -51,10 +51,11 @@ func analyzeFixture(t *testing.T, name string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Analyze(root)
+	mod, err := Load(root)
 	if err != nil {
-		t.Fatalf("Analyze(%s): %v", name, err)
+		t.Fatalf("Load(%s): %v", name, err)
 	}
+	findings := Run(mod)
 	lines := make([]string, len(findings))
 	for i, f := range findings {
 		lines[i] = f.Relative(root)

@@ -210,31 +210,35 @@ func TestKernelEquivalenceGoldens(t *testing.T) {
 		}
 	}
 	for _, er := range equivalenceRuns() {
-		t.Run(er.name, func(t *testing.T) {
-			rep, err := Simulate(er.machine, er.run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rep.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
-			path := filepath.Join(dir, er.file)
-			if *updateEquivalence {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update-equivalence): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("report diverged from the pre-optimization kernel\n got: %s\nwant: %s", got, want)
-			}
-		})
+		t.Run(er.name, func(t *testing.T) { checkEquivalence(t, er, *updateEquivalence) })
+	}
+}
+
+// checkEquivalence simulates one pinned run and compares its report with
+// the golden, or rewrites the golden when update is set.
+func checkEquivalence(t *testing.T, er equivRun, update bool) {
+	rep, err := Simulate(er.machine, er.run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rep.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "equivalence", er.file)
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update-equivalence): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("report diverged from the pre-optimization kernel\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rcache"
 	"repro/internal/tier"
-	"repro/internal/workload"
 )
 
 // instance is one assembled simulated machine: the full memory hierarchy,
@@ -207,9 +206,15 @@ func (in *instance) reset(r config.Run) {
 	}
 }
 
-// simulate executes one run on the instance. r must match the instance's
-// shape; the caller has already normalized the budget and energy params.
-func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run, gen *workload.Generator) (*metrics.Report, error) {
+// simulate executes one run on the instance, drawing its instructions
+// from src. r must match the instance's shape; the caller has already
+// normalized the budget and energy params. Any producer drawing from src
+// ahead of the core (aheadStream) has exited when simulate returns.
+func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run, src detailSource) (*metrics.Report, error) {
+	busy.Add(1)
+	defer busy.Add(-1)
+	stream := &aheadStream{src: src}
+	defer stream.close()
 	in.reset(r)
 
 	cpucfg := m.CPU
@@ -274,7 +279,7 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 	}
 
 	c := in.core
-	c.Reset(cpucfg, gen)
+	c.Reset(cpucfg, stream)
 	var cstats cpu.Stats
 	var sampling *metrics.SamplingStats
 	if plan := planWindows(r.Instructions, r.Sample); plan != nil {
