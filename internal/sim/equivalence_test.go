@@ -80,11 +80,12 @@ func equivalenceRuns() []equivRun {
 // jumped clock, and the dL1's optional structures: a write-through dL1
 // with its write buffer, a duplication cache, and prefetching into dead
 // lines. The last three run on vortex, gcc and parser, whose Hot-region
-// Zipf shapes the scheme matrix does not reach. The last two pins run on
+// Zipf shapes the scheme matrix does not reach. The last four pins run on
 // machines other than config.Default(): the §5.6 replica-served miss
-// against a cross-tier L2 shrunk to 32KB, and a sampled run whose iL1 is
+// against a cross-tier L2 shrunk to 32KB, a sampled run whose iL1 is
 // shrunk to 1KB, so detailed windows end with fetch waiting on an iL1
-// miss and that drawn instruction must be warmed first.
+// miss and that drawn instruction must be warmed first, and an 8-wide
+// and a 1-wide core.
 func pathPins() []equivRun {
 	m := config.Default()
 	relaxed := core.ReplConfig{
@@ -192,7 +193,26 @@ func pathPins() []equivRun {
 	si.Sample = config.SampleConfig{Period: 20_000}
 	tinyIL1 := pinRun("gcc_ICR-P-PS-S_sampled20k_il1-1k_seed1.json", si)
 	tinyIL1.machine.IL1Size = 1 << 10
-	return append(runs, tinyIL1)
+	runs = append(runs, tinyIL1)
+
+	// Two cores other than Table 1's. The wide one fills an RUU of 64
+	// from an 8-wide front end; the narrow one runs every stage one
+	// instruction wide around a 4-entry RUU, sampled, so its detailed
+	// windows start and end on a nearly empty pipeline.
+	wc := mk("gcc", icrPP)
+	wide := pinRun("gcc_ICR-ECC-PP-LS_core-wide8-ruu64_seed1.json", wc)
+	wide.machine.CPU.FetchWidth, wide.machine.CPU.IssueWidth, wide.machine.CPU.CommitWidth = 8, 8, 8
+	wide.machine.CPU.RUUSize, wide.machine.CPU.LSQSize, wide.machine.CPU.FetchQueue = 64, 32, 16
+	wide.machine.CPU.MemPorts = 2
+	runs = append(runs, wide)
+
+	nc := mk("parser", icrPS)
+	nc.Instructions = 200_000
+	nc.Sample = config.SampleConfig{Period: 20_000}
+	narrow := pinRun("parser_ICR-P-PS-S_sampled20k_core-narrow1-ruu4_seed1.json", nc)
+	narrow.machine.CPU.FetchWidth, narrow.machine.CPU.IssueWidth, narrow.machine.CPU.CommitWidth = 1, 1, 1
+	narrow.machine.CPU.RUUSize, narrow.machine.CPU.LSQSize, narrow.machine.CPU.FetchQueue = 4, 2, 1
+	return append(runs, narrow)
 }
 
 // goldenName maps a run to its golden file name (scheme names contain
