@@ -44,8 +44,12 @@ func Default() Machine {
 	}
 }
 
-// Validate reports obviously broken machine parameters.
+// Validate reports obviously broken machine parameters, and a core the
+// timing model cannot run (cpu.Config.Validate).
 func (m *Machine) Validate() error {
+	if err := m.CPU.Validate(); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
 	if m.DL1Size <= 0 || m.DL1Assoc <= 0 || m.DL1Block <= 0 {
 		return fmt.Errorf("config: bad dL1 geometry")
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 )
 
 func TestDefaultMatchesTable1(t *testing.T) {
@@ -51,6 +52,52 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 	m.L2Size = -1
 	if err := m.Validate(); err == nil {
 		t.Error("negative L2 size should be invalid")
+	}
+
+	// A core on which some stage can never make progress again would spin
+	// until its context's deadline, or for good without one.
+	for _, tc := range []struct {
+		name string
+		set  func(c *cpu.Config)
+	}{
+		{"IssueWidth 0", func(c *cpu.Config) { c.IssueWidth = 0 }},
+		{"CommitWidth 0", func(c *cpu.Config) { c.CommitWidth = 0 }},
+		{"RUUSize 0", func(c *cpu.Config) { c.RUUSize = 0 }},
+		{"RUUSize 65", func(c *cpu.Config) { c.RUUSize = 65 }},
+		{"LSQSize 0", func(c *cpu.Config) { c.LSQSize = 0 }},
+		{"IntALUs 0", func(c *cpu.Config) { c.IntALUs = 0 }},
+		{"IntMulDiv 0", func(c *cpu.Config) { c.IntMulDiv = 0 }},
+		{"FPALUs 0", func(c *cpu.Config) { c.FPALUs = 0 }},
+		{"FPMulDiv 0", func(c *cpu.Config) { c.FPMulDiv = 0 }},
+		{"MemPorts 0", func(c *cpu.Config) { c.MemPorts = 0 }},
+		{"RASDepth 0", func(c *cpu.Config) { c.RASDepth = 0 }},
+		{"MSHRs -1", func(c *cpu.Config) { c.MSHRs = -1 }},
+		{"IssueWidth -1", func(c *cpu.Config) { c.IssueWidth = -1 }},
+	} {
+		m := Default()
+		tc.set(&m.CPU)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: core should be invalid", tc.name)
+		}
+	}
+
+	// New's defaults still apply first: a zero FetchWidth selects the
+	// Table 1 core, a zero FetchQueue two fetch groups, and MSHRs 0 means
+	// unlimited. The largest RUU the model runs is 64.
+	for _, tc := range []struct {
+		name string
+		set  func(c *cpu.Config)
+	}{
+		{"zero core", func(c *cpu.Config) { *c = cpu.Config{} }},
+		{"FetchQueue 0", func(c *cpu.Config) { c.FetchQueue = 0 }},
+		{"MSHRs 0", func(c *cpu.Config) { c.MSHRs = 0 }},
+		{"RUUSize 64", func(c *cpu.Config) { c.RUUSize = 64 }},
+	} {
+		m := Default()
+		tc.set(&m.CPU)
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

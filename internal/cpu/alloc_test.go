@@ -7,8 +7,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The pipeline allocates everything it needs at New: the fetch ring, the
-// RUU, the unissued list, and the MSHR slice are all fixed-capacity. A
+// The pipeline allocates everything it needs at New: the instruction
+// window (one ring for the fetch buffer, fetch queue and RUU), the port
+// reservations and the MSHR slice are all fixed-capacity. A
 // steady-state run therefore performs zero allocations per cycle — pinned
 // here so an accidental append-growth or escaping temporary fails fast.
 func TestRunSteadyStateAllocFree(t *testing.T) {

@@ -11,10 +11,19 @@
 // latencies, and misprediction bubbles. Wrong-path instructions are not
 // simulated; a mispredicted branch stalls fetch until it resolves plus the
 // redirect penalty, the standard trace-driven treatment.
+//
+// Every instruction the core draws lives in one instruction window, a
+// ring indexed by the instruction's sequence number, from the moment the
+// stream writes it there until it commits. The fetch buffer, the fetch
+// queue and the RUU are consecutive seq ranges of that ring, split by
+// cursors, so moving an instruction to the next stage moves a cursor and
+// copies nothing.
 package cpu
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -46,7 +55,8 @@ type HitPredictor interface {
 // Fill writes up to len(buf) instructions into buf and returns how many
 // it wrote; fewer than len(buf) means the stream has ended, and a later
 // Fill writes none. Filling n instructions must draw exactly what n Next
-// calls would, so the batch size never changes the stream.
+// calls would, so the batch size never changes the stream: fetch splits
+// a batch that would cross the end of its instruction window into two.
 type DetailStream interface {
 	Fill(buf []isa.Inst) int
 }
@@ -65,6 +75,10 @@ type QuotaStream interface {
 // fetchBatch is the most instructions fetch draws from the stream at
 // once.
 const fetchBatch = 64
+
+// maxRUU is the largest RUU the model runs: issue keeps the RUU's
+// not-yet-issued entries as the bits of one uint64.
+const maxRUU = 64
 
 // Config holds the core's structural parameters. ZeroValue fields default
 // to the paper's Table 1 machine via DefaultConfig.
@@ -137,6 +151,57 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults returns the configuration New runs for cfg: a non-positive
+// FetchWidth selects the Table 1 core, keeping cfg's hooks, and a
+// non-positive FetchQueue two fetch groups (a zero-capacity queue could
+// never feed dispatch).
+func (cfg Config) withDefaults() Config {
+	if cfg.FetchWidth <= 0 {
+		d := DefaultConfig()
+		d.EachCycle, d.Halt = cfg.EachCycle, cfg.Halt
+		cfg = d
+	}
+	if cfg.FetchQueue <= 0 {
+		cfg.FetchQueue = 2 * cfg.FetchWidth
+	}
+	return cfg
+}
+
+// Validate reports a core the model cannot run, judged after New's
+// defaults (which leave FetchWidth and FetchQueue positive): a width,
+// queue, port, functional-unit count or RAS depth below 1, on which some
+// stage never makes progress again, a negative MSHR count, or an RUU
+// larger than maxRUU.
+func (cfg Config) Validate() error {
+	cfg = cfg.withDefaults()
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"IssueWidth", cfg.IssueWidth},
+		{"CommitWidth", cfg.CommitWidth},
+		{"RUUSize", cfg.RUUSize},
+		{"LSQSize", cfg.LSQSize},
+		{"IntALUs", cfg.IntALUs},
+		{"IntMulDiv", cfg.IntMulDiv},
+		{"FPALUs", cfg.FPALUs},
+		{"FPMulDiv", cfg.FPMulDiv},
+		{"MemPorts", cfg.MemPorts},
+		{"RASDepth", cfg.RASDepth},
+	} {
+		if f.n < 1 {
+			return fmt.Errorf("cpu: %s is %d, want at least 1", f.name, f.n)
+		}
+	}
+	if cfg.RUUSize > maxRUU {
+		return fmt.Errorf("cpu: RUUSize is %d, want at most %d", cfg.RUUSize, maxRUU)
+	}
+	if cfg.MSHRs < 0 {
+		return fmt.Errorf("cpu: MSHRs is %d, want 0 (unlimited) or more", cfg.MSHRs)
+	}
+	return nil
+}
+
 // Stats counts core-side events for one run.
 type Stats struct {
 	Cycles       uint64
@@ -161,26 +226,12 @@ func (s *Stats) IPC() float64 {
 
 const neverDone = math.MaxUint64
 
-// noProducer is the producer seq of a source operand that was ready at
-// dispatch. Sequence numbers count up from 1, so no slot ever holds it.
-const noProducer = math.MaxUint64
-
-// entry is one RUU slot.
+// entry is the timing state of one instruction in the window, written
+// whole when fetch takes the instruction.
 type entry struct {
-	inst     isa.Inst
-	seq      uint64
-	issued   bool
-	doneAt   uint64 // cycle the result is available (neverDone until issued)
-	mispred  bool
-	resolved bool // mispredict redirect accounted
-	src      [2]producer
-}
-
-// producer locates the instruction a source operand waits for: its RUU
-// slot and its seq, captured at dispatch.
-type producer struct {
-	slot int
-	seq  uint64
+	readyAt uint64 // cycle the instruction may leave the fetch queue
+	doneAt  uint64 // cycle the result is available (neverDone until issued)
+	mispred bool   // fetch mispredicted it: fetch waits for its resolution
 }
 
 // Core is the out-of-order engine.
@@ -197,39 +248,43 @@ type Core struct {
 	now   uint64
 	stats Stats
 
-	// Fetch state. The fetch queue is a fixed ring (head/count over a
-	// cfg.FetchQueue-sized array), and instructions drawn from the stream
-	// wait in a fixed buffer, fetchBuf[fbHead:fbLen], until fetch takes
-	// them: a growing slice or an escaping instruction would allocate on
-	// every fetched instruction.
-	fetchQ       []fqEntry // ring buffer, len == cfg.FetchQueue
-	fqHead       int
-	fqCount      int
+	// The instruction window. Every detailed draw gets the next seq,
+	// counting from 0, and sits at insts[seq&mask] (its timing at
+	// win[seq&mask]) until it commits. Four cursors split the drawn,
+	// uncommitted seqs into the stages, oldest first:
+	//
+	//	[headSeq, dispSeq)   the RUU
+	//	[dispSeq, fetchSeq)  the fetch queue
+	//	[fetchSeq, drawnSeq) the fetch buffer: drawn, not yet fetched
+	//
+	// so headSeq <= dispSeq <= fetchSeq <= drawnSeq. Only refill writes
+	// insts, through the stream's Fill where it has one; an instruction
+	// changes stage by a cursor step. The stages hold at most RUUSize,
+	// FetchQueue and fetchBatch instructions, and the ring is that sum
+	// rounded up to a power of two, so a live seq never shares its slot.
+	insts    []isa.Inst
+	win      []entry
+	mask     uint64
+	headSeq  uint64
+	dispSeq  uint64
+	fetchSeq uint64
+	drawnSeq uint64
+	// waiting has bit k set while seq headSeq+k is in the RUU and not yet
+	// issued, so issue visits exactly the entries a head-to-tail scan
+	// would attempt, in seq order, without walking the issued majority.
+	waiting uint64
+
 	fetchStall   uint64       // fetch blocked until this cycle
 	detail       DetailStream // stream's batch fill, nil if it has none
 	quota        QuotaStream  // stream told each Run's certain draws, nil if it has none
-	fetchBuf     []isa.Inst   //icrvet:persistent scratch: only fetchBuf[fbHead:fbLen] is read, and Reset empties it
-	fbHead       int
-	fbLen        int
-	streamDone   bool   // the stream has ended (fetchBuf is then empty)
-	lastFetchBlk uint64 // last icache block fetched (to count per-block accesses)
-	seqCounter   uint64
+	streamDone   bool         // the stream has ended (the fetch buffer is then empty)
+	lastFetchBlk uint64       // last icache block fetched (to count per-block accesses)
 
 	// warmBuf is RunWarming's batch of functional-warming instructions,
 	// allocated on the first RunWarming so exact runs never carry it.
 	warmBuf []isa.Inst //icrvet:persistent scratch: RunWarming writes every slot it reads
 
-	// Window.
-	ruu      []entry
-	ruuHead  int
-	ruuCount int
 	lsqCount int
-	// unissued lists the RUU slots of not-yet-issued entries in dispatch
-	// (= sequence) order, so issue() visits exactly the entries the full
-	// head-to-tail scan would have attempted, without walking the issued
-	// majority every cycle. Entries leave only by issuing (there is no
-	// wrong-path squash), so the list never needs rebuilding.
-	unissued []int
 	// storesInWindow counts not-yet-committed stores in the RUU so the
 	// per-load disambiguation scan can be skipped entirely when no store
 	// is in flight (the common case).
@@ -255,43 +310,17 @@ type Core struct {
 	hookNext uint64 // cycle at which cfg.EachCycle must next run
 }
 
-type fqEntry struct {
-	inst    isa.Inst
-	seq     uint64
-	readyAt uint64
-	mispred bool
-}
-
 // New builds a core over the given instruction stream and memory
 // hierarchy. Predictor state is created fresh per core.
 func New(cfg Config, stream isa.Stream, icache cache.Level, dcache DataCache) *Core {
-	if cfg.FetchWidth <= 0 {
-		cfg = DefaultConfig()
+	c := &Core{
+		icache: icache,
+		dcache: dcache,
+		pred:   branch.NewCombined(branch.DefaultConfig()),
+		btb:    branch.NewBTB(512, 4),
 	}
-	if cfg.FetchQueue <= 0 {
-		// A zero-capacity queue could never feed dispatch; default to two
-		// fetch groups, as in DefaultConfig.
-		cfg.FetchQueue = 2 * cfg.FetchWidth
-	}
-	detail, _ := stream.(DetailStream)
-	quota, _ := stream.(QuotaStream)
-	return &Core{
-		cfg:           cfg,
-		stream:        stream,
-		detail:        detail,
-		quota:         quota,
-		icache:        icache,
-		dcache:        dcache,
-		pred:          branch.NewCombined(branch.DefaultConfig()),
-		btb:           branch.NewBTB(512, 4),
-		ras:           branch.NewRAS(cfg.RASDepth),
-		fetchQ:        make([]fqEntry, cfg.FetchQueue),
-		fetchBuf:      make([]isa.Inst, fetchBatch),
-		ruu:           make([]entry, cfg.RUUSize),
-		unissued:      make([]int, 0, cfg.RUUSize),
-		portFreeAt:    make([]uint64, cfg.MemPorts),
-		missBusyUntil: make([]uint64, 0, cfg.MSHRs),
-	}
+	c.Reset(cfg, stream)
+	return c
 }
 
 // Stats returns a snapshot of the core's counters.
@@ -309,7 +338,7 @@ func (c *Core) Run(maxInstructions uint64) Stats {
 		c.quota.Quota(maxInstructions - drawn)
 	}
 	for c.stats.Instructions < maxInstructions {
-		if c.streamDone && c.ruuCount == 0 && c.fqCount == 0 {
+		if c.streamDone && c.headSeq == c.fetchSeq {
 			break
 		}
 		if c.cfg.Halt != nil && c.cfg.Halt() {
@@ -370,8 +399,8 @@ func (c *Core) nextEvent() uint64 {
 	if c.cfg.EachCycle != nil {
 		next = after(t, next, c.hookNext)
 	}
-	if c.fqCount > 0 {
-		next = after(t, next, c.fetchQ[c.fqHead].readyAt)
+	if c.dispSeq != c.fetchSeq {
+		next = after(t, next, c.win[c.dispSeq&c.mask].readyAt)
 	}
 	for _, x := range c.portFreeAt {
 		next = after(t, next, x)
@@ -379,12 +408,8 @@ func (c *Core) nextEvent() uint64 {
 	for _, x := range c.missBusyUntil {
 		next = after(t, next, x)
 	}
-	i := c.ruuHead
-	for n := 0; n < c.ruuCount; n++ {
-		next = after(t, next, c.ruu[i].doneAt)
-		if i++; i == len(c.ruu) {
-			i = 0
-		}
+	for s := c.headSeq; s != c.dispSeq; s++ {
+		next = after(t, next, c.win[s&c.mask].doneAt)
 	}
 	return next
 }
@@ -411,29 +436,36 @@ func after(t, next, x uint64) uint64 {
 // it draws one. The split of the stream between detailed and warming
 // draws therefore does not depend on batching: when Run returns, at most
 // the one instruction an iL1 miss left waiting is drawn and not fetched.
+// A batch that would run past the ring's end is filled in two calls,
+// which draw what one would.
 func (c *Core) refill() int {
-	n := 0
+	at := c.drawnSeq & c.mask
 	if c.detail == nil {
-		if in, ok := c.stream.Next(); ok {
-			c.fetchBuf[0] = in
-			n = 1
+		in, ok := c.stream.Next()
+		if !ok {
+			return 0
 		}
-	} else {
-		want := 1
-		if drawn := c.drawn(); drawn < c.maxInstrs {
-			want = int(min(c.maxInstrs-drawn, uint64(len(c.fetchBuf))))
-		}
-		n = c.detail.Fill(c.fetchBuf[:want])
+		c.insts[at] = in
+		c.drawnSeq++
+		return 1
 	}
-	c.fbHead, c.fbLen = 0, n
-	return n
+	want := uint64(1)
+	if drawn := c.drawn(); drawn < c.maxInstrs {
+		want = min(c.maxInstrs-drawn, fetchBatch)
+	}
+	first := min(want, uint64(len(c.insts))-at)
+	n := uint64(c.detail.Fill(c.insts[at : at+first]))
+	if n == first && first < want {
+		n += uint64(c.detail.Fill(c.insts[:want-first]))
+	}
+	c.drawnSeq += n
+	return int(n)
 }
 
 // drawn returns how many instructions the core has drawn from its
-// stream: every one is committed, in the RUU or fetch queue, or waiting
-// in the fetch buffer.
+// stream: every one is committed or still in the window.
 func (c *Core) drawn() uint64 {
-	return c.stats.Instructions + uint64(c.ruuCount+c.fqCount+c.fbLen-c.fbHead)
+	return c.stats.Instructions + c.drawnSeq - c.headSeq
 }
 
 // fetch runs the fetch stage and reports whether it changed any state.
@@ -443,19 +475,20 @@ func (c *Core) fetch() bool {
 		return false
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.fqCount >= len(c.fetchQ) || c.streamDone {
+		if c.fetchSeq-c.dispSeq >= uint64(c.cfg.FetchQueue) || c.streamDone {
 			return n > 0
 		}
-		if c.fbHead == c.fbLen && c.refill() == 0 {
+		if c.fetchSeq == c.drawnSeq && c.refill() == 0 {
 			c.streamDone = true
 			return true // the stream just ended
 		}
-		next := &c.fetchBuf[c.fbHead]
+		i := c.fetchSeq & c.mask
+		in := &c.insts[i]
 		// Instruction-cache access once per new block.
-		blk := next.PC / 32 // Table 1: 32-byte iL1 blocks
+		blk := in.PC / 32 // Table 1: 32-byte iL1 blocks
 		if blk != c.lastFetchBlk {
 			c.lastFetchBlk = blk
-			lat := c.icache.Access(c.now, next.PC, cache.Fetch)
+			lat := c.icache.Access(c.now, in.PC, cache.Fetch)
 			if lat > 1 {
 				// Miss: this instruction arrives when the fill
 				// completes, and waits at the buffer's head until then.
@@ -463,21 +496,12 @@ func (c *Core) fetch() bool {
 				return true
 			}
 		}
-		c.fbHead++
-		c.seqCounter++
-		i := c.fqHead + c.fqCount
-		if i >= len(c.fetchQ) {
-			i -= len(c.fetchQ)
-		}
-		c.fqCount++
-		fe := &c.fetchQ[i]
-		fe.inst = *next
-		fe.seq = c.seqCounter
-		fe.readyAt = c.now + 1
-		fe.mispred = false
-		if in := &fe.inst; in.Op.IsCtrl() {
-			fe.mispred = c.predict(in)
-			if fe.mispred {
+		c.fetchSeq++
+		e := &c.win[i]
+		*e = entry{readyAt: c.now + 1, doneAt: neverDone}
+		if in.Op.IsCtrl() {
+			e.mispred = c.predict(in)
+			if e.mispred {
 				c.stats.Mispredicts++
 				// Trace-driven: stall fetch; the redirect is released
 				// when the branch resolves (see issue()).
@@ -525,9 +549,9 @@ func (c *Core) predict(in *isa.Inst) bool {
 }
 
 // resolveBranch trains the predictors when a control instruction executes
-// and releases a pending redirect.
-func (c *Core) resolveBranch(e *entry) {
-	in := &e.inst
+// and, if fetch mispredicted it, releases the redirect: issue resolves
+// each branch exactly once.
+func (c *Core) resolveBranch(in *isa.Inst, e *entry) {
 	switch in.Op {
 	case isa.OpBranch:
 		c.pred.Update(in.PC, in.Taken)
@@ -537,8 +561,7 @@ func (c *Core) resolveBranch(e *entry) {
 	case isa.OpJump, isa.OpCall:
 		c.btb.Update(in.PC, in.Target)
 	}
-	if e.mispred && !e.resolved {
-		e.resolved = true
+	if e.mispred {
 		// Redirect: fetch resumes after resolution plus the penalty.
 		c.fetchStall = e.doneAt + c.cfg.BranchPenalty
 	}
@@ -552,45 +575,25 @@ func (c *Core) resolveBranch(e *entry) {
 // whether it moved any.
 func (c *Core) dispatch() bool {
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.fqCount == 0 || c.fetchQ[c.fqHead].readyAt > c.now {
+		if c.dispSeq == c.fetchSeq || c.win[c.dispSeq&c.mask].readyAt > c.now {
 			return n > 0
 		}
-		if c.ruuCount >= c.cfg.RUUSize {
+		if c.dispSeq-c.headSeq >= uint64(c.cfg.RUUSize) {
 			c.stats.RUUFull++
 			return n > 0
 		}
-		fe := &c.fetchQ[c.fqHead]
-		if fe.inst.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize {
-			c.stats.LSQFull++
-			return n > 0
-		}
-		if c.fqHead++; c.fqHead == len(c.fetchQ) {
-			c.fqHead = 0
-		}
-		c.fqCount--
-		idx := c.ruuHead + c.ruuCount
-		if idx >= len(c.ruu) {
-			idx -= len(c.ruu)
-		}
-		// Every field of the slot is written in place: building the entry
-		// as a value and copying it in costs a block copy per instruction.
-		e := &c.ruu[idx]
-		e.inst = fe.inst
-		e.seq = fe.seq
-		e.issued = false
-		e.doneAt = neverDone
-		e.mispred = fe.mispred
-		e.resolved = false
-		e.src[0] = c.producerOf(idx, fe.seq, fe.inst.SrcDist1)
-		e.src[1] = c.producerOf(idx, fe.seq, fe.inst.SrcDist2)
-		c.ruuCount++
-		c.unissued = append(c.unissued, idx)
-		if fe.inst.Op.IsMem() {
+		if op := c.insts[c.dispSeq&c.mask].Op; op.IsMem() {
+			if c.lsqCount >= c.cfg.LSQSize {
+				c.stats.LSQFull++
+				return n > 0
+			}
 			c.lsqCount++
-			if fe.inst.Op == isa.OpStore {
+			if op == isa.OpStore {
 				c.storesInWindow++
 			}
 		}
+		c.waiting |= 1 << (c.dispSeq - c.headSeq)
+		c.dispSeq++
 	}
 	return true
 }
@@ -599,49 +602,29 @@ func (c *Core) dispatch() bool {
 // Issue / execute
 // ---------------------------------------------------------------------------
 
-// producerOf locates, for instruction seq being dispatched into slot idx,
-// the producer `dist` instructions before it. The RUU holds a contiguous
-// seq range (seqs are assigned at fetch, dispatched in order, and retired
-// only from the head), so a producer still in the window sits dist slots
-// behind idx. One outside the window (dist 0, or older than the head) has
-// committed or predates the stream, and is ready for good.
-func (c *Core) producerOf(idx int, seq uint64, dist uint16) producer {
-	d := int(dist)
-	if d == 0 || d > c.ruuCount {
-		return producer{seq: noProducer}
-	}
-	slot := idx - d
-	if slot < 0 {
-		slot += len(c.ruu)
-	}
-	return producer{slot: slot, seq: seq - uint64(d)}
-}
-
-// ready reports whether a source's producer has its result by now: it has
-// left its slot (committed, perhaps with the slot reused under a later
-// seq) or it has finished executing.
-func (c *Core) ready(p producer) bool {
-	e := &c.ruu[p.slot]
-	return e.seq != p.seq || e.doneAt <= c.now
+// ready reports whether the producer dist instructions before seq has its
+// result by now. dist 0 names no producer. The RUU holds the contiguous
+// seqs [headSeq, dispSeq), so a producer older than headSeq has committed
+// (or predates the stream) and is ready for good.
+func (c *Core) ready(seq uint64, dist uint16) bool {
+	d := uint64(dist)
+	return d == 0 || d > seq-c.headSeq || c.win[(seq-d)&c.mask].doneAt <= c.now
 }
 
 // earlierStoreConflict reports whether an older, not-yet-committed store
 // overlaps the load's word (conservative same-word disambiguation). With
 // no store in the window — the common case, tracked by storesInWindow —
 // the scan is skipped outright; otherwise only the entries older than the
-// load are examined (the window is in seq order from the head).
-func (c *Core) earlierStoreConflict(loadIdx int) bool {
+// load are examined.
+func (c *Core) earlierStoreConflict(load uint64) bool {
 	if c.storesInWindow == 0 {
 		return false
 	}
-	word := c.ruu[loadIdx].inst.Addr &^ 7
-	for i := c.ruuHead; i != loadIdx; {
-		e := &c.ruu[i]
-		if e.inst.Op == isa.OpStore && e.inst.Addr&^7 == word {
+	word := c.insts[load&c.mask].Addr &^ 7
+	for s := c.headSeq; s != load; s++ {
+		in := &c.insts[s&c.mask]
+		if in.Op == isa.OpStore && in.Addr&^7 == word {
 			return true
-		}
-		if i++; i == len(c.ruu) {
-			i = 0
 		}
 	}
 	return false
@@ -694,75 +677,60 @@ func (c *Core) freePort() int {
 	return -1
 }
 
-// issue starts ready instructions and reports whether it started any.
+// issue starts ready instructions, oldest first, and reports whether it
+// started any.
 func (c *Core) issue() bool {
 	issued := 0
 	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
 	intMD, fpMD := c.cfg.IntMulDiv, c.cfg.FPMulDiv
 
-	// Walk only the unissued entries (in sequence order); entries that
-	// stay unissued this cycle are compacted back into the list in place.
-	keep := c.unissued[:0]
-	for li, idx := range c.unissued {
-		if issued >= c.cfg.IssueWidth {
-			keep = append(keep, c.unissued[li:]...)
-			break
-		}
-		e := &c.ruu[idx]
-		if !c.ready(e.src[0]) || !c.ready(e.src[1]) {
-			keep = append(keep, idx)
+	for w := c.waiting; w != 0 && issued < c.cfg.IssueWidth; w &= w - 1 {
+		k := bits.TrailingZeros64(w)
+		seq := c.headSeq + uint64(k)
+		in := &c.insts[seq&c.mask]
+		if !c.ready(seq, in.SrcDist1) || !c.ready(seq, in.SrcDist2) {
 			continue
 		}
-		op := e.inst.Op
-		switch {
+		var lat uint64
+		switch op := in.Op; {
 		case op == isa.OpLoad:
-			if c.earlierStoreConflict(idx) {
-				keep = append(keep, idx)
+			if c.earlierStoreConflict(seq) {
 				continue
 			}
 			port := c.freePort()
 			if port < 0 {
-				keep = append(keep, idx)
 				continue
 			}
 			if c.cfg.MSHRs > 0 && c.mshrsFull() {
 				// A load that would miss cannot allocate a miss register.
-				if hp, ok := c.dcache.(HitPredictor); ok && !hp.WouldHit(e.inst.Addr) {
+				if hp, ok := c.dcache.(HitPredictor); ok && !hp.WouldHit(in.Addr) {
 					c.stats.MSHRStalls++
-					keep = append(keep, idx)
 					continue
 				}
 			}
-			lat := c.dcache.Load(c.now, e.inst.Addr)
+			lat = c.dcache.Load(c.now, in.Addr)
 			// The port is held for the L1-side check latency (capped at
 			// 2: longer latencies are miss service, handled by MSHRs).
-			occ := lat
-			if occ > 2 {
-				occ = 2
-			}
+			occ := min(lat, 2)
 			c.portFreeAt[port] = c.now + occ
 			if c.cfg.MSHRs > 0 && lat > occ {
 				c.missBusyUntil = append(c.missBusyUntil, c.now+lat)
 			}
-			e.issued = true
-			e.doneAt = c.now + lat
 			c.stats.Loads++
 		case op == isa.OpStore:
 			// Stores "execute" (address/data ready) in one cycle; the
 			// cache write happens at commit.
-			e.issued = true
-			e.doneAt = c.now + 1
+			lat = 1
 		case op == isa.OpIntALU || op == isa.OpIntMul || op == isa.OpIntDiv:
-			lat, isDiv := c.opLatency(op)
+			var isDiv bool
+			lat, isDiv = c.opLatency(op)
 			if op == isa.OpIntALU {
 				if intALU == 0 {
-					keep = append(keep, idx)
 					continue
 				}
 				intALU--
 			} else {
 				if intMD == 0 || (isDiv && c.intDivBusy > c.now) {
-					keep = append(keep, idx)
 					continue
 				}
 				intMD--
@@ -770,19 +738,16 @@ func (c *Core) issue() bool {
 					c.intDivBusy = c.now + lat
 				}
 			}
-			e.issued = true
-			e.doneAt = c.now + lat
 		case op == isa.OpFPALU || op == isa.OpFPMul || op == isa.OpFPDiv:
-			lat, isDiv := c.opLatency(op)
+			var isDiv bool
+			lat, isDiv = c.opLatency(op)
 			if op == isa.OpFPALU {
 				if fpALU == 0 {
-					keep = append(keep, idx)
 					continue
 				}
 				fpALU--
 			} else {
 				if fpMD == 0 || (isDiv && c.fpDivBusy > c.now) {
-					keep = append(keep, idx)
 					continue
 				}
 				fpMD--
@@ -790,21 +755,21 @@ func (c *Core) issue() bool {
 					c.fpDivBusy = c.now + lat
 				}
 			}
-			e.issued = true
-			e.doneAt = c.now + lat
 		default: // control
 			if intALU == 0 {
-				keep = append(keep, idx)
 				continue
 			}
 			intALU--
-			e.issued = true
-			e.doneAt = c.now + 1
-			c.resolveBranch(e)
+			lat = 1
+		}
+		e := &c.win[seq&c.mask]
+		e.doneAt = c.now + lat
+		c.waiting &^= 1 << k
+		if in.Op.IsCtrl() {
+			c.resolveBranch(in, e)
 		}
 		issued++
 	}
-	c.unissued = keep
 	return issued > 0
 }
 
@@ -819,15 +784,15 @@ func (c *Core) commit() bool {
 		return false
 	}
 	for n := 0; n < c.cfg.CommitWidth; n++ {
-		if c.ruuCount == 0 || c.stats.Instructions >= c.maxInstrs {
+		if c.headSeq == c.dispSeq || c.stats.Instructions >= c.maxInstrs {
 			return n > 0
 		}
-		e := &c.ruu[c.ruuHead]
-		if !e.issued || e.doneAt > c.now {
+		i := c.headSeq & c.mask
+		if c.win[i].doneAt > c.now { // unissued entries are neverDone
 			return n > 0
 		}
-		if e.inst.Op == isa.OpStore {
-			lat := c.dcache.Store(c.now, e.inst.Addr)
+		if in := &c.insts[i]; in.Op == isa.OpStore {
+			lat := c.dcache.Store(c.now, in.Addr)
 			c.stats.Stores++
 			// Buffered stores don't stall commit, but they do consume
 			// cache write bandwidth: queue one cycle on the least-busy
@@ -849,13 +814,11 @@ func (c *Core) commit() bool {
 			}
 			c.lsqCount--
 			c.storesInWindow--
-		} else if e.inst.Op == isa.OpLoad {
+		} else if in.Op == isa.OpLoad {
 			c.lsqCount--
 		}
-		if c.ruuHead++; c.ruuHead == len(c.ruu) {
-			c.ruuHead = 0
-		}
-		c.ruuCount--
+		c.headSeq++
+		c.waiting >>= 1 // the head was issued, so bit 0 was clear
 		c.stats.Instructions++
 		if c.now < c.commitStall {
 			return true
@@ -866,20 +829,15 @@ func (c *Core) commit() bool {
 
 // Reset restores the core to its post-construction state for a new run —
 // new per-run configuration (hooks differ run to run), new stream — while
-// reusing every internal array: the fetch ring, RUU, issue list, port and
-// MSHR reservations, and the branch predictor tables. Structure sizes are
-// taken from cfg exactly as New takes them; an array whose configured size
-// changed is reallocated, so Reset is correct (just not allocation-free)
-// across machine geometries. Stale entries beyond the reset ring counts
-// are unreachable: fetch and dispatch fully overwrite a slot before the
-// counts make it visible.
+// reusing every internal array: the instruction window, port and MSHR
+// reservations, and the branch predictor tables. Structure sizes are
+// taken from cfg with New's defaults; an array whose size changed is
+// reallocated, so Reset is correct (just not allocation-free) across
+// machine geometries. Stale window slots are unreachable: the cursors
+// restart at seq 0, and the stream and fetch write a slot before a
+// cursor makes it live.
 func (c *Core) Reset(cfg Config, stream isa.Stream) {
-	if cfg.FetchWidth <= 0 {
-		cfg = DefaultConfig()
-	}
-	if cfg.FetchQueue <= 0 {
-		cfg.FetchQueue = 2 * cfg.FetchWidth
-	}
+	cfg = cfg.withDefaults()
 	c.cfg = cfg
 	c.stream = stream
 	c.detail, _ = stream.(DetailStream)
@@ -887,7 +845,7 @@ func (c *Core) Reset(cfg Config, stream isa.Stream) {
 
 	c.pred.Reset()
 	c.btb.Reset()
-	if c.ras.Cap() != cfg.RASDepth {
+	if c.ras == nil || c.ras.Cap() != cfg.RASDepth {
 		c.ras = branch.NewRAS(cfg.RASDepth)
 	} else {
 		c.ras.Reset()
@@ -896,26 +854,18 @@ func (c *Core) Reset(cfg Config, stream isa.Stream) {
 	c.now = 0
 	c.stats = Stats{}
 
-	if len(c.fetchQ) != cfg.FetchQueue {
-		c.fetchQ = make([]fqEntry, cfg.FetchQueue)
+	if n := 1 << bits.Len(uint(cfg.RUUSize+cfg.FetchQueue+fetchBatch-1)); len(c.insts) != n {
+		c.insts = make([]isa.Inst, n)
+		c.win = make([]entry, n)
 	}
-	c.fqHead = 0
-	c.fqCount = 0
+	c.mask = uint64(len(c.insts) - 1)
+	c.headSeq, c.dispSeq, c.fetchSeq, c.drawnSeq = 0, 0, 0, 0
+	c.waiting = 0
+
 	c.fetchStall = 0
-	c.fbHead = 0
-	c.fbLen = 0
 	c.streamDone = false
 	c.lastFetchBlk = 0
-	c.seqCounter = 0
-
-	if len(c.ruu) != cfg.RUUSize {
-		c.ruu = make([]entry, cfg.RUUSize)
-		c.unissued = make([]int, 0, cfg.RUUSize)
-	}
-	c.ruuHead = 0
-	c.ruuCount = 0
 	c.lsqCount = 0
-	c.unissued = c.unissued[:0]
 	c.storesInWindow = 0
 
 	c.intDivBusy = 0

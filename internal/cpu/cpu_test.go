@@ -319,6 +319,19 @@ func TestEachCycleHook(t *testing.T) {
 			t.Fatalf("call %d at cycle %d, want %d", i, now, uint64(i)*period)
 		}
 	}
+
+	// A zero FetchWidth selects the Table 1 core but keeps the hooks: the
+	// hook still runs, and Halt still stops the run.
+	calls = 0
+	halt := false
+	cfg = Config{
+		EachCycle: func(now uint64) uint64 { calls++; halt = now >= 10; return now + 1 },
+		Halt:      func() bool { return halt },
+	}
+	c = New(cfg, isa.NewSliceStream(seqInsts(1000)), perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
+	if s = c.Run(1 << 20); calls != 11 || s.Cycles != 11 {
+		t.Errorf("defaulted core: hook called %d times in %d cycles, want a halt after 11", calls, s.Cycles)
+	}
 }
 
 func TestStatsIPCZeroSafe(t *testing.T) {

@@ -78,9 +78,9 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 				if a, b := gb.Count(), gn.Count(); a != b {
 					t.Fatalf("%s: batched core drew %d instructions, one by one %d", seg, a, b)
 				}
-				// Every drawn instruction is committed, in flight, or
-				// waiting in the fetch buffer: none is lost or repeated.
-				if held := uint64(batched.ruuCount+batched.fqCount+batched.fbLen-batched.fbHead) + cum; gb.Count() != held {
+				// Every drawn instruction is committed or in the window,
+				// [headSeq, drawnSeq): none is lost or repeated.
+				if held := batched.drawnSeq - batched.headSeq + cum; gb.Count() != held {
 					t.Fatalf("%s: generator drew %d instructions, core holds %d", seg, gb.Count(), held)
 				}
 				for _, c := range []*Core{batched, single} {
@@ -97,7 +97,7 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 				batched.RunWarming(cum, 0, 0)
 				single.RunWarming(cum, 0, 0)
 				check(fmt.Sprintf("unit %d warming", u))
-				if batched.fbLen != batched.fbHead {
+				if batched.fetchSeq != batched.drawnSeq {
 					t.Fatalf("unit %d: warming left a drawn instruction unfetched, so it would run out of order", u)
 				}
 				for _, n := range []uint64{warmup, detail} {
@@ -107,7 +107,7 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 					single.Run(cum)
 					seg := fmt.Sprintf("unit %d run to %d", u, cum)
 					check(seg)
-					if left := batched.fbLen - batched.fbHead; left > 1 {
+					if left := batched.drawnSeq - batched.fetchSeq; left > 1 {
 						t.Fatalf("%s: %d drawn instructions left unfetched, want at most 1", seg, left)
 					}
 				}

@@ -43,7 +43,7 @@ const warmBatch = 256
 // sim.SimulateContext handle jumped clocks.
 func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 	c.maxInstrs = target
-	for c.ruuCount > 0 || c.fqCount > 0 {
+	for c.headSeq != c.fetchSeq {
 		if c.stats.Instructions >= target {
 			return c.stats
 		}
@@ -138,11 +138,16 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 // fillWarm fills buf, which is never empty, with the next instructions
 // to warm: first those fetch drew and did not take (after a full Run, at
 // most the one an iL1 miss left waiting; see refill), then the stream's
-// own. It returns how many it wrote; fewer than len(buf) means the stream
-// has ended.
+// own. The pipeline is drained, so the RUU and fetch queue cursors
+// follow fetchSeq past each instruction taken from the window. It returns
+// how many it wrote; fewer than len(buf) means the stream has ended.
 func (c *Core) fillWarm(ws WarmStream, buf []isa.Inst) int {
-	n := copy(buf, c.fetchBuf[c.fbHead:c.fbLen])
-	c.fbHead += n
+	n := 0
+	for ; n < len(buf) && c.fetchSeq != c.drawnSeq; n++ {
+		buf[n] = c.insts[c.fetchSeq&c.mask]
+		c.fetchSeq++
+	}
+	c.headSeq, c.dispSeq = c.fetchSeq, c.fetchSeq
 	switch {
 	case c.streamDone || n == len(buf):
 	case ws != nil:

@@ -142,10 +142,14 @@ fi
 stage test
 $GO test ./...
 
-# One short run of every perf workload: each checks its outputs against
-# the reference digests and must report "correct":true. There is no timing
-# gate here; paired perf runs against the BENCHMARK.json bounds judge speed.
+# The perf module's own tests (its workload list against BENCHMARK.json,
+# the exact-IPC reference, the open-loop generator), which the root
+# module's go test ./... does not reach, then one short run of every perf
+# workload: each checks its outputs against the reference digests and must
+# report "correct":true. There is no timing gate here; paired perf runs
+# against the BENCHMARK.json bounds judge speed.
 stage perf
+$GO test -C perf ./...
 for w in sim-exact sim-sampled sweep-cold serve-zipf; do
     bash perf/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 >"$DIR/$w.json" \
         || fail "$w exited non-zero: $(tail -1 "$DIR/$w.json")"
