@@ -3,7 +3,6 @@ package cpu
 import (
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -14,7 +13,7 @@ import (
 // here so an accidental append-growth or escaping temporary fails fast.
 func TestRunSteadyStateAllocFree(t *testing.T) {
 	gen := workload.MustNew(workload.Gcc(), 1)
-	c := New(DefaultConfig(), gen, perfectICache{}, &fixedDCache{loadLat: 2, storeLat: 1})
+	c := New(DefaultConfig(), &quotaTally{Generator: gen}, perfectICache{}, &fixedDCache{loadLat: 2, storeLat: 1})
 
 	// Warm up: fill the window, grow any lazily-sized internals.
 	c.Run(20_000)
@@ -40,7 +39,7 @@ func TestRunSteadyStateAllocFree(t *testing.T) {
 // on the core's fixed arrays.
 func TestRunMemoryBoundAllocFree(t *testing.T) {
 	const instrs = 20_000
-	stream := isa.NewSliceStream(memoryBoundStream(instrs))
+	stream := &fillStream{insts: memoryBoundStream(instrs)}
 	c := New(DefaultConfig(), stream, perfectICache{}, &fixedDCache{loadLat: 80, storeLat: 1})
 	got := testing.AllocsPerRun(5, func() {
 		stream.Reset()

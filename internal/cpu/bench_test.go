@@ -16,7 +16,7 @@ func BenchmarkCPURun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		gen := workload.MustNew(workload.Gcc(), 1)
-		c := New(DefaultConfig(), gen, perfectICache{}, &fixedDCache{loadLat: 2, storeLat: 1})
+		c := New(DefaultConfig(), &quotaTally{Generator: gen}, perfectICache{}, &fixedDCache{loadLat: 2, storeLat: 1})
 		b.StartTimer()
 		s := c.Run(instrs)
 		if s.Instructions != instrs {
@@ -32,7 +32,7 @@ func BenchmarkCPURun(b *testing.B) {
 // iteration, so the run itself must report 0 allocs/op.
 func BenchmarkCPURunMemoryBound(b *testing.B) {
 	const instrs = 50_000
-	stream := isa.NewSliceStream(memoryBoundStream(instrs))
+	stream := &fillStream{insts: memoryBoundStream(instrs)}
 	c := New(DefaultConfig(), stream, perfectICache{}, &fixedDCache{loadLat: 80, storeLat: 1})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -150,7 +150,7 @@ func TestMSHRLimitThrottlesMisses(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MSHRs = mshrs
 		cfg.MemPorts = 4
-		c := New(cfg, isa.NewSliceStream(insts), perfectICache{}, &mshrDCache{})
+		c := New(cfg, &fillStream{insts: insts}, perfectICache{}, &mshrDCache{})
 		s := c.Run(1 << 20)
 		return s.Cycles, s.MSHRStalls
 	}
@@ -165,7 +165,7 @@ func TestMSHRLimitThrottlesMisses(t *testing.T) {
 	// Unlimited mode (0) must not stall at all.
 	cfg := DefaultConfig()
 	cfg.MSHRs = 0
-	c := New(cfg, isa.NewSliceStream(insts), perfectICache{}, &mshrDCache{})
+	c := New(cfg, &fillStream{insts: insts}, perfectICache{}, &mshrDCache{})
 	if s := c.Run(1 << 20); s.MSHRStalls != 0 {
 		t.Errorf("unlimited MSHRs recorded %d stalls", s.MSHRStalls)
 	}

@@ -5,12 +5,14 @@
 // Table 1 functional-unit mix, a combined branch predictor with a 4-way
 // 512-entry BTB, and a 3-cycle misprediction penalty.
 //
-// The model is trace-driven: instruction streams carry resolved branch
-// outcomes and memory addresses (internal/isa), and the core models the
-// timing consequences — dependence stalls, structural hazards, cache
-// latencies, and misprediction bubbles. Wrong-path instructions are not
-// simulated; a mispredicted branch stalls fetch until it resolves plus the
-// redirect penalty, the standard trace-driven treatment.
+// The model is trace-driven: the core draws its instructions from one
+// Stream (detailed batches through Fill, functional-warming batches
+// through FillWarm), and they carry resolved branch outcomes and memory
+// addresses (internal/isa). The core models the timing consequences —
+// dependence stalls, structural hazards, cache latencies, and
+// misprediction bubbles. Wrong-path instructions are not simulated; a
+// mispredicted branch stalls fetch until it resolves plus the redirect
+// penalty, the standard trace-driven treatment.
 //
 // Every instruction the core draws lives in one instruction window, a
 // ring indexed by the instruction's sequence number, from the moment the
@@ -48,27 +50,35 @@ type HitPredictor interface {
 	WouldHit(addr uint64) bool
 }
 
-// DetailStream is an optional isa.Stream extension: a stream that writes
-// its next instructions into a buffer in one call, which fetch uses below
-// the commit budget (see refill). workload.Generator implements it.
+// Stream is where the core draws its instructions from, in program
+// order. Run and fetch draw the detailed stream, RunWarming the warming
+// one; sim's run stream is the one production Stream.
 //
-// Fill writes up to len(buf) instructions into buf and returns how many
-// it wrote; fewer than len(buf) means the stream has ended, and a later
-// Fill writes none. Filling n instructions must draw exactly what n Next
-// calls would, so the batch size never changes the stream: fetch splits
-// a batch that would cross the end of its instruction window into two.
-type DetailStream interface {
+// Fill writes the next detailed instructions into buf, at most len(buf),
+// and returns how many it wrote. A Fill that writes none means the stream
+// has ended, and every later Fill writes none; a Fill may write fewer
+// than len(buf) without the stream having ended. Filling n instructions
+// in one call draws exactly what n calls of one would, so the batch size
+// never changes the stream: fetch splits a batch that would cross the end
+// of its instruction window into two.
+//
+// FillWarm writes the next functional-warming instructions, which may
+// skip the draws that only matter to out-of-order timing (dependence
+// distances, load-use chains): the warmed stream must be statistically
+// identical to the detailed one — same control flow, same address
+// distributions — but need not be the same realization. It returns how
+// many it wrote; fewer than len(buf) means the stream has ended. Filling
+// n instructions draws exactly what n single-instruction fills would.
+//
+// Quota tells the stream, as Run starts, how many more detailed draws the
+// Run is now certain to make. That count is the commit budget less every
+// instruction already drawn (committed, in flight, or waiting in the
+// fetch buffer), the bound refill fills up to, so the Fills of a Run that
+// reaches its budget draw at least the announced quota. A halted Run may
+// stop short of it.
+type Stream interface {
 	Fill(buf []isa.Inst) int
-}
-
-// QuotaStream is an optional DetailStream extension: a stream that Run
-// tells, as it starts, how many more detailed draws it is now certain to
-// make. That count is the commit budget less every instruction already
-// drawn (committed, in flight, or waiting in the fetch buffer), the bound
-// refill fills up to, so the Fill calls of a Run that reaches its budget
-// draw at least the announced quota. A halted Run may stop short of it.
-type QuotaStream interface {
-	DetailStream
+	FillWarm(buf []isa.Inst) int
 	Quota(n uint64)
 }
 
@@ -237,7 +247,7 @@ type entry struct {
 // Core is the out-of-order engine.
 type Core struct {
 	cfg    Config
-	stream isa.Stream
+	stream Stream
 	icache cache.Level //icrvet:persistent aliases the pool owner's il1, which the owner resets directly
 	dcache DataCache   //icrvet:persistent aliases the pool owner's dl1, which the owner resets directly
 
@@ -258,10 +268,10 @@ type Core struct {
 	//	[fetchSeq, drawnSeq) the fetch buffer: drawn, not yet fetched
 	//
 	// so headSeq <= dispSeq <= fetchSeq <= drawnSeq. Only refill writes
-	// insts, through the stream's Fill where it has one; an instruction
-	// changes stage by a cursor step. The stages hold at most RUUSize,
-	// FetchQueue and fetchBatch instructions, and the ring is that sum
-	// rounded up to a power of two, so a live seq never shares its slot.
+	// insts, through the stream's Fill; an instruction changes stage by a
+	// cursor step. The stages hold at most RUUSize, FetchQueue and
+	// fetchBatch instructions, and the ring is that sum rounded up to a
+	// power of two, so a live seq never shares its slot.
 	insts    []isa.Inst
 	win      []entry
 	mask     uint64
@@ -274,11 +284,9 @@ type Core struct {
 	// would attempt, in seq order, without walking the issued majority.
 	waiting uint64
 
-	fetchStall   uint64       // fetch blocked until this cycle
-	detail       DetailStream // stream's batch fill, nil if it has none
-	quota        QuotaStream  // stream told each Run's certain draws, nil if it has none
-	streamDone   bool         // the stream has ended (the fetch buffer is then empty)
-	lastFetchBlk uint64       // last icache block fetched (to count per-block accesses)
+	fetchStall   uint64 // fetch blocked until this cycle
+	streamDone   bool   // the stream has ended (the fetch buffer is then empty)
+	lastFetchBlk uint64 // last icache block fetched (to count per-block accesses)
 
 	// warmBuf is RunWarming's batch of functional-warming instructions,
 	// allocated on the first RunWarming so exact runs never carry it.
@@ -312,7 +320,7 @@ type Core struct {
 
 // New builds a core over the given instruction stream and memory
 // hierarchy. Predictor state is created fresh per core.
-func New(cfg Config, stream isa.Stream, icache cache.Level, dcache DataCache) *Core {
+func New(cfg Config, stream Stream, icache cache.Level, dcache DataCache) *Core {
 	c := &Core{
 		icache: icache,
 		dcache: dcache,
@@ -330,12 +338,12 @@ func (c *Core) Stats() Stats { return c.stats }
 func (c *Core) Now() uint64 { return c.now }
 
 // Run simulates until maxInstructions have committed or the stream ends,
-// and returns the final statistics. A QuotaStream is first told how many
+// and returns the final statistics. The stream is first told how many
 // draws the run is certain to make.
 func (c *Core) Run(maxInstructions uint64) Stats {
 	c.maxInstrs = maxInstructions
-	if drawn := c.drawn(); c.quota != nil && drawn < maxInstructions {
-		c.quota.Quota(maxInstructions - drawn)
+	if drawn := c.drawn(); drawn < maxInstructions {
+		c.stream.Quota(maxInstructions - drawn)
 	}
 	for c.stats.Instructions < maxInstructions {
 		if c.streamDone && c.headSeq == c.fetchSeq {
@@ -427,36 +435,26 @@ func after(t, next, x uint64) uint64 {
 // ---------------------------------------------------------------------------
 
 // refill draws the next instructions into the empty fetch buffer and
-// returns how many it drew, 0 once the stream has ended. A stream without
-// Fill gives one instruction, when fetch needs it. A DetailStream is
-// filled in batches, but never ahead of that one-by-one pace: every drawn
-// instruction is committed, in the fetch queue or RUU, or (not now) in
-// the buffer, and those below the commit budget are certain to be fetched
-// before Run returns, so refill fills up to the budget at once and past
-// it draws one. The split of the stream between detailed and warming
-// draws therefore does not depend on batching: when Run returns, at most
-// the one instruction an iL1 miss left waiting is drawn and not fetched.
-// A batch that would run past the ring's end is filled in two calls,
-// which draw what one would.
+// returns how many it drew, 0 once the stream has ended. It fills in
+// batches, but never ahead of a one-by-one pace: every drawn instruction
+// is committed, in the fetch queue or RUU, or (not now) in the buffer,
+// and those below the commit budget are certain to be fetched before Run
+// returns, so refill fills up to the budget at once and past it draws
+// one. The split of the stream between detailed and warming draws
+// therefore does not depend on batching: when Run returns, at most the
+// one instruction an iL1 miss left waiting is drawn and not fetched. A
+// batch that would run past the ring's end is filled in two calls, which
+// draw what one would.
 func (c *Core) refill() int {
 	at := c.drawnSeq & c.mask
-	if c.detail == nil {
-		in, ok := c.stream.Next()
-		if !ok {
-			return 0
-		}
-		c.insts[at] = in
-		c.drawnSeq++
-		return 1
-	}
 	want := uint64(1)
 	if drawn := c.drawn(); drawn < c.maxInstrs {
 		want = min(c.maxInstrs-drawn, fetchBatch)
 	}
 	first := min(want, uint64(len(c.insts))-at)
-	n := uint64(c.detail.Fill(c.insts[at : at+first]))
+	n := uint64(c.stream.Fill(c.insts[at : at+first]))
 	if n == first && first < want {
-		n += uint64(c.detail.Fill(c.insts[:want-first]))
+		n += uint64(c.stream.Fill(c.insts[:want-first]))
 	}
 	c.drawnSeq += n
 	return int(n)
@@ -836,12 +834,10 @@ func (c *Core) commit() bool {
 // machine geometries. Stale window slots are unreachable: the cursors
 // restart at seq 0, and the stream and fetch write a slot before a
 // cursor makes it live.
-func (c *Core) Reset(cfg Config, stream isa.Stream) {
+func (c *Core) Reset(cfg Config, stream Stream) {
 	cfg = cfg.withDefaults()
 	c.cfg = cfg
 	c.stream = stream
-	c.detail, _ = stream.(DetailStream)
-	c.quota, _ = stream.(QuotaStream)
 
 	c.pred.Reset()
 	c.btb.Reset()

@@ -30,7 +30,7 @@ type perfectICache struct{}
 func (perfectICache) Access(_ uint64, _ uint64, _ cache.Kind) uint64 { return 1 }
 
 func newTestCore(insts []isa.Inst, d DataCache) *Core {
-	return New(DefaultConfig(), isa.NewSliceStream(insts), perfectICache{}, d)
+	return New(DefaultConfig(), &fillStream{insts: insts}, perfectICache{}, d)
 }
 
 // seqInsts builds n independent 1-cycle ALU instructions.
@@ -128,7 +128,7 @@ func TestIndependentLoadsHideLatency(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.MemPorts = 4
-		c := New(cfg, isa.NewSliceStream(insts), perfectICache{}, &fixedDCache{loadLat: lat, storeLat: 1})
+		c := New(cfg, &fillStream{insts: insts}, perfectICache{}, &fixedDCache{loadLat: lat, storeLat: 1})
 		return c.Run(1 << 20).Cycles
 	}
 	c1, c2 := mk(1), mk(2)
@@ -251,7 +251,7 @@ func TestICacheMissesStallFetch(t *testing.T) {
 	for i := range insts {
 		insts[i] = isa.Inst{PC: 0x400000 + uint64(4*i), Op: isa.OpIntALU}
 	}
-	c := New(DefaultConfig(), isa.NewSliceStream(insts), il1, &fixedDCache{loadLat: 1, storeLat: 1})
+	c := New(DefaultConfig(), &fillStream{insts: insts}, il1, &fixedDCache{loadLat: 1, storeLat: 1})
 	s := c.Run(1 << 20)
 
 	c2 := newTestCore(insts, &fixedDCache{loadLat: 1, storeLat: 1})
@@ -270,7 +270,7 @@ func TestWorkloadDrivenSmoke(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		g := workload.MustNew(p, 1)
 		d := &fixedDCache{loadLat: 1, storeLat: 1}
-		c := New(DefaultConfig(), g, perfectICache{}, d)
+		c := New(DefaultConfig(), &quotaTally{Generator: g}, perfectICache{}, d)
 		s := c.Run(20000)
 		if s.Instructions != 20000 {
 			t.Errorf("%s: committed %d, want 20000", p.Name, s.Instructions)
@@ -297,7 +297,7 @@ func TestEachCycleHook(t *testing.T) {
 	cfg := DefaultConfig()
 	var calls uint64
 	cfg.EachCycle = func(now uint64) uint64 { calls++; return now + 1 }
-	c := New(cfg, isa.NewSliceStream(seqInsts(100)), perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
+	c := New(cfg, &fillStream{insts: seqInsts(100)}, perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
 	s := c.Run(1 << 20)
 	if calls != s.Cycles {
 		t.Errorf("hook called %d times for %d cycles", calls, s.Cycles)
@@ -309,7 +309,7 @@ func TestEachCycleHook(t *testing.T) {
 	cfg = DefaultConfig()
 	var at []uint64
 	cfg.EachCycle = func(now uint64) uint64 { at = append(at, now); return now + period }
-	c = New(cfg, isa.NewSliceStream(loadChain(200)), perfectICache{}, &fixedDCache{loadLat: 40, storeLat: 1})
+	c = New(cfg, &fillStream{insts: loadChain(200)}, perfectICache{}, &fixedDCache{loadLat: 40, storeLat: 1})
 	s = c.Run(1 << 20)
 	if want := (s.Cycles + period - 1) / period; uint64(len(at)) != want {
 		t.Fatalf("hook ran %d times in %d cycles, want %d", len(at), s.Cycles, want)
@@ -328,7 +328,7 @@ func TestEachCycleHook(t *testing.T) {
 		EachCycle: func(now uint64) uint64 { calls++; halt = now >= 10; return now + 1 },
 		Halt:      func() bool { return halt },
 	}
-	c = New(cfg, isa.NewSliceStream(seqInsts(1000)), perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
+	c = New(cfg, &fillStream{insts: seqInsts(1000)}, perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
 	if s = c.Run(1 << 20); calls != 11 || s.Cycles != 11 {
 		t.Errorf("defaulted core: hook called %d times in %d cycles, want a halt after 11", calls, s.Cycles)
 	}

@@ -8,39 +8,51 @@ import (
 	"repro/internal/workload"
 )
 
-// nextOnly is a generator with its batch Fill hidden, so fetch draws it
-// one Next at a time, exactly when it needs an instruction. Warming still
-// fills through FillWarm. certain counts the detailed draws a Run to limit
-// could not have done without: those of the instructions up to the
-// limit-th of the stream, which the Run commits.
-type nextOnly struct {
+// oneByOne is a generator that writes at most one instruction per Fill,
+// so fetch draws it one instruction at a time, when it needs one. Warming
+// still fills through FillWarm, and quotas are ignored. certain counts
+// the detailed draws a Run to limit could not have done without: those
+// of the instructions up to the limit-th of the stream, which the Run
+// commits. At the ring's end refill may call Fill twice for one refill
+// (a first slice of one slot, with the budget leaving room for more);
+// both draws then lie below the budget, so both are certain draws, and
+// the Run would have made them one by one before returning anyway.
+type oneByOne struct {
 	g       *workload.Generator
 	limit   uint64
 	certain uint64
 }
 
-func (s *nextOnly) Next() (isa.Inst, bool) {
+func (s *oneByOne) Fill(buf []isa.Inst) int {
 	if s.g.Count() < s.limit {
 		s.certain++
 	}
-	return s.g.Next()
+	return s.g.Fill(buf[:1])
 }
 
-func (s *nextOnly) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
+func (s *oneByOne) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
+func (s *oneByOne) Quota(uint64)                {}
 
-// quotaTally is the bare generator plus the sum of the quotas Run
-// announces to it.
+// quotaTally is the tests' Stream over a generator: the bare generator
+// plus the sum of the quotas Run announces to it and the widest batch
+// fetch asked it for.
 type quotaTally struct {
 	*workload.Generator
 	quotas uint64
+	widest int
 }
 
 func (q *quotaTally) Quota(n uint64) { q.quotas += n }
 
+func (q *quotaTally) Fill(buf []isa.Inst) int {
+	q.widest = max(q.widest, len(buf))
+	return q.Generator.Fill(buf)
+}
+
 // TestFetchNeverDrawsAhead runs a sampled plan — functional warming, then
 // back-to-back detailed warm-up and measured Runs, per unit — on a core
 // over the bare generator, which fetch fills in batches, and on one over
-// the same generator behind nextOnly. After every segment both must agree
+// the same generator behind oneByOne. After every segment both must agree
 // on Stats and on how many instructions the generator has drawn: batching
 // below the commit budget must neither change a draw nor move the
 // boundary between detailed and warming draws. When a Run returns, at
@@ -63,12 +75,9 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		t.Run(p.Name, func(t *testing.T) {
 			gb, gn := workload.MustNew(p, 1), workload.MustNew(p, 1)
-			tally, one := &quotaTally{Generator: gb}, &nextOnly{g: gn}
+			tally, one := &quotaTally{Generator: gb}, &oneByOne{g: gn}
 			batched := New(DefaultConfig(), tally, &skipICache{}, &skipDCache{})
 			single := New(DefaultConfig(), one, &skipICache{}, &skipDCache{})
-			if batched.detail == nil || batched.quota == nil || single.detail != nil {
-				t.Fatal("the tallied generator must fill in batches and take quotas, and the wrapper must not")
-			}
 			var cum uint64
 			check := func(seg string) {
 				t.Helper()
@@ -117,6 +126,9 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 			batched.Run(cum)
 			single.Run(cum)
 			check("exact run")
+			if tally.widest != fetchBatch || tally.quotas == 0 {
+				t.Fatalf("the batched core filled at most %d at once and took quotas of %d in all, want batches of %d and quotas", tally.widest, tally.quotas, fetchBatch)
+			}
 		})
 	}
 }

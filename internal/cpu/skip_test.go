@@ -161,7 +161,7 @@ func phaseHook(d *skipDCache, period uint64, step bool, calls *uint64) func(uint
 // instructions, a functional-warming stretch to `warm` (0 = none; it
 // drains the pipeline first), and a detailed run to `last` or the end of
 // the stream.
-func traceRun(cfg Config, stream isa.Stream, step bool, first, warm, last uint64) skipRun {
+func traceRun(cfg Config, stream Stream, step bool, first, warm, last uint64) skipRun {
 	var r skipRun
 	d := &skipDCache{}
 	ic := &skipICache{}
@@ -215,8 +215,8 @@ func TestSkippedCyclesMatchStepped(t *testing.T) {
 			insts := mixedStream(20_000, seed)
 			for _, warm := range []uint64{0, 12_000} {
 				t.Run(fmt.Sprintf("%s/seed%d/warm%d", tc.name, seed, warm), func(t *testing.T) {
-					stepped := traceRun(tc.cfg, isa.NewSliceStream(insts), true, 6_000, warm, 1<<40)
-					skipped := traceRun(tc.cfg, isa.NewSliceStream(insts), false, 6_000, warm, 1<<40)
+					stepped := traceRun(tc.cfg, &fillStream{insts: insts}, true, 6_000, warm, 1<<40)
+					skipped := traceRun(tc.cfg, &fillStream{insts: insts}, false, 6_000, warm, 1<<40)
 					compareRuns(t, stepped, skipped)
 					seen.Mispredicts += skipped.stats.Mispredicts
 					seen.FetchStalls += skipped.stats.FetchStalls
@@ -251,16 +251,16 @@ func TestSkippedCyclesMatchStepped(t *testing.T) {
 func TestSkippedCyclesMatchSteppedWorkloads(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		t.Run(p.Name, func(t *testing.T) {
-			stepped := traceRun(DefaultConfig(), workload.MustNew(p, 1), true, 10_000, 20_000, 30_000)
-			skipped := traceRun(DefaultConfig(), workload.MustNew(p, 1), false, 10_000, 20_000, 30_000)
+			stepped := traceRun(DefaultConfig(), &quotaTally{Generator: workload.MustNew(p, 1)}, true, 10_000, 20_000, 30_000)
+			skipped := traceRun(DefaultConfig(), &quotaTally{Generator: workload.MustNew(p, 1)}, false, 10_000, 20_000, 30_000)
 			compareRuns(t, stepped, skipped)
 		})
 	}
 }
 
 func TestMemoryBoundRunSkips(t *testing.T) {
-	stepped := traceRun(DefaultConfig(), isa.NewSliceStream(loadChain(500)), true, 1<<40, 0, 1<<40)
-	skipped := traceRun(DefaultConfig(), isa.NewSliceStream(loadChain(500)), false, 1<<40, 0, 1<<40)
+	stepped := traceRun(DefaultConfig(), &fillStream{insts: loadChain(500)}, true, 1<<40, 0, 1<<40)
+	skipped := traceRun(DefaultConfig(), &fillStream{insts: loadChain(500)}, false, 1<<40, 0, 1<<40)
 	compareRuns(t, stepped, skipped)
 	// A serial chain of 80-cycle misses leaves the pipeline idle almost
 	// all the time: the skipping core simulates a small fraction of it.

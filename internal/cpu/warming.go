@@ -5,21 +5,6 @@ import (
 	"repro/internal/isa"
 )
 
-// WarmStream is an optional isa.Stream extension for sampled simulation: a
-// stream that can produce instructions without drawing the parameters that
-// only matter to out-of-order timing (dependence distances, load-use
-// chains). The warmed stream must be statistically identical to the
-// detailed one — same control flow, same address distributions — but need
-// not be the same realization. workload.Generator implements it.
-//
-// FillWarm writes up to len(buf) instructions into buf and returns how
-// many it wrote; fewer than len(buf) means the stream has ended. Filling
-// n instructions must draw exactly what n single-instruction fills would,
-// so the batch size never changes the stream.
-type WarmStream interface {
-	FillWarm(buf []isa.Inst) int
-}
-
 // warmBatch is how many instructions RunWarming asks the stream for at
 // once, and how often it polls Config.Halt.
 const warmBatch = 256
@@ -60,7 +45,6 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 		//icrvet:ignore allocfree one-time lazy scratch allocation, reused by every later warming segment
 		c.warmBuf = make([]isa.Inst, warmBatch)
 	}
-	ws, _ := c.stream.(WarmStream)
 	// Each instruction advances the clock by cpiNum/cpiDen cycles: step
 	// whole cycles, plus frac/cpiDen carried in the accumulator.
 	step, frac := cpiNum/cpiDen, cpiNum%cpiDen
@@ -70,7 +54,7 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 		// ahead of the committed count and the detailed window that
 		// follows starts exactly where warming stopped.
 		want := min(target-c.stats.Instructions, warmBatch)
-		n := c.fillWarm(ws, c.warmBuf[:want])
+		n := c.fillWarm(c.warmBuf[:want])
 		for i := range c.warmBuf[:n] {
 			in := &c.warmBuf[i]
 
@@ -141,27 +125,16 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 // own. The pipeline is drained, so the RUU and fetch queue cursors
 // follow fetchSeq past each instruction taken from the window. It returns
 // how many it wrote; fewer than len(buf) means the stream has ended.
-func (c *Core) fillWarm(ws WarmStream, buf []isa.Inst) int {
+func (c *Core) fillWarm(buf []isa.Inst) int {
 	n := 0
 	for ; n < len(buf) && c.fetchSeq != c.drawnSeq; n++ {
 		buf[n] = c.insts[c.fetchSeq&c.mask]
 		c.fetchSeq++
 	}
 	c.headSeq, c.dispSeq = c.fetchSeq, c.fetchSeq
-	switch {
-	case c.streamDone || n == len(buf):
-	case ws != nil:
-		n += ws.FillWarm(buf[n:])
+	if !c.streamDone && n < len(buf) {
+		n += c.stream.FillWarm(buf[n:])
 		c.streamDone = n < len(buf)
-	default:
-		for ; n < len(buf); n++ {
-			in, ok := c.stream.Next()
-			if !ok {
-				c.streamDone = true
-				break
-			}
-			buf[n] = in
-		}
 	}
 	return n
 }

@@ -50,17 +50,13 @@ func (c *Core) checkWindow() error {
 	return nil
 }
 
-// fillStream serves a fixed slice of instructions through both Fill and
-// FillWarm, so fetch draws it in batches that wrap the window's ring.
+// fillStream is the tests' Stream: it serves a fixed slice of
+// instructions through both Fill and FillWarm, so fetch draws it in
+// batches that wrap the window's ring, and ignores quotas. Reset rewinds
+// it.
 type fillStream struct {
 	insts []isa.Inst
 	pos   int
-}
-
-func (s *fillStream) Next() (isa.Inst, bool) {
-	var buf [1]isa.Inst
-	n := s.Fill(buf[:])
-	return buf[0], n == 1
 }
 
 func (s *fillStream) Fill(buf []isa.Inst) int {
@@ -70,13 +66,17 @@ func (s *fillStream) Fill(buf []isa.Inst) int {
 }
 
 func (s *fillStream) FillWarm(buf []isa.Inst) int { return s.Fill(buf) }
+func (s *fillStream) Quota(uint64)                {}
+func (s *fillStream) Reset()                      { s.pos = 0 }
 
-// nextStream hides fillStream's batch fills, so fetch draws one
-// instruction at a time.
-type nextStream struct{ s *fillStream }
+// oneAtATime writes at most one instruction per Fill, so fetch draws
+// the stream one instruction at a time; warming still fills in batches.
+// Where a refill's first slice is the ring's last slot and the budget
+// leaves room for more, refill calls Fill twice, but both draws lie below
+// the commit budget, so the Run fetches both before it returns either way.
+type oneAtATime struct{ *fillStream }
 
-func (n nextStream) Next() (isa.Inst, bool)      { return n.s.Next() }
-func (n nextStream) FillWarm(buf []isa.Inst) int { return n.s.FillWarm(buf) }
+func (o oneAtATime) Fill(buf []isa.Inst) int { return o.fillStream.Fill(buf[:1]) }
 
 // fuzzConfig builds a legal core from seven geometry bytes: every width
 // from 1 to 8, RUU from 1 to 64, LSQ from 1 to 32, fetch queue from 1 to
@@ -115,7 +115,7 @@ func FuzzCoreWindow(f *testing.F) {
 		batched, single := &fillStream{insts: insts}, &fillStream{insts: insts}
 
 		var cores [2]*Core
-		for i, s := range []isa.Stream{batched, nextStream{single}} {
+		for i, s := range []Stream{batched, oneAtATime{single}} {
 			cc := cfg
 			cc.Halt = func() bool {
 				c := cores[i]

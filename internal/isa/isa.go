@@ -112,41 +112,3 @@ func (in *Inst) NextPC() uint64 {
 	}
 	return in.PC + 4
 }
-
-// Stream supplies dynamic instructions in program order.
-//
-// Next returns the next instruction and true, or a zero Inst and false once
-// the stream is exhausted. Implementations must be deterministic for a
-// given construction so that experiments are reproducible.
-type Stream interface {
-	Next() (Inst, bool)
-}
-
-// SliceStream adapts a slice of instructions into a Stream. It is primarily
-// useful in tests.
-type SliceStream struct {
-	insts []Inst
-	pos   int
-}
-
-var _ Stream = (*SliceStream)(nil)
-
-// NewSliceStream returns a Stream that yields the given instructions in
-// order. The slice is not copied; the caller must not mutate it while the
-// stream is in use.
-func NewSliceStream(insts []Inst) *SliceStream {
-	return &SliceStream{insts: insts}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	in := s.insts[s.pos]
-	s.pos++
-	return in, true
-}
-
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }

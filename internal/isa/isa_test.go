@@ -56,28 +56,3 @@ func TestNextPC(t *testing.T) {
 		}
 	}
 }
-
-func TestSliceStream(t *testing.T) {
-	insts := []Inst{
-		{PC: 0, Op: OpIntALU},
-		{PC: 4, Op: OpLoad, Addr: 64},
-		{PC: 8, Op: OpBranch, Taken: true, Target: 0},
-	}
-	s := NewSliceStream(insts)
-	for i := range insts {
-		got, ok := s.Next()
-		if !ok {
-			t.Fatalf("Next %d: stream ended early", i)
-		}
-		if got != insts[i] {
-			t.Fatalf("Next %d: got %+v, want %+v", i, got, insts[i])
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("stream should be exhausted")
-	}
-	s.Reset()
-	if got, ok := s.Next(); !ok || got.PC != 0 {
-		t.Error("Reset should rewind the stream")
-	}
-}

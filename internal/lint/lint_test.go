@@ -106,10 +106,10 @@ func TestGolden(t *testing.T) {
 
 // TestLiveTreeClean is the end-to-end smoke test: the repository's own
 // module must analyze clean, so `make lint` only ever fails on a real
-// regression. The allocfree pass must also reach the workload generator's
-// batch paths, the warming FillWarm from (*cpu.Core).RunWarming through
-// cpu.WarmStream and the detailed Fill from (*cpu.Core).Run through
-// cpu.DetailStream, or the clean result would say nothing about them.
+// regression. The allocfree pass must also reach the run stream's Fill
+// and FillWarm from (*cpu.Core).Run and RunWarming through cpu.Stream,
+// and through them the workload generator's batch paths, or the clean
+// result would say nothing about them.
 func TestLiveTreeClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -129,6 +129,8 @@ func TestLiveTreeClean(t *testing.T) {
 		reached[n.Name()] = true
 	}
 	for _, fn := range []string{
+		"(*sim.aheadStream).Fill",
+		"(*sim.aheadStream).FillWarm",
 		"(*workload.Generator).FillWarm",
 		"(*workload.Generator).Fill",
 		"(*workload.source).float",

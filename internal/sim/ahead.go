@@ -5,17 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
 // Detailed draws one core ahead. When cpu.Core.Run starts it announces how
-// many detailed draws it is now certain to make (cpu.QuotaStream). A
+// many detailed draws it is now certain to make (cpu.Stream's Quota). A
 // quota large enough to be worth it, announced while the host has a core
 // to spare, is drawn on a producer goroutine into a ring of batch buffers
 // while the pipeline model consumes the batches already drawn. The
-// generator's Fill draws exactly what the same number of Next calls
-// would, however it is split, so the report does not change by a byte.
+// generator's Fill draws exactly what the same number of one-instruction
+// Fills would, however it is split, so the report does not change by a
+// byte.
 
 const (
 	// aheadBatch is how many instructions the producer draws per ring
@@ -26,10 +26,12 @@ const (
 )
 
 // detailSource is what a run draws its instructions from: the run's
-// *workload.Generator (or, in tests, a stream that ends).
+// *workload.Generator (or, in tests, a stream that ends). It is
+// cpu.Stream without Quota, which aheadStream adds; its Fill writes fewer
+// than asked only when it has ended.
 type detailSource interface {
-	cpu.DetailStream
-	cpu.WarmStream
+	Fill(buf []isa.Inst) int
+	FillWarm(buf []isa.Inst) int
 }
 
 // busy counts, process-wide, the simulations in progress and the
@@ -70,7 +72,7 @@ type aheadStream struct {
 	producing  bool   // a producer was started and has not been joined
 }
 
-// Quota implements cpu.QuotaStream: when the gate lets it, it starts a
+// Quota implements cpu.Stream: when the gate lets it, it starts a
 // producer on the next n draws.
 func (a *aheadStream) Quota(n uint64) {
 	if a.left > 0 {
@@ -91,7 +93,7 @@ func (a *aheadStream) Quota(n uint64) {
 	go a.ring.produce(a.src, n)
 }
 
-// Fill implements cpu.DetailStream: the pipelined quota's draws come from
+// Fill implements cpu.Stream: the pipelined quota's draws come from
 // the ring, in order, and every later draw from src.
 func (a *aheadStream) Fill(buf []isa.Inst) int {
 	n := 0
@@ -126,20 +128,13 @@ func (a *aheadStream) nextSlot() {
 	}
 }
 
-// FillWarm implements cpu.WarmStream. Warming follows a Run that drew its
+// FillWarm implements cpu.Stream. Warming follows a Run that drew its
 // whole quota, so it draws from src directly.
 func (a *aheadStream) FillWarm(buf []isa.Inst) int {
 	if a.left > 0 {
 		panic("sim: a warming draw came before the detailed quota was drawn")
 	}
 	return a.src.FillWarm(buf)
-}
-
-// Next implements isa.Stream: Fill for a single instruction.
-func (a *aheadStream) Next() (isa.Inst, bool) {
-	var buf [1]isa.Inst
-	n := a.Fill(buf[:])
-	return buf[0], n == 1
 }
 
 // join waits for the last producer started to exit.

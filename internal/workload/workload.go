@@ -150,8 +150,9 @@ type fn struct {
 	blocks []int // indices into Generator.blocks
 }
 
-// Generator produces the dynamic instruction stream. It implements
-// isa.Stream and never ends.
+// Generator produces the dynamic instruction stream, which never ends. A
+// run draws it in batches through Fill and FillWarm (the run stream in
+// internal/sim hands them to cpu.Core).
 type Generator struct {
 	profile Profile
 	src     source     // the state every draw comes from
@@ -195,8 +196,6 @@ type frameState struct {
 	block int // position within fn.blocks
 	inst  int // next instruction within the block (len == terminator)
 }
-
-var _ isa.Stream = (*Generator)(nil)
 
 // codeBase is where generated code begins; dataBase is where regions are
 // laid out (far apart so code and data never alias).
@@ -476,8 +475,9 @@ func (g *Generator) depDistance() uint16 {
 	return uint16(d)
 }
 
-// Next implements isa.Stream: Fill for a single instruction. The stream
-// is infinite.
+// Next is Fill for a single instruction. The stream is infinite. The
+// core only ever fills in batches; Next stays for perf's replay, which
+// times the generator one instruction at a time.
 func (g *Generator) Next() (isa.Inst, bool) {
 	var buf [1]isa.Inst
 	g.Fill(buf[:])
@@ -715,7 +715,7 @@ func (g *Generator) fill(buf []isa.Inst, warm bool) int {
 }
 
 // NextWarm returns the next functional-warming instruction: FillWarm for
-// a single instruction.
+// a single instruction. Like Next, it stays for perf's replay.
 func (g *Generator) NextWarm() (isa.Inst, bool) {
 	var buf [1]isa.Inst
 	g.FillWarm(buf[:])

@@ -173,6 +173,29 @@ for f in results/*.csv; do
 done
 [ -z "$drift" ] || fail "committed results differ from their regeneration:$drift"
 echo "results: $(ls results/*.csv | wc -l) CSVs reproduce byte for byte"
+# EXPERIMENTS.md's tables cannot drift either: each fenced block whose
+# first word is a table's id must equal that table of results.sh's stdout
+# less its timing line, and every table must have a block.
+drift=$(awk '
+    FNR == NR {
+        if ($0 == "") { id = ""; next }
+        if (/^  \[[0-9.]+s, [0-9]+ sims, /) next
+        if (id == "") { id = $1; ids[++n] = id }
+        table[id] = table[id] $0 "\n"
+        next
+    }
+    /^```/ {
+        if (open && bid in table) {
+            seen[bid] = 1
+            if (block != table[bid]) printf " %s", bid
+        }
+        open = !open; block = ""; bid = ""; next
+    }
+    open { if (block == "") bid = $1; block = block $0 "\n" }
+    END { for (i = 1; i <= n; i++) if (!(ids[i] in seen)) printf " %s(no block)", ids[i] }
+' "$DIR/tables.txt" EXPERIMENTS.md)
+[ -z "$drift" ] || fail "EXPERIMENTS.md tables differ from their regeneration:$drift"
+echo "results: EXPERIMENTS.md's tables match their regeneration"
 
 stage race
 make race GO="$GO"
