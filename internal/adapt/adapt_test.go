@@ -8,37 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Config
-		err  bool
-	}{
-		{"", Config{}, false},
-		{"on", Config{Predictor: PredictorDecay}, false},
-		{"decay", Config{Predictor: PredictorDecay}, false},
-		{"ehc", Config{Predictor: PredictorEHC}, false},
-		{"predictor=ehc,epoch=5000", Config{Predictor: PredictorEHC, Epoch: 5000}, false},
-		{"predictor=decay,hysteresis=3,maxreplicas=1,minwindow=100,maxwindow=9000",
-			Config{Predictor: PredictorDecay, Hysteresis: 3, MaxReplicas: 1, MinWindow: 100, MaxWindow: 9000}, false},
-		{"epoch=5000", Config{}, true},            // no predictor selected
-		{"predictor=foo", Config{}, true},         // unknown predictor
-		{"predictor=decay,bad=1", Config{}, true}, // unknown key
-		{"predictor=decay,epoch=x", Config{}, true},
-		{"gibberish", Config{}, true},
-	}
-	for _, tc := range cases {
-		got, err := Parse(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("Parse(%q) err = %v, want err=%v", tc.in, err, tc.err)
-			continue
-		}
-		if !tc.err && got != tc.want {
-			t.Errorf("Parse(%q) = %+v, want %+v", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestNormalized(t *testing.T) {
 	// Disabled stays zero regardless of other fields.
 	if got := (Config{Epoch: 999}).Normalized(); got != (Config{}) {
