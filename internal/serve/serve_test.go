@@ -327,7 +327,7 @@ func TestFigureRejectsBadSeedLists(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	fn, _ := stubSim()
+	fn, calls := stubSim()
 	_, ts := newTestServer(t, Options{Runner: runner.New(runner.Options{Simulate: fn})})
 	cases := []struct {
 		name, body string
@@ -340,6 +340,14 @@ func TestBadRequests(t *testing.T) {
 		{"bad adapt spec", `{"benchmark":"vpr","scheme":"ICR-P-PS(S)","adapt":"bogus"}`},
 		{"adapt without predictor", `{"benchmark":"vpr","scheme":"ICR-P-PS(S)","adapt":"epoch=5000"}`},
 		{"unknown field", `{"benchmark":"vpr","scheme":"BaseP","bogus_field":1}`},
+		// Runs the simulator would refuse or silently run as defaults.
+		{"fault probability above 1", `{"benchmark":"vpr","scheme":"BaseP","fault_prob":2}`},
+		{"negative fault probability", `{"benchmark":"vpr","scheme":"BaseP","fault_prob":-1}`},
+		{"fault model without probability", `{"benchmark":"vpr","scheme":"BaseP","fault_model":"bogus"}`},
+		{"fault seed without probability", `{"benchmark":"vpr","scheme":"BaseP","fault_seed":3}`},
+		{"adapt on a static scheme", `{"benchmark":"vpr","scheme":"BaseP","adapt":"decay"}`},
+		{"unknown benchmark", `{"benchmark":"nosuch","scheme":"BaseP"}`},
+		{"negative replicas", `{"benchmark":"vpr","scheme":"ICR-P-PS(S)","replicas":-3}`},
 		{"malformed json", `{"benchmark":`},
 	}
 	for _, tc := range cases {
@@ -347,6 +355,9 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
 		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d simulations ran for rejected requests, want 0", n)
 	}
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/v1/runs")

@@ -51,19 +51,8 @@ func SimulateContext(ctx context.Context, m config.Machine, r config.Run) (*metr
 	if err != nil {
 		return nil, err
 	}
-	if r.Adapt.Enabled() && !r.Scheme.HasReplication() {
-		return nil, fmt.Errorf("sim: adaptive controller requires a replicating scheme, got %s", r.Scheme.Name())
-	}
-	if err := r.TwoTier.Validate(); err != nil {
+	if err := r.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := r.Fault.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if p, ok := r.Hints.(*core.RangePolicy); ok && p == nil {
-		// A non-nil interface holding a nil policy would panic at the
-		// first replication trigger.
-		return nil, fmt.Errorf("sim: Run.Hints holds a nil *core.RangePolicy")
 	}
 	// Canonicalize before shapeOf so equal-after-defaulting configs share
 	// a pool shape.
