@@ -225,6 +225,20 @@ src=$(smoke_post)
 [ "$src" = "simulated" ] || fail "first run source = $src, want simulated"
 src=$(smoke_post)
 [ "$src" = "simulated" ] && fail "second run was re-simulated, not cached"
+
+# smoke_status BODY CODE: POST BODY and require HTTP status CODE. A body
+# with every spec string and the fault fields runs; a run the simulator
+# cannot run and an unknown benchmark are 400s, not 500s.
+smoke_status() {
+    code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -d "$1"         "http://$ADDR/v1/runs") || fail "POST /v1/runs failed"
+    [ "$code" = "$2" ] || fail "POST /v1/runs $1: status $code, want $2"
+}
+smoke_status '{"benchmark":"gzip","scheme":"ICR-P-PS(S)","instructions":20000,"seed":1,'\
+'"sample":"period=5000","adapt":"predictor=ehc,epoch=2000",'\
+'"twotier":"protect=ecc,replicate=true,prob=1e-4,faultseed=3",'\
+'"fault_model":"column","fault_prob":0.001,"fault_seed":7}' 200
+smoke_status '{"benchmark":"vpr","scheme":"BaseP","fault_prob":2}' 400
+smoke_status '{"benchmark":"nosuch","scheme":"BaseP"}' 400
 icrd_stop "$PID"
 
 # Restart on the same store: the result must be served from disk.
