@@ -8,19 +8,23 @@ import (
 	"repro/internal/workload"
 )
 
-// fixedDCache is a DataCache with constant latencies.
+// fixedDCache is a DataCache with constant latencies. It counts its
+// calls and keeps the cycle of the last load and the last store.
 type fixedDCache struct {
-	loadLat, storeLat uint64
-	loads, stores     int
+	loadLat, storeLat   uint64
+	loads, stores       int
+	lastLoad, lastStore uint64
 }
 
-func (f *fixedDCache) Load(_ uint64, _ uint64) uint64 {
+func (f *fixedDCache) Load(now uint64, _ uint64) uint64 {
 	f.loads++
+	f.lastLoad = now
 	return f.loadLat
 }
 
-func (f *fixedDCache) Store(_ uint64, _ uint64) uint64 {
+func (f *fixedDCache) Store(now uint64, _ uint64) uint64 {
 	f.stores++
+	f.lastStore = now
 	return f.storeLat
 }
 
@@ -210,6 +214,65 @@ func TestLoadWaitsForConflictingStore(t *testing.T) {
 	}
 	if d.events[0] != "store" || d.events[1] != "load" {
 		t.Errorf("events = %v, want store before load", d.events)
+	}
+}
+
+// TestStoreLoadDisambiguation pins the same-word rule a load obeys: it
+// waits for every older, uncommitted store to its 8-byte word and for no
+// other store. Each stream is a divide, then a store whose data depends
+// on it, so the store commits only after the divide's 20 cycles, and one
+// load; the load issues the cycle its Load call records and the store
+// commits the cycle its Store call records. Every case runs with and
+// without 62 independent instructions in front, which puts the store
+// and the load on either side of a multiple of 64 in seq order.
+func TestStoreLoadDisambiguation(t *testing.T) {
+	const store, sameWord, nextWord = 0x1000, 0x1004, 0x1008
+	// run returns the cycles at which the load issued and the store
+	// committed. With storeOp an IntALU op stands in for the store, and
+	// with loadFirst the load comes before the store in program order.
+	run := func(pad int, loadAddr uint64, storeOp isa.Op, loadFirst bool) (loadAt, storeAt uint64) {
+		insts := seqInsts(pad)
+		st := isa.Inst{Op: storeOp, Addr: store, Size: 8, SrcDist1: 1}
+		ld := isa.Inst{Op: isa.OpLoad, Addr: loadAddr, Size: 8}
+		insts = append(insts, isa.Inst{Op: isa.OpIntDiv})
+		if loadFirst {
+			st.SrcDist1 = 2
+			insts = append(insts, ld, st)
+		} else {
+			insts = append(insts, st, ld)
+		}
+		for i := range insts {
+			insts[i].PC = 0x400000 + uint64(4*i)
+		}
+		d := &fixedDCache{loadLat: 1, storeLat: 1}
+		// A load that waited for a younger store would never issue: halt
+		// such a run instead of spinning.
+		var c *Core
+		cfg := DefaultConfig()
+		cfg.Halt = func() bool { return c.now > 1000 }
+		c = New(cfg, &fillStream{insts: insts}, perfectICache{}, d)
+		if s := c.Run(1 << 20); s.Instructions != uint64(len(insts)) {
+			t.Fatalf("pad %d: committed %d of %d", pad, s.Instructions, len(insts))
+		}
+		return d.lastLoad, d.lastStore
+	}
+	for _, pad := range []int{0, 62} {
+		// Where the load issues with no store in the stream at all.
+		alone, _ := run(pad, sameWord, isa.OpIntALU, false)
+
+		loadAt, storeAt := run(pad, sameWord, isa.OpStore, false)
+		if loadAt < storeAt || loadAt <= alone {
+			t.Errorf("pad %d: a load behind a store to its word issued at cycle %d, the store committed at %d", pad, loadAt, storeAt)
+		}
+		loadAt, storeAt = run(pad, nextWord, isa.OpStore, false)
+		if loadAt != alone || loadAt >= storeAt {
+			t.Errorf("pad %d: a load behind a store to the next word issued at cycle %d, want %d (the store committed at %d)", pad, loadAt, alone, storeAt)
+		}
+		aloneFirst, _ := run(pad, sameWord, isa.OpIntALU, true)
+		loadAt, storeAt = run(pad, sameWord, isa.OpStore, true)
+		if loadAt != aloneFirst || loadAt >= storeAt {
+			t.Errorf("pad %d: a load ahead of a store to its word issued at cycle %d, want %d (the store committed at %d)", pad, loadAt, aloneFirst, storeAt)
+		}
 	}
 }
 
