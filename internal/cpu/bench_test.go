@@ -8,8 +8,9 @@ import (
 )
 
 // BenchmarkCPURun measures the out-of-order engine alone: a fixed-latency
-// data cache isolates the per-cycle pipeline cost (fetch, dispatch, issue
-// wakeup scans, commit) from the memory hierarchy.
+// data cache isolates the per-cycle pipeline cost (fetch, dispatch and
+// its dependence records, the issue walk over known entries, consumer
+// wakeup, commit) from the memory hierarchy.
 func BenchmarkCPURun(b *testing.B) {
 	const instrs = 50_000
 	b.ReportAllocs()

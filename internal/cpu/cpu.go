@@ -20,6 +20,14 @@
 // queue and the RUU are consecutive seq ranges of that ring, split by
 // cursors, so moving an instruction to the next stage moves a cursor and
 // copies nothing.
+//
+// Wakeup follows sim-outorder's dependence lists rather than re-reading
+// every waiting entry's sources each cycle. Dispatch records each entry
+// as a consumer of its producers that have not issued; issuing a producer
+// hands its result cycle to its consumers, and an entry whose producers
+// have all issued joins the known mask. Issue walks only the waiting,
+// known entries, oldest first, and compares one cycle for each. Loads
+// check only the older stores, through a mask of the RUU's stores.
 package cpu
 
 import (
@@ -86,9 +94,14 @@ type Stream interface {
 // once.
 const fetchBatch = 64
 
-// maxRUU is the largest RUU the model runs: issue keeps the RUU's
-// not-yet-issued entries as the bits of one uint64.
+// maxRUU is the largest RUU the model runs: the RUU's per-entry masks
+// are the bits of one uint64, indexed by seq&slotMask.
 const maxRUU = 64
+
+// slotMask maps a seq to its RUU slot, the bit that stands for it in the
+// RUU's masks. The RUU holds at most maxRUU consecutive seqs, so no two
+// live entries share a slot.
+const slotMask = maxRUU - 1
 
 // Config holds the core's structural parameters. ZeroValue fields default
 // to the paper's Table 1 machine via DefaultConfig.
@@ -279,10 +292,22 @@ type Core struct {
 	dispSeq  uint64
 	fetchSeq uint64
 	drawnSeq uint64
-	// waiting has bit k set while seq headSeq+k is in the RUU and not yet
-	// issued, so issue visits exactly the entries a head-to-tail scan
-	// would attempt, in seq order, without walking the issued majority.
-	waiting uint64
+	// The RUU's masks, bit seq&slotMask for each entry. waiting marks
+	// the entries dispatched and not yet issued, known those of them
+	// whose producers have all issued, and stores the uncommitted stores.
+	// Issue walks waiting&known from the head's slot, so it attempts
+	// exactly the entries a head-to-tail scan would, in seq order,
+	// without walking the issued or the unknown.
+	waiting, known, stores uint64
+	// Wakeup, by slot. A dispatched entry's producers that had issued
+	// fold their doneAt into its operandsAt; each one that had not sets
+	// the entry's bit in its consumers mask and adds one to its pending
+	// count. Issuing a producer folds its doneAt into each consumer and
+	// counts it down, and a consumer whose count reaches 0 becomes
+	// known: it may issue once now reaches its operandsAt.
+	consumers  [maxRUU]uint64
+	operandsAt [maxRUU]uint64
+	pending    [maxRUU]uint8
 
 	fetchStall   uint64 // fetch blocked until this cycle
 	streamDone   bool   // the stream has ended (the fetch buffer is then empty)
@@ -293,10 +318,6 @@ type Core struct {
 	warmBuf []isa.Inst //icrvet:persistent scratch: RunWarming writes every slot it reads
 
 	lsqCount int
-	// storesInWindow counts not-yet-committed stores in the RUU so the
-	// per-load disambiguation scan can be skipped entirely when no store
-	// is in flight (the common case).
-	storesInWindow int
 
 	// Non-pipelined FU reservation.
 	intDivBusy uint64
@@ -416,7 +437,9 @@ func (c *Core) nextEvent() uint64 {
 	for _, x := range c.missBusyUntil {
 		next = after(t, next, x)
 	}
-	for s := c.headSeq; s != c.dispSeq; s++ {
+	// Only issued entries have a doneAt: a waiting one's is neverDone.
+	for w := c.fromHead(c.ruu() &^ c.waiting); w != 0; w &= w - 1 {
+		s := c.headSeq + uint64(bits.TrailingZeros64(w))
 		next = after(t, next, c.win[s&c.mask].doneAt)
 	}
 	return next
@@ -587,41 +610,77 @@ func (c *Core) dispatch() bool {
 			}
 			c.lsqCount++
 			if op == isa.OpStore {
-				c.storesInWindow++
+				c.stores |= 1 << (c.dispSeq & slotMask)
 			}
 		}
-		c.waiting |= 1 << (c.dispSeq - c.headSeq)
+		c.wake(c.dispSeq)
 		c.dispSeq++
 	}
 	return true
+}
+
+// wake enters the dispatching entry seq into the wakeup state: it
+// counts the producers of its two sources that have not issued, folds
+// in the doneAt of those that have, and marks it waiting, and known when
+// nothing is pending. A source dist 0 names no producer, and one older
+// than headSeq has committed (or predates the stream); two sources that
+// name the same producer count it once.
+func (c *Core) wake(seq uint64) {
+	k := seq & slotMask
+	c.operandsAt[k], c.pending[k] = 0, 0
+	in := &c.insts[seq&c.mask]
+	for i, dist := range [2]uint16{in.SrcDist1, in.SrcDist2} {
+		d := uint64(dist)
+		if d == 0 || d > seq-c.headSeq || (i == 1 && dist == in.SrcDist1) {
+			continue
+		}
+		p := seq - d
+		if done := c.win[p&c.mask].doneAt; done != neverDone {
+			c.operandsAt[k] = max(c.operandsAt[k], done)
+			continue
+		}
+		c.consumers[p&slotMask] |= 1 << k
+		c.pending[k]++
+	}
+	c.waiting |= 1 << k
+	if c.pending[k] == 0 {
+		c.known |= 1 << k
+	}
+}
+
+// ruu returns the mask of the RUU's slots.
+func (c *Core) ruu() uint64 {
+	n := c.dispSeq - c.headSeq
+	if n == maxRUU {
+		return ^uint64(0)
+	}
+	return bits.RotateLeft64(1<<n-1, int(c.headSeq&slotMask))
+}
+
+// fromHead rotates a mask of RUU slots so that bit j stands for seq
+// headSeq+j: walking its set bits from the lowest is walking the
+// entries oldest first.
+func (c *Core) fromHead(m uint64) uint64 {
+	return bits.RotateLeft64(m, -int(c.headSeq&slotMask))
 }
 
 // ---------------------------------------------------------------------------
 // Issue / execute
 // ---------------------------------------------------------------------------
 
-// ready reports whether the producer dist instructions before seq has its
-// result by now. dist 0 names no producer. The RUU holds the contiguous
-// seqs [headSeq, dispSeq), so a producer older than headSeq has committed
-// (or predates the stream) and is ready for good.
-func (c *Core) ready(seq uint64, dist uint16) bool {
-	d := uint64(dist)
-	return d == 0 || d > seq-c.headSeq || c.win[(seq-d)&c.mask].doneAt <= c.now
-}
-
 // earlierStoreConflict reports whether an older, not-yet-committed store
-// overlaps the load's word (conservative same-word disambiguation). With
-// no store in the window — the common case, tracked by storesInWindow —
-// the scan is skipped outright; otherwise only the entries older than the
-// load are examined.
+// overlaps the load's word (conservative same-word disambiguation). Only
+// the stores mask's bits older than the load are examined, and none at
+// all when no store is in the window, the common case.
 func (c *Core) earlierStoreConflict(load uint64) bool {
-	if c.storesInWindow == 0 {
+	older := c.fromHead(c.stores) & (1<<(load-c.headSeq) - 1)
+	if older == 0 {
 		return false
 	}
 	word := c.insts[load&c.mask].Addr &^ 7
-	for s := c.headSeq; s != load; s++ {
-		in := &c.insts[s&c.mask]
-		if in.Op == isa.OpStore && in.Addr&^7 == word {
+	for ; older != 0; older &= older - 1 {
+		s := c.headSeq + uint64(bits.TrailingZeros64(older))
+		if c.insts[s&c.mask].Addr&^7 == word {
 			return true
 		}
 	}
@@ -682,13 +741,13 @@ func (c *Core) issue() bool {
 	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
 	intMD, fpMD := c.cfg.IntMulDiv, c.cfg.FPMulDiv
 
-	for w := c.waiting; w != 0 && issued < c.cfg.IssueWidth; w &= w - 1 {
-		k := bits.TrailingZeros64(w)
-		seq := c.headSeq + uint64(k)
-		in := &c.insts[seq&c.mask]
-		if !c.ready(seq, in.SrcDist1) || !c.ready(seq, in.SrcDist2) {
+	for w := c.fromHead(c.waiting & c.known); w != 0 && issued < c.cfg.IssueWidth; w &= w - 1 {
+		seq := c.headSeq + uint64(bits.TrailingZeros64(w))
+		k := seq & slotMask
+		if c.operandsAt[k] > c.now {
 			continue
 		}
+		in := &c.insts[seq&c.mask]
 		var lat uint64
 		switch op := in.Op; {
 		case op == isa.OpLoad:
@@ -763,12 +822,37 @@ func (c *Core) issue() bool {
 		e := &c.win[seq&c.mask]
 		e.doneAt = c.now + lat
 		c.waiting &^= 1 << k
+		c.known &^= 1 << k
+		if woken := c.wakeConsumers(k, e.doneAt); lat == 0 {
+			// A zero latency (a Config or data cache may give one)
+			// makes the result ready in this cycle: the consumers it
+			// made known join this walk, which reaches them in seq
+			// order, as a head-to-tail scan would, since all are
+			// younger.
+			w |= c.fromHead(woken & c.known)
+		}
 		if in.Op.IsCtrl() {
 			c.resolveBranch(in, e)
 		}
 		issued++
 	}
 	return issued > 0
+}
+
+// wakeConsumers folds the doneAt of the producer in slot k, which just
+// issued, into each of its consumers, marks known those it was the last
+// pending producer of, and returns the consumers.
+func (c *Core) wakeConsumers(k, doneAt uint64) uint64 {
+	woken := c.consumers[k]
+	c.consumers[k] = 0
+	for w := woken; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros64(w)
+		c.operandsAt[j] = max(c.operandsAt[j], doneAt)
+		if c.pending[j]--; c.pending[j] == 0 {
+			c.known |= 1 << j
+		}
+	}
+	return woken
 }
 
 // ---------------------------------------------------------------------------
@@ -811,12 +895,11 @@ func (c *Core) commit() bool {
 				c.commitStall = c.now + lat - 1
 			}
 			c.lsqCount--
-			c.storesInWindow--
+			c.stores &^= 1 << (c.headSeq & slotMask)
 		} else if in.Op == isa.OpLoad {
 			c.lsqCount--
 		}
 		c.headSeq++
-		c.waiting >>= 1 // the head was issued, so bit 0 was clear
 		c.stats.Instructions++
 		if c.now < c.commitStall {
 			return true
@@ -856,13 +939,15 @@ func (c *Core) Reset(cfg Config, stream Stream) {
 	}
 	c.mask = uint64(len(c.insts) - 1)
 	c.headSeq, c.dispSeq, c.fetchSeq, c.drawnSeq = 0, 0, 0, 0
-	c.waiting = 0
+	c.waiting, c.known, c.stores = 0, 0, 0
+	c.consumers = [maxRUU]uint64{}
+	c.operandsAt = [maxRUU]uint64{}
+	c.pending = [maxRUU]uint8{}
 
 	c.fetchStall = 0
 	c.streamDone = false
 	c.lastFetchBlk = 0
 	c.lsqCount = 0
-	c.storesInWindow = 0
 
 	c.intDivBusy = 0
 	c.fpDivBusy = 0

@@ -276,6 +276,25 @@ func TestStoreLoadDisambiguation(t *testing.T) {
 	}
 }
 
+// A zero-latency result is ready in the cycle it issues, so a consumer
+// waiting only on it issues in that same cycle, and a consumer of that
+// one the cycle after.
+func TestZeroLatencyWakesInCycle(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IntMulLat = 0
+	insts := []isa.Inst{
+		{PC: 0, Op: isa.OpIntMul},
+		{PC: 4, Op: isa.OpIntALU, SrcDist1: 1},
+		{PC: 8, Op: isa.OpIntALU, SrcDist1: 1, SrcDist2: 2},
+	}
+	c := New(cfg, &fillStream{insts: insts}, perfectICache{}, &fixedDCache{loadLat: 1, storeLat: 1})
+	c.Run(1 << 20)
+	mul, alu, next := c.win[0].doneAt, c.win[1].doneAt, c.win[2].doneAt
+	if alu != mul+1 || next != mul+2 {
+		t.Errorf("results at cycles %d, %d and %d, want %d, %d and %d", mul, alu, next, mul, mul+1, mul+2)
+	}
+}
+
 type orderTrackingDCache struct{ events []string }
 
 func (o *orderTrackingDCache) Load(_ uint64, _ uint64) uint64 {

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"math/bits"
 	"testing"
 
 	"repro/internal/isa"
@@ -10,8 +9,9 @@ import (
 
 // checkWindow reports the first broken invariant of the instruction
 // window: the cursors out of order or holding more than the ring or a
-// stage's capacity, the LSQ or store counts not matching a recount of
-// the RUU, or a waiting bit past the RUU's tail or on an issued entry.
+// stage's capacity, the LSQ count not matching a recount of the RUU, or
+// the wakeup state not matching one rebuilt from insts and win (see
+// checkWakeup).
 func (c *Core) checkWindow() error {
 	head, disp, fetch, drawn := c.headSeq, c.dispSeq, c.fetchSeq, c.drawnSeq
 	if !(head <= disp && disp <= fetch && fetch <= drawn) {
@@ -23,29 +23,80 @@ func (c *Core) checkWindow() error {
 	if disp-head > uint64(c.cfg.RUUSize) || fetch-disp > uint64(c.cfg.FetchQueue) || drawn-fetch > fetchBatch {
 		return fmt.Errorf("stage over capacity: RUU %d, fetch queue %d, fetch buffer %d", disp-head, fetch-disp, drawn-fetch)
 	}
-	lsq, stores := 0, 0
+	lsq := 0
 	for s := head; s != disp; s++ {
-		if op := c.insts[s&c.mask].Op; op.IsMem() {
+		if c.insts[s&c.mask].Op.IsMem() {
 			lsq++
-			if op == isa.OpStore {
-				stores++
-			}
 		}
 	}
-	if lsq != c.lsqCount || stores != c.storesInWindow {
-		return fmt.Errorf("RUU holds %d memory ops and %d stores, counted %d and %d", lsq, stores, c.lsqCount, c.storesInWindow)
+	if lsq != c.lsqCount {
+		return fmt.Errorf("RUU holds %d memory ops, counted %d", lsq, c.lsqCount)
 	}
 	if lsq > c.cfg.LSQSize {
 		return fmt.Errorf("LSQ holds %d of %d", lsq, c.cfg.LSQSize)
 	}
-	if n := disp - head; n < 64 && c.waiting>>n != 0 {
-		return fmt.Errorf("waiting mask %#x has a bit at or past the RUU's %d entries", c.waiting, n)
-	}
-	for w := c.waiting; w != 0; w &= w - 1 {
-		k := bits.TrailingZeros64(w)
-		if s := head + uint64(k); c.win[s&c.mask].doneAt != neverDone {
-			return fmt.Errorf("waiting bit %d marks seq %d, which has issued", k, s)
+	return c.checkWakeup()
+}
+
+// checkWakeup rebuilds the RUU's masks and wakeup state from the
+// entries' instructions and doneAt and compares: waiting is the unissued
+// entries, stores the stores, each unissued entry's consumers the
+// waiting entries that name it as a source, and each waiting entry's
+// pending count its distinct unissued producers, with known set exactly
+// where that count is 0. A waiting entry's operandsAt is the latest
+// doneAt of its issued producers still in the RUU, or, when a producer
+// has since committed, a later cycle no later than now (a committed
+// producer was done by then). No mask has a bit outside the RUU.
+func (c *Core) checkWakeup() error {
+	var waiting, known, stores uint64
+	var consumers [maxRUU]uint64
+	for s := c.headSeq; s != c.dispSeq; s++ {
+		k := s & slotMask
+		in := &c.insts[s&c.mask]
+		if in.Op == isa.OpStore {
+			stores |= 1 << k
 		}
+		if c.win[s&c.mask].doneAt != neverDone {
+			continue
+		}
+		waiting |= 1 << k
+		pending, latest := 0, uint64(0)
+		for i, d := range [2]uint64{uint64(in.SrcDist1), uint64(in.SrcDist2)} {
+			if d == 0 || d > s-c.headSeq || (i == 1 && in.SrcDist2 == in.SrcDist1) {
+				continue
+			}
+			if done := c.win[(s-d)&c.mask].doneAt; done != neverDone {
+				latest = max(latest, done)
+			} else {
+				consumers[(s-d)&slotMask] |= 1 << k
+				pending++
+			}
+		}
+		if int(c.pending[k]) != pending {
+			return fmt.Errorf("seq %d waits on %d producers, counted %d", s, pending, c.pending[k])
+		}
+		if pending == 0 {
+			known |= 1 << k
+		}
+		if got := c.operandsAt[k]; got != latest && !(got > latest && got <= c.now) {
+			return fmt.Errorf("seq %d has operands at cycle %d, want %d (now %d)", s, got, latest, c.now)
+		}
+	}
+	if ruu := c.ruu(); (c.waiting|c.known|c.stores)&^ruu != 0 {
+		return fmt.Errorf("masks waiting %#x, known %#x, stores %#x have a bit outside the RUU %#x", c.waiting, c.known, c.stores, ruu)
+	}
+	for k := range consumers {
+		if consumers[k] != c.consumers[k] {
+			return fmt.Errorf("slot %d has consumers %#x, want %#x", k, c.consumers[k], consumers[k])
+		}
+	}
+	switch {
+	case waiting != c.waiting:
+		return fmt.Errorf("waiting mask %#x, want %#x (the unissued entries)", c.waiting, waiting)
+	case known != c.known:
+		return fmt.Errorf("known mask %#x, want %#x", c.known, known)
+	case stores != c.stores:
+		return fmt.Errorf("stores mask %#x, want %#x", c.stores, stores)
 	}
 	return nil
 }
