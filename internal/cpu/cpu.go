@@ -623,29 +623,41 @@ func (c *Core) dispatch() bool {
 // counts the producers of its two sources that have not issued, folds
 // in the doneAt of those that have, and marks it waiting, and known when
 // nothing is pending. A source dist 0 names no producer, and one older
-// than headSeq has committed (or predates the stream); two sources that
-// name the same producer count it once.
+// than headSeq has committed (or predates the stream), so dist−1 <
+// seq−headSeq holds for exactly the producers in the RUU. Two sources
+// that name the same producer count it once.
 func (c *Core) wake(seq uint64) {
 	k := seq & slotMask
-	c.operandsAt[k], c.pending[k] = 0, 0
 	in := &c.insts[seq&c.mask]
-	for i, dist := range [2]uint16{in.SrcDist1, in.SrcDist2} {
-		d := uint64(dist)
-		if d == 0 || d > seq-c.headSeq || (i == 1 && dist == in.SrcDist1) {
-			continue
-		}
-		p := seq - d
-		if done := c.win[p&c.mask].doneAt; done != neverDone {
-			c.operandsAt[k] = max(c.operandsAt[k], done)
-			continue
-		}
-		c.consumers[p&slotMask] |= 1 << k
-		c.pending[k]++
+	inRUU := seq - c.headSeq
+	d1, d2 := uint64(in.SrcDist1), uint64(in.SrcDist2)
+	at1, wait1 := c.producer(seq-d1, d1-1 < inRUU)
+	at2, wait2 := c.producer(seq-d2, d2-1 < inRUU)
+	if d2 == d1 {
+		wait2 = 0
 	}
+	c.consumers[(seq-d1)&slotMask] |= wait1 << k
+	c.consumers[(seq-d2)&slotMask] |= wait2 << k
+	pending := uint8(wait1 + wait2)
+	c.operandsAt[k], c.pending[k] = max(at1, at2), pending
 	c.waiting |= 1 << k
-	if c.pending[k] == 0 {
+	if pending == 0 {
 		c.known |= 1 << k
 	}
+}
+
+// producer reports on the producer p of a dispatching entry, if inRUU:
+// the cycle it is done if it has issued, or wait 1 if it has not. A
+// producer outside the RUU is done for good (cycle 0).
+func (c *Core) producer(p uint64, inRUU bool) (at, wait uint64) {
+	at = c.win[p&c.mask].doneAt
+	if !inRUU {
+		at = 0
+	}
+	if at == neverDone {
+		at, wait = 0, 1
+	}
+	return at, wait
 }
 
 // ruu returns the mask of the RUU's slots.
