@@ -429,7 +429,7 @@ func BuildRun(req RunRequest) (config.Run, error) {
 	if err != nil {
 		return config.Run{}, err
 	}
-	if _, err := workload.ByName(req.Benchmark); err != nil {
+	if err := workload.CheckName(req.Benchmark); err != nil {
 		return config.Run{}, err
 	}
 	run := config.NewRun(req.Benchmark, scheme)

@@ -248,20 +248,43 @@ func Drift() Profile {
 	}
 }
 
-// Profiles returns the eight benchmark profiles in a stable order.
-func Profiles() []Profile {
-	return []Profile{
-		Gzip(), Vpr(), Gcc(), Mcf(), Parser(), Mesa(), Vortex(), Bzip2(),
+// paperProfiles and phaseProfiles are the profile constructors in their
+// stable orders: the eight paper benchmarks, and the phase-shifting
+// workloads.
+var (
+	paperProfiles = []func() Profile{Gzip, Vpr, Gcc, Mcf, Parser, Mesa, Vortex, Bzip2}
+	phaseProfiles = []func() Profile{Flux, Drift}
+)
+
+// byName maps every benchmark name to its profile's constructor, so a
+// lookup builds only the profile asked for, and a name check none.
+var byName = func() map[string]func() Profile {
+	m := map[string]func() Profile{}
+	for _, mks := range [][]func() Profile{paperProfiles, phaseProfiles} {
+		for _, mk := range mks {
+			m[mk().Name] = mk
+		}
 	}
+	return m
+}()
+
+// build calls every constructor in mks.
+func build(mks []func() Profile) []Profile {
+	out := make([]Profile, len(mks))
+	for i, mk := range mks {
+		out[i] = mk()
+	}
+	return out
 }
+
+// Profiles returns the eight benchmark profiles in a stable order.
+func Profiles() []Profile { return build(paperProfiles) }
 
 // PhaseProfiles returns the phase-shifting workloads in a stable order.
 // They are deliberately not part of Profiles: the paper's eight-benchmark
 // sweeps (and their goldens) stay exactly as they were, and phase
 // workloads are opted into by name.
-func PhaseProfiles() []Profile {
-	return []Profile{Flux(), Drift()}
-}
+func PhaseProfiles() []Profile { return build(phaseProfiles) }
 
 // Names returns the benchmark names in the Profiles order.
 func Names() []string {
@@ -273,18 +296,21 @@ func Names() []string {
 	return out
 }
 
-// ByName resolves a profile by benchmark name, checking the eight paper
-// benchmarks first and then the phase-shifting workloads.
+// CheckName reports whether ByName knows the benchmark name, with
+// ByName's error when it does not. It builds no Profile.
+func CheckName(name string) error {
+	if _, ok := byName[name]; !ok {
+		return fmt.Errorf("workload: unknown benchmark %q", name)
+	}
+	return nil
+}
+
+// ByName builds the profile of a benchmark by name, one of the eight
+// paper benchmarks or a phase-shifting workload. Every call builds a new
+// Profile, so a caller may change its slices.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
+	if err := CheckName(name); err != nil {
+		return Profile{}, err
 	}
-	for _, p := range PhaseProfiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
+	return byName[name](), nil
 }

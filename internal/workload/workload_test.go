@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -29,6 +30,46 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("swim"); err == nil {
 		t.Error("unknown benchmark should error")
+	}
+	for _, p := range PhaseProfiles() {
+		if err := CheckName(p.Name); err != nil {
+			t.Errorf("CheckName(%q): %v", p.Name, err)
+		}
+	}
+	_, byNameErr := ByName("swim")
+	if err := CheckName("swim"); err == nil || err.Error() != byNameErr.Error() {
+		t.Errorf("CheckName(swim) = %v, want ByName's error %v", err, byNameErr)
+	}
+}
+
+// TestCheckNameAllocFree pins the name check of every run request at no
+// allocations: it looks the name up and builds no Profile.
+func TestCheckNameAllocFree(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if CheckName("vortex") != nil {
+			t.Fatal("vortex unknown")
+		}
+	}); n != 0 {
+		t.Errorf("CheckName allocates %v times per call, want 0", n)
+	}
+}
+
+// TestByNameReturnsOwnSlices checks that a caller changing a returned
+// Profile's slices does not change the next ByName result.
+func TestByNameReturnsOwnSlices(t *testing.T) {
+	for _, name := range []string{"gcc", "flux"} {
+		want, _ := ByName(name)
+		p, _ := ByName(name)
+		p.CondBias[0] = -1
+		p.Regions[0].Weight = -1
+		p.Regions = append(p.Regions[:0], RegionSpec{})
+		if len(p.Phases) > 0 {
+			p.Phases[0].Map[0] = -1
+		}
+		got, _ := ByName(name)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) changed after a caller mutated an earlier result", name)
+		}
 	}
 }
 
