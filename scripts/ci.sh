@@ -141,6 +141,9 @@ fi
 
 stage test
 $GO test ./...
+# One iteration of each core benchmark, so their committed-count checks
+# (b.Fatalf on a run that commits the wrong number) run, not just compile.
+$GO test -run='^$' -bench=. -benchtime=1x ./internal/cpu
 
 # The perf module's own tests (its workload list against BENCHMARK.json,
 # the exact-IPC reference, the open-loop generator), which the root
