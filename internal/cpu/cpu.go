@@ -78,16 +78,21 @@ type HitPredictor interface {
 // many it wrote; fewer than len(buf) means the stream has ended. Filling
 // n instructions draws exactly what n single-instruction fills would.
 //
-// Quota tells the stream, as Run starts, how many more detailed draws the
-// Run is now certain to make. That count is the commit budget less every
-// instruction already drawn (committed, in flight, or waiting in the
-// fetch buffer), the bound refill fills up to, so the Fills of a Run that
-// reaches its budget draw at least the announced quota. A halted Run may
-// stop short of it.
+// Quota tells the stream which kind of draw the next n come from, and
+// that they are certain: detailed draws (warm false) as Run starts, and
+// warming draws (warm true) as RunWarming's pipeline has drained. Run's
+// count is the commit budget less every instruction already drawn
+// (committed, in flight, or waiting in the fetch buffer), the bound
+// refill fills up to, so the Fills of a Run that reaches its budget draw
+// at least the announced quota: fetch may draw past it. RunWarming's
+// count is its target less every instruction drawn, and it is exact: the
+// window's leftovers are warmed first, then exactly that many FillWarm
+// draws reach the target. A halted run may stop short of either, and a
+// stream that ends stops every run short.
 type Stream interface {
 	Fill(buf []isa.Inst) int
 	FillWarm(buf []isa.Inst) int
-	Quota(n uint64)
+	Quota(n uint64, warm bool)
 }
 
 // fetchBatch is the most instructions fetch draws from the stream at
@@ -364,7 +369,7 @@ func (c *Core) Now() uint64 { return c.now }
 func (c *Core) Run(maxInstructions uint64) Stats {
 	c.maxInstrs = maxInstructions
 	if drawn := c.drawn(); drawn < maxInstructions {
-		c.stream.Quota(maxInstructions - drawn)
+		c.stream.Quota(maxInstructions-drawn, false)
 	}
 	for c.stats.Instructions < maxInstructions {
 		if c.streamDone && c.headSeq == c.fetchSeq {

@@ -31,22 +31,36 @@ func (s *oneByOne) Fill(buf []isa.Inst) int {
 }
 
 func (s *oneByOne) FillWarm(buf []isa.Inst) int { return s.g.FillWarm(buf) }
-func (s *oneByOne) Quota(uint64)                {}
+func (s *oneByOne) Quota(uint64, bool)          {}
 
 // quotaTally is the tests' Stream over a generator: the bare generator
-// plus the sum of the quotas Run announces to it and the widest batch
-// fetch asked it for.
+// plus the sums of the detailed and warming quotas announced to it, the
+// warming draws it served, and the widest batch fetch asked it for.
 type quotaTally struct {
 	*workload.Generator
-	quotas uint64
-	widest int
+	quotas     uint64 // detailed
+	warmQuotas uint64
+	warmDrawn  uint64
+	widest     int
 }
 
-func (q *quotaTally) Quota(n uint64) { q.quotas += n }
+func (q *quotaTally) Quota(n uint64, warm bool) {
+	if warm {
+		q.warmQuotas += n
+	} else {
+		q.quotas += n
+	}
+}
 
 func (q *quotaTally) Fill(buf []isa.Inst) int {
 	q.widest = max(q.widest, len(buf))
 	return q.Generator.Fill(buf)
+}
+
+func (q *quotaTally) FillWarm(buf []isa.Inst) int {
+	n := q.Generator.FillWarm(buf)
+	q.warmDrawn += uint64(n)
+	return n
 }
 
 // TestFetchNeverDrawsAhead runs a sampled plan — functional warming, then
@@ -62,8 +76,9 @@ func (q *quotaTally) Fill(buf []isa.Inst) int {
 // their sum must equal, and so never exceed, the one-by-one core's
 // detailed draws of instructions its Runs committed. Fetch also draws
 // past the budget, so comparing with all detailed draws would let a quota
-// overstate by up to a window's worth. A long exact Run after the plan
-// announces one quota of many batches.
+// overstate by up to a window's worth. Warming quotas are exact: after
+// every segment their sum must equal the batched core's warming draws.
+// A long exact Run after the plan announces one quota of many batches.
 func TestFetchNeverDrawsAhead(t *testing.T) {
 	const (
 		units  = 64
@@ -100,6 +115,9 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 				if tally.quotas != one.certain {
 					t.Fatalf("%s: Run announced %d certain draws, the one-by-one core made %d", seg, tally.quotas, one.certain)
 				}
+				if tally.warmQuotas != tally.warmDrawn {
+					t.Fatalf("%s: RunWarming announced %d warming draws, it made %d", seg, tally.warmQuotas, tally.warmDrawn)
+				}
 			}
 			for u := 0; u < units; u++ {
 				cum += warm
@@ -126,8 +144,8 @@ func TestFetchNeverDrawsAhead(t *testing.T) {
 			batched.Run(cum)
 			single.Run(cum)
 			check("exact run")
-			if tally.widest != fetchBatch || tally.quotas == 0 {
-				t.Fatalf("the batched core filled at most %d at once and took quotas of %d in all, want batches of %d and quotas", tally.widest, tally.quotas, fetchBatch)
+			if tally.widest != fetchBatch || tally.quotas == 0 || tally.warmQuotas == 0 {
+				t.Fatalf("the batched core filled at most %d at once and took detailed quotas of %d and warming quotas of %d in all, want batches of %d and both quotas", tally.widest, tally.quotas, tally.warmQuotas, fetchBatch)
 			}
 		})
 	}

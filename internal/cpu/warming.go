@@ -19,13 +19,15 @@ const warmBatch = 256
 // The pipeline is first drained in place (commit/issue/dispatch with fetch
 // stopped, skipping idle cycles as Run does) so no instruction is
 // half-simulated across the mode switch; drained instructions count toward
-// the target. The clock then advances at the estimated CPI (cpiNum cycles
-// per cpiDen instructions, a fixed-point pace; callers pass the cumulative
-// cycles/instructions of the detailed windows measured so far, or 0/0 for
-// the 1.0 default before the first measurement) so cycle-driven machinery
-// — fault injection, scrubbing, decay, replica-cache timestamps — sees a
-// clock consistent with the timing estimate. Both hooks installed by
-// sim.SimulateContext handle jumped clocks.
+// the target. The stream is then told how many warming draws reach the
+// target (Stream's Quota). The clock then advances at the estimated CPI
+// (cpiNum cycles per cpiDen instructions, a fixed-point pace; callers
+// pass the cumulative cycles/instructions of the detailed windows
+// measured so far, or 0/0 for the 1.0 default before the first
+// measurement) so cycle-driven machinery — fault injection, scrubbing,
+// decay, replica-cache timestamps — sees a clock consistent with the
+// timing estimate. Both hooks installed by sim.SimulateContext handle
+// jumped clocks.
 func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 	c.maxInstrs = target
 	for c.headSeq != c.fetchSeq {
@@ -36,6 +38,10 @@ func (c *Core) RunWarming(target, cpiNum, cpiDen uint64) Stats {
 			return c.stats
 		}
 		c.cycle(false)
+	}
+
+	if drawn := c.drawn(); drawn < target && !c.streamDone {
+		c.stream.Quota(target-drawn, true)
 	}
 
 	if cpiDen == 0 || cpiNum == 0 {

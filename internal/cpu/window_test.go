@@ -117,7 +117,7 @@ func (s *fillStream) Fill(buf []isa.Inst) int {
 }
 
 func (s *fillStream) FillWarm(buf []isa.Inst) int { return s.Fill(buf) }
-func (s *fillStream) Quota(uint64)                {}
+func (s *fillStream) Quota(uint64, bool)          {}
 func (s *fillStream) Reset()                      { s.pos = 0 }
 
 // oneAtATime writes at most one instruction per Fill, so fetch draws

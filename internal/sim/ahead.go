@@ -8,14 +8,15 @@ import (
 	"repro/internal/isa"
 )
 
-// Detailed draws one core ahead. When cpu.Core.Run starts it announces how
-// many detailed draws it is now certain to make (cpu.Stream's Quota). A
+// Draws one core ahead. When cpu.Core.Run starts it announces how many
+// detailed draws it is now certain to make, and when RunWarming has
+// drained the pipeline, how many warming draws (cpu.Stream's Quota). A
 // quota large enough to be worth it, announced while the host has a core
 // to spare, is drawn on a producer goroutine into a ring of batch buffers
-// while the pipeline model consumes the batches already drawn. The
-// generator's Fill draws exactly what the same number of one-instruction
-// Fills would, however it is split, so the report does not change by a
-// byte.
+// while the core consumes the batches already drawn. The generator's Fill
+// and FillWarm each draw exactly what the same number of one-instruction
+// fills would, however they are split, so the report does not change by
+// a byte.
 
 const (
 	// aheadBatch is how many instructions the producer draws per ring
@@ -60,21 +61,22 @@ func pipelined(n uint64) bool {
 // aheadStream is a run's instruction stream: src, with each pipelined
 // quota served from a ring a producer fills. Exactly one goroutine draws
 // from src at a time. A producer owns it from its start until it sends
-// its last slot; Fill receives that slot before it draws inline again,
-// and FillWarm is only ever called with no quota left to serve.
+// its last slot, and the run receives that slot before it draws inline
+// again.
 type aheadStream struct {
 	src  detailSource
 	ring *ring // from the first pipelined quota until close
 
 	left       uint64 // draws of the pipelined quota not yet served
+	warm       bool   // the pipelined quota is of warming draws
 	slot       int    // ring slot being served, -1 before a quota's first
 	head, tail int    // its unserved instructions are ring.buf[slot][head:tail]
 	producing  bool   // a producer was started and has not been joined
 }
 
 // Quota implements cpu.Stream: when the gate lets it, it starts a
-// producer on the next n draws.
-func (a *aheadStream) Quota(n uint64) {
+// producer on the next n draws, of the kind warm says.
+func (a *aheadStream) Quota(n uint64, warm bool) {
 	if a.left > 0 {
 		panic("sim: a quota was announced before the last one was drawn")
 	}
@@ -86,16 +88,27 @@ func (a *aheadStream) Quota(n uint64) {
 		a.ring = getRing()
 	}
 	a.ring.reset()
-	a.left, a.slot, a.head, a.tail = n, -1, 0, 0
+	a.left, a.warm, a.slot, a.head, a.tail = n, warm, -1, 0, 0
 	busy.Add(1)
 	a.producing = true
-	// One goroutine per quota, and an exact run announces one.
-	go a.ring.produce(a.src, n)
+	// One goroutine per quota: an exact run announces one, a sampled run
+	// one per segment.
+	go a.ring.produce(a.src, n, warm)
 }
 
-// Fill implements cpu.Stream: the pipelined quota's draws come from
-// the ring, in order, and every later draw from src.
-func (a *aheadStream) Fill(buf []isa.Inst) int {
+// Fill implements cpu.Stream.
+func (a *aheadStream) Fill(buf []isa.Inst) int { return a.fill(buf, false) }
+
+// FillWarm implements cpu.Stream.
+func (a *aheadStream) FillWarm(buf []isa.Inst) int { return a.fill(buf, true) }
+
+// fill serves a draw of the given kind: the pipelined quota's draws come
+// from the ring, in order, and every later draw from src. The core draws
+// each quota whole before it draws the other kind.
+func (a *aheadStream) fill(buf []isa.Inst, warm bool) int {
+	if a.left > 0 && a.warm != warm {
+		panic("sim: a draw of the other kind came while a quota was unserved")
+	}
 	n := 0
 	for a.left > 0 && n < len(buf) {
 		if a.head == a.tail {
@@ -108,9 +121,17 @@ func (a *aheadStream) Fill(buf []isa.Inst) int {
 		n += k
 	}
 	if n < len(buf) {
-		n += a.src.Fill(buf[n:])
+		n += fillFrom(a.src, buf[n:], warm)
 	}
 	return n
+}
+
+// fillFrom draws from src through Fill or FillWarm, as warm says.
+func fillFrom(src detailSource, buf []isa.Inst, warm bool) int {
+	if warm {
+		return src.FillWarm(buf)
+	}
+	return src.Fill(buf)
 }
 
 // nextSlot hands the slot just served back to the producer and waits for
@@ -126,15 +147,6 @@ func (a *aheadStream) nextSlot() {
 	if uint64(a.tail) < min(a.left, aheadBatch) {
 		a.left = uint64(a.tail)
 	}
-}
-
-// FillWarm implements cpu.Stream. Warming follows a Run that drew its
-// whole quota, so it draws from src directly.
-func (a *aheadStream) FillWarm(buf []isa.Inst) int {
-	if a.left > 0 {
-		panic("sim: a warming draw came before the detailed quota was drawn")
-	}
-	return a.src.FillWarm(buf)
 }
 
 // join waits for the last producer started to exit.
@@ -193,10 +205,11 @@ func (r *ring) reset() {
 	}
 }
 
-// produce draws quota instructions from src into the ring, a slot at a
-// time, and exits after the last slot, after a short one (src ended), or
-// at the first slot boundary after close asks it to stop.
-func (r *ring) produce(src detailSource, quota uint64) {
+// produce draws quota instructions of the given kind from src into the
+// ring, a slot at a time, and exits after the last slot, after a short
+// one (src ended), or at the first slot boundary after close asks it to
+// stop.
+func (r *ring) produce(src detailSource, quota uint64, warm bool) {
 	defer r.exit()
 	for quota > 0 {
 		i := <-r.free
@@ -204,7 +217,7 @@ func (r *ring) produce(src detailSource, quota uint64) {
 			return
 		}
 		want := int(min(quota, aheadBatch))
-		got := src.Fill(r.buf[i][:want])
+		got := fillFrom(src, r.buf[i][:want], warm)
 		r.n[i] = got
 		r.full <- i
 		if got < want {

@@ -79,11 +79,11 @@ func hashInst(h interface{ Write([]byte) (int, error) }, in *isa.Inst) {
 }
 
 // TestAheadStreamGoldens pulls the workload package's stream goldens
-// through an aheadStream the way a sampled run does: per 50k unit, 48,600
-// warming instructions in FillWarm batches of 256, then a quota of 1,400
-// detailed ones in Fill batches of 64. With the gate forced on, each
-// detailed stretch is drawn on a producer; forced off, inline. Both must
-// reproduce every digest.
+// through an aheadStream the way a sampled run does: per 50k unit, a
+// quota of 48,600 warming instructions in FillWarm batches of 256, then a
+// quota of 1,400 detailed ones in Fill batches of 64. With the gate
+// forced on, each stretch of either kind is drawn on a producer; forced
+// off, inline. Both must reproduce every digest.
 func TestAheadStreamGoldens(t *testing.T) {
 	const (
 		budget = 300_000
@@ -130,12 +130,16 @@ func TestAheadStreamGoldens(t *testing.T) {
 							n -= len(b)
 						}
 					}
-					for done := 0; done < budget; done += period {
-						pull(a.FillWarm, period-detail, 256)
-						a.Quota(detail)
+					quota := func(n int, warm bool) {
+						a.Quota(uint64(n), warm)
 						if a.producing != (am.Mode == 1) {
-							t.Fatalf("%s: producing %v with the gate forced %s", key, a.producing, am.Name)
+							t.Fatalf("%s: producing %v after a quota (warming %v) with the gate forced %s", key, a.producing, warm, am.Name)
 						}
+					}
+					for done := 0; done < budget; done += period {
+						quota(period-detail, true)
+						pull(a.FillWarm, period-detail, 256)
+						quota(detail, false)
 						pull(a.Fill, detail, 64)
 					}
 					a.close()
@@ -149,38 +153,43 @@ func TestAheadStreamGoldens(t *testing.T) {
 }
 
 // endingStream is a generator that ends after limit instructions and can
-// run a callback once after its first `at` detailed draws. Its Fill may be
-// called on a producer goroutine; maxBusy records the most simulations
-// and producers that were running during a Fill, 2 when a producer drew.
+// run a callback once after its first `at` draws, detailed or warming;
+// atWarm records whether the draw that reached `at` was a warming one.
+// Its fills may be called on a producer goroutine; maxBusy records the
+// most simulations and producers that were running during a fill, 2 when
+// a producer drew.
 type endingStream struct {
 	g       *workload.Generator
 	limit   uint64
 	at      uint64
 	onDraws func()
 	drawn   atomic.Uint64
+	atWarm  bool
 	maxBusy int32
 }
 
-func (s *endingStream) Fill(buf []isa.Inst) int {
+func (s *endingStream) Fill(buf []isa.Inst) int     { return s.draw(buf, false) }
+func (s *endingStream) FillWarm(buf []isa.Inst) int { return s.draw(buf, true) }
+
+func (s *endingStream) draw(buf []isa.Inst, warm bool) int {
 	s.maxBusy = max(s.maxBusy, busy.Load())
 	n := len(buf)
 	if left := s.limit - s.g.Count(); uint64(n) > left {
 		n = int(left)
 	}
-	s.g.Fill(buf[:n])
+	if warm {
+		s.g.FillWarm(buf[:n])
+	} else {
+		s.g.Fill(buf[:n])
+	}
 	before := s.drawn.Add(uint64(n)) - uint64(n)
-	if s.onDraws != nil && before < s.at && before+uint64(n) >= s.at {
-		s.onDraws()
+	if before < s.at && before+uint64(n) >= s.at {
+		s.atWarm = warm
+		if s.onDraws != nil {
+			s.onDraws()
+		}
 	}
 	return n
-}
-
-func (s *endingStream) FillWarm(buf []isa.Inst) int {
-	n := len(buf)
-	if left := s.limit - s.g.Count(); uint64(n) > left {
-		n = int(left)
-	}
-	return s.g.FillWarm(buf[:n])
 }
 
 // idleRings returns the length of the ring free list.
@@ -192,8 +201,9 @@ func idleRings() int {
 
 // TestAheadLifecycle checks that no producer outlives simulate: after a
 // completed run, a run cancelled through its context in the middle of its
-// quota, and a run whose stream ends inside its quota, the goroutine
-// count returns to its baseline and the ring is back on the free list.
+// quota, and a run whose stream ends inside its quota, exact or sampled
+// with the quota a warming one, the goroutine count returns to its
+// baseline, the ring is back on the free list and the busy count is 0.
 func TestAheadLifecycle(t *testing.T) {
 	forceAheadMode(t, 1)
 	const instrs = 40_000
@@ -207,6 +217,44 @@ func TestAheadLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A sampled run's first warming quota is draws [0, 8600) and its
+	// second [10000, 18600). Warming is fast, so its budget is long
+	// enough that a cancel reaches the run before the budget does.
+	sampled := r
+	sampled.Instructions = 1_000_000
+	sampled.Sample = config.SampleConfig{Period: 10_000}
+	// cancelled cancels r's context at its 5,000th draw, a draw of the
+	// kind warm says.
+	cancelled := func(r config.Run, warm bool) func(*testing.T, *endingStream) {
+		return func(t *testing.T, s *endingStream) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.limit, s.at, s.onDraws = 1<<62, 5_000, cancel
+			if _, err := newInstance(m, r).simulate(ctx, m, r, s); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err %v, want context.Canceled", err)
+			}
+			if d := s.drawn.Load(); d >= r.Instructions {
+				t.Fatalf("the producer drew %d instructions, the whole run of %d", d, r.Instructions)
+			}
+			if s.atWarm != warm {
+				t.Fatalf("cancelled at a draw with warming %v, want %v", s.atWarm, warm)
+			}
+		}
+	}
+	// ends ends r's stream at its 12,345th draw, a draw of the kind warm
+	// says.
+	ends := func(r config.Run, warm bool) func(*testing.T, *endingStream) {
+		return func(t *testing.T, s *endingStream) {
+			s.limit, s.at = 12_345, 12_345
+			_, err := newInstance(m, r).simulate(context.Background(), m, r, s)
+			if err == nil || !strings.Contains(err.Error(), "stream ended") {
+				t.Fatalf("err %v, want the stream to end", err)
+			}
+			if s.atWarm != warm {
+				t.Fatalf("the stream ended at a draw with warming %v, want %v", s.atWarm, warm)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		// run simulates with the given stream and checks its outcome.
@@ -218,24 +266,10 @@ func TestAheadLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"cancelled", func(t *testing.T, s *endingStream) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			s.limit, s.at, s.onDraws = 1<<62, 5_000, cancel
-			if _, err := newInstance(m, r).simulate(ctx, m, r, s); !errors.Is(err, context.Canceled) {
-				t.Fatalf("err %v, want context.Canceled", err)
-			}
-			if d := s.drawn.Load(); d >= instrs {
-				t.Fatalf("the producer drew %d instructions, the whole quota of %d", d, instrs)
-			}
-		}},
-		{"stream ends", func(t *testing.T, s *endingStream) {
-			s.limit = 12_345
-			_, err := newInstance(m, r).simulate(context.Background(), m, r, s)
-			if err == nil || !strings.Contains(err.Error(), "stream ended") {
-				t.Fatalf("err %v, want the stream to end", err)
-			}
-		}},
+		{"cancelled", cancelled(r, false)},
+		{"stream ends", ends(r, false)},
+		{"sampled cancelled in warming", cancelled(sampled, true)},
+		{"sampled stream ends in warming", ends(sampled, true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			idle := max(idleRings(), 1)
@@ -243,7 +277,7 @@ func TestAheadLifecycle(t *testing.T) {
 			s := &endingStream{g: workload.MustNew(profile, r.Seed)}
 			tc.run(t, s)
 			if s.maxBusy != 2 {
-				t.Errorf("at most %d simulations and producers ran during a Fill, want 2: the run's own and its producer's", s.maxBusy)
+				t.Errorf("at most %d simulations and producers ran during a fill, want 2: the run's own and its producer's", s.maxBusy)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
