@@ -160,6 +160,13 @@ for w in sim-exact sim-sampled sweep-cold serve-zipf; do
         || fail "$w is not correct: $(tail -1 "$DIR/$w.json")"
     echo "perf: $w correct"
 done
+# With one P the pipelining gate never opens, so this sampled run draws
+# every detailed and warming instruction inline.
+GOMAXPROCS=1 bash perf/run.sh --workload sim-sampled --seed 1 --seconds 1 --trace 0 >"$DIR/sim-sampled-1p.json" \
+    || fail "sim-sampled under GOMAXPROCS=1 exited non-zero: $(tail -1 "$DIR/sim-sampled-1p.json")"
+tail -1 "$DIR/sim-sampled-1p.json" | grep -q '"correct":true' \
+    || fail "sim-sampled under GOMAXPROCS=1 is not correct: $(tail -1 "$DIR/sim-sampled-1p.json")"
+echo "perf: sim-sampled correct under GOMAXPROCS=1"
 
 # Committed results cannot drift: regenerate every results/*.csv with the
 # command that recorded it and require each to match byte for byte.
