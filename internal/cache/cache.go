@@ -1,8 +1,7 @@
 // Package cache provides the memory-hierarchy substrate beneath the ICR
-// data cache: a generic set-associative timing cache with LRU replacement
-// and write-back or write-through policies, a coalescing write buffer (for
-// the paper's write-through comparison, §5.8), and a latency+content main
-// memory.
+// data cache: a generic write-back set-associative timing cache with LRU
+// replacement, a coalescing write buffer (for the paper's write-through
+// dL1 comparison, §5.8), and a latency+content main memory.
 //
 // Only the ICR L1 data cache (internal/core) carries real, corruptible data
 // bits. The levels in this package model timing and access counts; block
@@ -46,7 +45,9 @@ type Level interface {
 	Access(now uint64, addr uint64, kind Kind) (latency uint64)
 }
 
-// WritePolicy selects how writes propagate to the next level.
+// WritePolicy selects how the ICR dL1's writes propagate to the next
+// level (core.Config.WritePolicy). The timing Cache here is always
+// write-back.
 type WritePolicy uint8
 
 // Write policies.
@@ -54,21 +55,21 @@ const (
 	// WriteBack marks lines dirty and writes them to the next level only
 	// on eviction. Writes allocate on miss.
 	WriteBack WritePolicy = iota + 1
-	// WriteThrough forwards every write to the next level (through the
-	// configured write buffer if present). Writes do not allocate on miss.
+	// WriteThrough forwards every write to the next level through a
+	// write buffer. Writes do not allocate on miss.
 	WriteThrough
 )
 
-// Config describes one cache level.
+// Config describes one write-back cache level: writes mark lines dirty
+// and allocate on miss, and dirty lines reach the next level only on
+// eviction.
 type Config struct {
 	Name       string
 	Size       int    // total bytes
 	Assoc      int    // ways per set
 	BlockSize  int    // bytes per line
 	HitLatency uint64 // cycles for a hit
-	Policy     WritePolicy
-	Next       Level        // lower level (required)
-	WriteBuf   *WriteBuffer // optional; used by WriteThrough
+	Next       Level  // lower level (required)
 
 	// PortOccupancy, when nonzero, models a single bank/port: each access
 	// holds the array for this many cycles, and an access arriving while
@@ -85,7 +86,6 @@ type Stats struct {
 	Writes, WriteMisses  uint64
 	Fetches, FetchMisses uint64
 	Writebacks           uint64 // dirty evictions written to the next level
-	WriteThroughs        uint64 // writes forwarded by the write-through policy
 	PortStallCycles      uint64 // cycles accesses waited for a busy port
 }
 
@@ -142,9 +142,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.Next == nil {
 		panic("cache: next level is required")
-	}
-	if cfg.Policy == 0 {
-		cfg.Policy = WriteBack
 	}
 	offsetBits := uint(0)
 	for 1<<offsetBits < cfg.BlockSize {
@@ -210,10 +207,6 @@ func (c *Cache) Access(now uint64, addr uint64, kind Kind) uint64 {
 		now += portDelay
 	}
 
-	if c.cfg.Policy == WriteThrough && kind == Write {
-		return portDelay + c.accessWriteThrough(now, addr, ba)
-	}
-
 	if i := c.lookup(ba); i >= 0 {
 		ln := &c.lines[i]
 		ln.lru = c.clock
@@ -235,24 +228,6 @@ func (c *Cache) Access(now uint64, addr uint64, kind Kind) uint64 {
 	lat := c.cfg.HitLatency + c.cfg.Next.Access(now+c.cfg.HitLatency, addr, Read)
 	c.allocate(now, ba, kind == Write)
 	return portDelay + lat
-}
-
-// accessWriteThrough handles a store under the write-through policy:
-// update the line if present (no allocate on miss) and forward the write
-// to the next level, through the write buffer when configured.
-func (c *Cache) accessWriteThrough(now uint64, addr, ba uint64) uint64 {
-	if i := c.lookup(ba); i >= 0 {
-		c.lines[i].lru = c.clock
-		// Line stays clean: the next level is updated immediately.
-	} else {
-		c.stats.WriteMisses++
-	}
-	c.stats.WriteThroughs++
-	if c.cfg.WriteBuf != nil {
-		stall := c.cfg.WriteBuf.Add(now, ba)
-		return c.cfg.HitLatency + stall
-	}
-	return c.cfg.HitLatency + c.cfg.Next.Access(now+c.cfg.HitLatency, addr, Write)
 }
 
 // allocate installs blockAddr, evicting the LRU way.

@@ -22,7 +22,7 @@ func (f *fixedLevel) Access(_ uint64, addr uint64, kind Kind) uint64 {
 func newTestCache(size, assoc, block int, next Level) *Cache {
 	return New(Config{
 		Name: "t", Size: size, Assoc: assoc, BlockSize: block,
-		HitLatency: 1, Policy: WriteBack, Next: next,
+		HitLatency: 1, Next: next,
 	})
 }
 
@@ -96,48 +96,6 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	c.Access(1, 0x100, Read) // evicts clean line
 	if s := c.Stats(); s.Writebacks != 0 {
 		t.Errorf("writebacks = %d, want 0", s.Writebacks)
-	}
-}
-
-func TestWriteThroughForwardsWrites(t *testing.T) {
-	next := &fixedLevel{latency: 6}
-	c := New(Config{
-		Name: "wt", Size: 256, Assoc: 2, BlockSize: 64,
-		HitLatency: 1, Policy: WriteThrough, Next: next,
-	})
-	c.Access(0, 0x000, Read) // fill
-	next.accesses = nil
-	// Write hit: forwarded, line not dirtied.
-	if lat := c.Access(1, 0x000, Write); lat != 7 {
-		t.Errorf("write-through write latency = %d, want 7", lat)
-	}
-	if len(next.accesses) != 1 || next.accesses[0] != Write {
-		t.Errorf("next-level should see exactly the forwarded write, got %v", next.accesses)
-	}
-	// Write miss: no allocate.
-	c.Access(2, 0x400, Write)
-	if c.Contains(0x400) {
-		t.Error("write-through should not allocate on write miss")
-	}
-	// Evictions never write back (nothing is dirty).
-	s := c.Stats()
-	if s.Writebacks != 0 {
-		t.Errorf("write-through writebacks = %d, want 0", s.Writebacks)
-	}
-	if s.WriteThroughs != 2 {
-		t.Errorf("writeThroughs = %d, want 2", s.WriteThroughs)
-	}
-}
-
-func TestWriteThroughWithBufferNoStallWhenEmpty(t *testing.T) {
-	next := &fixedLevel{latency: 6}
-	wb := NewWriteBuffer(8, 6, next)
-	c := New(Config{
-		Name: "wt", Size: 256, Assoc: 2, BlockSize: 64,
-		HitLatency: 1, Policy: WriteThrough, Next: next, WriteBuf: wb,
-	})
-	if lat := c.Access(0, 0x000, Write); lat != 1 {
-		t.Errorf("buffered write latency = %d, want 1", lat)
 	}
 }
 

@@ -90,12 +90,12 @@ func TestDirtyEvictionOccupiesNextLevelPort(t *testing.T) {
 	mem := &recordingLevel{latency: 100}
 	next := New(Config{
 		Name: "l2", Size: 4096, Assoc: 4, BlockSize: 64,
-		HitLatency: 6, Policy: WriteBack, Next: mem,
+		HitLatency: 6, Next: mem,
 		PortOccupancy: 4,
 	})
 	c := New(Config{
 		Name: "l1", Size: 128, Assoc: 1, BlockSize: 64,
-		HitLatency: 1, Policy: WriteBack, Next: next,
+		HitLatency: 1, Next: next,
 	})
 	// Warm the next level so later fills hit there.
 	next.Access(0, 0x100, Read)

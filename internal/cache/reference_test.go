@@ -57,7 +57,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		next := &fixedLevel{latency: 6}
 		c := New(Config{
 			Name: "dut", Size: geom.size, Assoc: geom.assoc, BlockSize: geom.block,
-			HitLatency: 1, Policy: WriteBack, Next: next,
+			HitLatency: 1, Next: next,
 		})
 		ref := newRefCache(geom.size, geom.assoc, geom.block)
 		rng := rand.New(rand.NewSource(int64(geom.size)))

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
-
-	"repro/internal/core"
 )
 
 // AppendCanonical appends a canonical encoding of (m, r) to b: every field
@@ -16,9 +14,9 @@ import (
 // it is declared.
 //
 // ok is false when an input hides behaviour the encoding cannot see: a
-// non-nil func, a hint policy other than core.ReplicateAll or a non-nil
-// *core.RangePolicy, or a field of a kind with no encoding (a pointer,
-// map, array or channel). Such a run must not be memoized or pooled.
+// non-nil func, or a field of a kind with no encoding (an interface,
+// pointer, map, array or channel). Such a run must not be memoized or
+// pooled.
 func AppendCanonical(b []byte, m Machine, r Run) ([]byte, bool) {
 	b, ok := appendValue(b, reflect.ValueOf(&m).Elem())
 	if !ok {
@@ -62,18 +60,6 @@ func appendValue(b []byte, v reflect.Value) ([]byte, bool) {
 		return b, true
 	case reflect.Func:
 		return u64(b, 0), v.IsNil()
-	case reflect.Interface:
-		// A tag per known policy, then its value. A typed nil
-		// *core.RangePolicy has no value to encode and is refused: it
-		// must not share a key with a run that has no policy.
-		switch v.Interface().(type) {
-		case nil:
-			return u64(b, 0), true
-		case core.ReplicateAll:
-			return u64(b, 1), true
-		case *core.RangePolicy:
-			return appendValue(u64(b, 2), v.Elem().Elem())
-		}
 	}
 	return b, false
 }

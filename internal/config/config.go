@@ -108,9 +108,9 @@ type Run struct {
 	Fault  FaultConfig
 	Energy energy.Params
 
-	// Hints, if non-nil, is the software replication-direction policy
-	// (core.HintPolicy; the paper's §6 future work).
-	Hints core.HintPolicy
+	// Hints directs replication per address range (core.Config.Hints; the
+	// paper's §6 future work). Nil replicates every block.
+	Hints []core.AddrRange
 
 	// DupCacheKB, when > 0, attaches a separate Kim & Somani-style
 	// duplication cache of this many KB to the dL1 (the baseline the
@@ -230,15 +230,11 @@ func NewRun(benchmark string, scheme core.Scheme) Run {
 }
 
 // Validate reports a run the simulator cannot run as given: the adaptive
-// controller on a scheme that does not replicate, a two-tier or fault
-// configuration its Validate rejects, or Hints holding a nil
-// *core.RangePolicy (which would panic at the first replication trigger).
+// controller on a scheme that does not replicate, or a two-tier or fault
+// configuration its Validate rejects.
 func (r *Run) Validate() error {
 	if r.Adapt.Enabled() && !r.Scheme.HasReplication() {
 		return fmt.Errorf("config: adaptive controller requires a replicating scheme, got %s", r.Scheme.Name())
-	}
-	if p, ok := r.Hints.(*core.RangePolicy); ok && p == nil {
-		return errors.New("config: Run.Hints holds a nil *core.RangePolicy")
 	}
 	return errors.Join(r.TwoTier.Validate(), r.Fault.Validate())
 }

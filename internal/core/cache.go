@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/ecc"
+	"repro/internal/energy"
 	"repro/internal/fault"
 )
 
@@ -20,7 +21,8 @@ type Cache struct {
 	cur TuneState
 
 	stats    Stats
-	storeSeq uint64 // deterministic store-value generator state
+	energy   energy.Counts // L1-side array accesses and parity/ECC computations
+	storeSeq uint64        // deterministic store-value generator state
 
 	// Scratch buffers reused across accesses so the hot path allocates
 	// nothing. replScratch backs findReplicas and replicasOf results
@@ -97,6 +99,10 @@ func (c *Cache) Stats() Stats {
 	s.InjectedFlips, s.InjectedIntoInvalid = c.arr.Injected()
 	return s
 }
+
+// EnergyCounts returns the L1-side energy events: array accesses,
+// r-cache probes and deposits, and parity/ECC computations.
+func (c *Cache) EnergyCounts() energy.Counts { return c.energy }
 
 // dead reports whether the line is predicted dead at cycle now: never
 // when nothing recycles dead lines, after four times the line's observed
@@ -204,9 +210,7 @@ func (c *Cache) replicasOf(p *Line) []*Line {
 func (c *Cache) fill(ln *Line, blockAddr uint64, now uint64) {
 	c.arr.Fill(ln, blockAddr, c.cfg.Mem.PeekBlock(blockAddr))
 	c.touch(ln, now)
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1Write(1)
-	}
+	c.energy.L1Writes++
 }
 
 // storeValue produces the deterministic value written by the n-th store.
@@ -224,12 +228,10 @@ func (c *Cache) writeWord(ln *Line, addr uint64, value uint64) {
 	off := int(addr) & (c.cfg.BlockSize - 1)
 	ecc.PutWord64(ln.Data, off, value)
 	ln.RecodeWord(off)
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1WordWrite(1)
-		c.cfg.Meter.AddParity(1)
-		if ln.ECC != nil {
-			c.cfg.Meter.AddECC(1)
-		}
+	c.energy.L1WordWrites++
+	c.energy.ParityOps++
+	if ln.ECC != nil {
+		c.energy.ECCOps++
 	}
 }
 
@@ -426,12 +428,13 @@ func (c *Cache) CheckInvariants() error {
 
 // Reset restores the cache to its post-construction state — every line
 // invalid (LineArray.Reset), counters and scrub state cleared. Attached
-// components (write buffer, duplicate cache, energy meter) have their own
-// Reset methods; the caller resets them alongside.
+// components (write buffer, duplicate cache) have their own Reset
+// methods; the caller resets them alongside.
 func (c *Cache) Reset() {
 	c.arr.Reset()
 	c.initTune()
 	c.stats = Stats{}
+	c.energy = energy.Counts{}
 	c.storeSeq = 0
 	c.replScratch = c.replScratch[:0]
 	c.usedSets = c.usedSets[:0]

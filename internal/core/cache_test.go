@@ -555,28 +555,24 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 }
 
 func TestEnergyAccountingDiffersByScheme(t *testing.T) {
-	run := func(s Scheme) *energy.Meter {
-		m := energy.NewMeter(energy.DefaultParams())
-		c, _ := testCache(t, func(cfg *Config) {
-			cfg.Scheme = s
-			cfg.Meter = m
-		})
+	run := func(s Scheme) energy.Counts {
+		c, _ := testCache(t, func(cfg *Config) { cfg.Scheme = s })
 		for i := 0; i < 32; i++ {
 			c.Store(uint64(2*i), addrOfBlock(i%8))
 			c.Load(uint64(2*i+1), addrOfBlock(i%8))
 		}
-		return m
+		return c.EnergyCounts()
 	}
+	p := energy.DefaultParams()
 	mp := run(BaseP())
 	me := run(BaseECC(false))
-	if mp.CheckEnergy() >= me.CheckEnergy() {
+	if p.CheckEnergy(mp) >= p.CheckEnergy(me) {
 		t.Errorf("BaseP check energy %.2f should be below BaseECC %.2f",
-			mp.CheckEnergy(), me.CheckEnergy())
+			p.CheckEnergy(mp), p.CheckEnergy(me))
 	}
 	micr := run(ICR(ParityProt, LookupSerial, ReplStores))
-	if micr.Counts().L1Writes <= mp.Counts().L1Writes {
-		t.Errorf("ICR must pay duplicate writes: %d vs %d",
-			micr.Counts().L1Writes, mp.Counts().L1Writes)
+	if micr.L1Writes <= mp.L1Writes {
+		t.Errorf("ICR must pay duplicate writes: %d vs %d", micr.L1Writes, mp.L1Writes)
 	}
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cache"
-	"repro/internal/energy"
 )
 
 // DecayMode selects the dead-block prediction mechanism.
@@ -125,14 +126,11 @@ type Config struct {
 	// hierarchy; assumed error-free, as in the paper).
 	Mem *cache.Memory
 
-	// Meter, if non-nil, accumulates L1-side dynamic energy events
-	// (array accesses and parity/ECC computations).
-	Meter *energy.Meter
-
-	// Hints, if non-nil, lets software direct replication per block: which
-	// blocks to exempt and how many replicas to keep (the paper's §6
-	// future work). Nil replicates everything at Repl.Replicas.
-	Hints HintPolicy
+	// Hints lets software direct replication per block: which blocks to
+	// exempt and how many replicas to keep (the paper's §6 future work).
+	// The first range holding a block's address decides; a block in no
+	// range is replicated at Repl.Replicas.
+	Hints []AddrRange
 
 	// PrefetchIntoDead enables the competing use of dead lines from the
 	// prefetching literature the paper builds on (refs [14], [7]): a miss
@@ -192,6 +190,9 @@ type DuplicateStore interface {
 
 func (c *Config) withDefaults() Config {
 	out := *c
+	// A pooled cache outlives the run that built it, so it keeps its own
+	// copy of the caller's ranges.
+	out.Hints = slices.Clone(out.Hints)
 	if out.HitLatency == 0 {
 		out.HitLatency = 1
 	}

@@ -75,10 +75,8 @@ func (c *Cache) OfferReplica(now uint64, blockAddr uint64, data []byte) bool {
 	}
 	c.arr.InstallGuest(v, blockAddr, data)
 	c.touch(v, now)
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1Write(1)
-		c.cfg.Meter.AddParity(1)
-	}
+	c.energy.L1Writes++
+	c.energy.ParityOps++
 	c.cross.HostedLines++
 	return true
 }
@@ -91,10 +89,8 @@ func (c *Cache) RepairWord(_ uint64, blockAddr uint64, off int, dst []byte) (uin
 	if !c.arr.RepairFromGuest(blockAddr, off, dst, &c.cross) {
 		return 0, false
 	}
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1Read(1)
-		c.cfg.Meter.AddParity(1)
-	}
+	c.energy.L1Reads++
+	c.energy.ParityOps++
 	return c.cfg.HitLatency + 1, true
 }
 

@@ -77,8 +77,7 @@ func TestDuplicateEvictedMeansLoss(t *testing.T) {
 func TestICRBeatsDuplicateCacheOnEnergy(t *testing.T) {
 	// The paper's §5.2 argument against [11]: ICR achieves duplication
 	// without a separate array probed on every load.
-	runMeter := func(withDup bool) *energy.Meter {
-		m := energy.NewMeter(energy.DefaultParams())
+	runCounts := func(withDup bool) energy.Counts {
 		var d *rcache.Cache
 		if withDup {
 			d = rcache.New(512, 2, 64)
@@ -88,20 +87,20 @@ func TestICRBeatsDuplicateCacheOnEnergy(t *testing.T) {
 				cfg.Scheme = BaseP()
 				cfg.Duplicates = d
 			}
-			cfg.Meter = m
 		})
 		for i := 0; i < 64; i++ {
 			c.Store(uint64(2*i), addrOfBlock(i%6))
 			c.Load(uint64(2*i+1), addrOfBlock(i%6))
 		}
-		return m
+		return c.EnergyCounts()
 	}
-	icr := runMeter(false)
-	dup := runMeter(true)
-	if dup.RCacheEnergy() == 0 {
+	p := energy.DefaultParams()
+	icr := runCounts(false)
+	dup := runCounts(true)
+	if p.RCacheEnergy(dup) == 0 {
 		t.Fatal("r-cache energy not accounted")
 	}
-	if icr.RCacheEnergy() != 0 {
+	if p.RCacheEnergy(icr) != 0 {
 		t.Fatal("ICR should not pay r-cache energy")
 	}
 }

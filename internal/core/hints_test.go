@@ -2,32 +2,31 @@ package core
 
 import "testing"
 
-func TestReplicateAllPolicy(t *testing.T) {
-	h := ReplicateAll{}.Hint(0x1234)
-	if !h.Replicate || h.Replicas != 0 {
-		t.Errorf("ReplicateAll hint = %+v", h)
-	}
-}
-
 func TestRangePolicyMatching(t *testing.T) {
-	p := NewRangePolicy(
-		AddrRange{Start: 0x1000, End: 0x2000, Hint: Hint{Replicate: false}},
-		AddrRange{Start: 0x2000, End: 0x3000, Hint: Hint{Replicate: true, Replicas: 2}},
-	)
+	ranges := []AddrRange{
+		{Start: 0x1000, End: 0x2000, Hint: Hint{Replicate: false}},
+		{Start: 0x2000, End: 0x3000, Hint: Hint{Replicate: true, Replicas: 2}},
+		{Start: 0x2800, End: 0x4000, Hint: Hint{Replicate: false}},
+	}
 	cases := []struct {
 		addr uint64
 		want Hint
 	}{
-		{0x0fff, Hint{Replicate: true}},              // default
+		{0x0fff, Hint{Replicate: true}},              // in no range
 		{0x1000, Hint{Replicate: false}},             // first range start
 		{0x1fff, Hint{Replicate: false}},             // first range end-1
 		{0x2000, Hint{Replicate: true, Replicas: 2}}, // second range
-		{0x3000, Hint{Replicate: true}},              // past second range
+		{0x2800, Hint{Replicate: true, Replicas: 2}}, // the first match wins
+		{0x3000, Hint{Replicate: false}},             // third range only
+		{0x4000, Hint{Replicate: true}},              // past every range
 	}
 	for _, c := range cases {
-		if got := p.Hint(c.addr); got != c.want {
-			t.Errorf("Hint(%#x) = %+v, want %+v", c.addr, got, c.want)
+		if got := hintFor(ranges, c.addr); got != c.want {
+			t.Errorf("hintFor(%#x) = %+v, want %+v", c.addr, got, c.want)
 		}
+	}
+	if got := hintFor(nil, 0x1000); got != (Hint{Replicate: true}) {
+		t.Errorf("no hints: hintFor = %+v, want replicate", got)
 	}
 }
 
@@ -35,9 +34,7 @@ func TestHintExemptsBlocksFromReplication(t *testing.T) {
 	noRepl := addrOfBlock(1)
 	yesRepl := addrOfBlock(2)
 	c, _ := testCache(t, func(cfg *Config) {
-		cfg.Hints = NewRangePolicy(AddrRange{
-			Start: noRepl, End: noRepl + 64, Hint: Hint{Replicate: false},
-		})
+		cfg.Hints = []AddrRange{{Start: noRepl, End: noRepl + 64, Hint: Hint{Replicate: false}}}
 	})
 	c.Store(0, noRepl)
 	c.Store(1, yesRepl)
@@ -59,9 +56,7 @@ func TestHintRaisesReplicaQuota(t *testing.T) {
 	c, _ := testCache(t, func(cfg *Config) {
 		cfg.Repl.Distances = []int{4, 2} // room for two replicas
 		cfg.Repl.Replicas = 1            // default quota 1
-		cfg.Hints = NewRangePolicy(AddrRange{
-			Start: a, End: a + 64, Hint: Hint{Replicate: true, Replicas: 2},
-		})
+		cfg.Hints = []AddrRange{{Start: a, End: a + 64, Hint: Hint{Replicate: true, Replicas: 2}}}
 	})
 	c.Store(0, a)
 	if got := c.ReplicaCount(a); got != 2 {
@@ -76,9 +71,7 @@ func TestHintRaisesReplicaQuota(t *testing.T) {
 
 func TestHintedCacheInvariants(t *testing.T) {
 	c, _ := testCache(t, func(cfg *Config) {
-		cfg.Hints = NewRangePolicy(AddrRange{
-			Start: 0, End: addrOfBlock(8), Hint: Hint{Replicate: false},
-		})
+		cfg.Hints = []AddrRange{{Start: 0, End: addrOfBlock(8), Hint: Hint{Replicate: false}}}
 	})
 	for i := 0; i < 200; i++ {
 		a := addrOfBlock(i % 24)

@@ -18,9 +18,7 @@ import (
 func (c *Cache) Load(now uint64, addr uint64) uint64 {
 	ba := c.arr.BlockAddr(addr)
 	c.stats.Reads++
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1Read(1)
-	}
+	c.energy.L1Reads++
 
 	if ln := c.arr.Primary(ba); ln != nil {
 		c.arr.NoteAccess(ln, addr)
@@ -41,9 +39,7 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 				dup = d
 				c.stats.ReadHitsWithDuplicate++
 			}
-			if c.cfg.Meter != nil {
-				c.cfg.Meter.AddRCacheRead(1)
-			}
+			c.energy.RCacheReads++
 		}
 		lat := c.loadHitLatency(len(replicas) > 0)
 		lat += c.verifyLoad(now, ln, replicas, dup, addr)
@@ -51,9 +47,7 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 		for _, rep := range replicas {
 			if c.cur.Lookup == LookupParallel {
 				// The parallel scheme reads the replica array too.
-				if c.cfg.Meter != nil {
-					c.cfg.Meter.AddL1Read(1)
-				}
+				c.energy.L1Reads++
 				c.touch(rep, now)
 			}
 		}
@@ -74,10 +68,8 @@ func (c *Cache) Load(now uint64, addr uint64) uint64 {
 			v := c.evictFor(c.arr.HomeSet(ba), now)
 			c.arr.Fill(v, ba, rep.Data)
 			c.touch(v, now)
-			if c.cfg.Meter != nil {
-				c.cfg.Meter.AddL1Read(1)  // replica array read
-				c.cfg.Meter.AddL1Write(1) // primary install
-			}
+			c.energy.L1Reads++  // replica array read
+			c.energy.L1Writes++ // primary install
 			return c.cfg.HitLatency + 1
 		}
 	}
@@ -242,9 +234,7 @@ func (c *Cache) depositDuplicate(ln *Line) {
 		return
 	}
 	c.cfg.Duplicates.Put(ln.BlockAddr, ln.Data)
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddRCacheWrite(1)
-	}
+	c.energy.RCacheWrites++
 }
 
 // loadHitLatency returns the scheme latency for an error-free load hit.
@@ -345,8 +335,6 @@ func (c *Cache) evictReplicaSite(v *Line, now uint64) {
 func (c *Cache) installReplica(v *Line, primary *Line, now uint64) {
 	c.arr.InstallReplica(v, primary)
 	c.touch(v, now)
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1Write(1) // the duplicate write (§5.8 energy cost)
-		c.cfg.Meter.AddParity(1)
-	}
+	c.energy.L1Writes++ // the duplicate write (§5.8 energy cost)
+	c.energy.ParityOps++
 }

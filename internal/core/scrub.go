@@ -32,10 +32,8 @@ func (c *Cache) Scrub(now uint64, n int) {
 			continue
 		}
 		c.scrub.Checks++
-		if c.cfg.Meter != nil {
-			// One parity verification per word of the line.
-			c.cfg.Meter.AddParity(uint64(c.cfg.BlockSize / 8))
-		}
+		// One parity verification per word of the line.
+		c.energy.ParityOps += uint64(c.cfg.BlockSize / 8)
 		if ecc.CheckParityLineRange(ln.Data, ln.Parity, 0, c.cfg.BlockSize) == ecc.OK {
 			continue
 		}

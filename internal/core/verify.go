@@ -27,21 +27,14 @@ func (c *Cache) verifyLoad(now uint64, ln *Line, replicas []*Line, dup []byte, a
 	off := int(addr) & (c.cfg.BlockSize - 1)
 	word := off &^ 7
 
-	useECC := c.cfg.Scheme.Protection == ECCProt && len(replicas) == 0
-	if c.cfg.Meter != nil {
-		if useECC {
-			c.cfg.Meter.AddECC(1)
-		} else {
-			c.cfg.Meter.AddParity(1)
-			if c.cur.Lookup == LookupParallel && len(replicas) > 0 {
-				// Parallel compare verifies the replica copy too.
-				c.cfg.Meter.AddParity(1)
-			}
-		}
-	}
-
-	if useECC {
+	if c.cfg.Scheme.Protection == ECCProt && len(replicas) == 0 {
+		c.energy.ECCOps++
 		return c.verifyECC(now, ln, off)
+	}
+	c.energy.ParityOps++
+	if c.cur.Lookup == LookupParallel && len(replicas) > 0 {
+		// Parallel compare verifies the replica copy too.
+		c.energy.ParityOps++
 	}
 
 	// Parity path (Base-P, and every replicated line in ICR schemes).
@@ -63,9 +56,9 @@ func (c *Cache) verifyLoad(now uint64, ln *Line, replicas []*Line, dup []byte, a
 	// Primary word is corrupted.
 	c.stats.ErrorsDetected++
 	for _, rep := range replicas {
-		if c.cfg.Meter != nil && c.cur.Lookup == LookupSerial {
-			c.cfg.Meter.AddL1Read(1) // serial schemes read the replica only now
-			c.cfg.Meter.AddParity(1)
+		if c.cur.Lookup == LookupSerial {
+			c.energy.L1Reads++ // serial schemes read the replica only now
+			c.energy.ParityOps++
 		}
 		if ecc.CheckParityLineRange(rep.Data, rep.Parity, word, 8) == ecc.OK {
 			c.repairFrom(ln, rep, word)
@@ -82,9 +75,7 @@ func (c *Cache) verifyLoad(now uint64, ln *Line, replicas []*Line, dup []byte, a
 		copy(ln.Data[off2:off2+8], dup[off2:off2+8])
 		ln.RecodeWord(off2)
 		c.stats.RecoveredByDuplicate++
-		if c.cfg.Meter != nil {
-			c.cfg.Meter.AddL1Write(1)
-		}
+		c.energy.L1Writes++
 		return 1
 	}
 
@@ -105,9 +96,7 @@ func (c *Cache) verifyLoad(now uint64, ln *Line, replicas []*Line, dup []byte, a
 	if c.cfg.Scheme.Protection == ECCProt {
 		// Replicated line in an ICR-ECC scheme whose replicas all failed:
 		// the ECC bits are still maintained, so try correction.
-		if c.cfg.Meter != nil {
-			c.cfg.Meter.AddECC(1)
-		}
+		c.energy.ECCOps++
 		return 1 + c.verifyECC(now, ln, off)
 	}
 	return 1 + c.recoverFromBelow(now, ln, addr)
@@ -151,9 +140,7 @@ func (c *Cache) recoverFromBelow(now uint64, ln *Line, addr uint64) (extra uint6
 	ln.Dirty = false
 	c.setVuln(ln, now, false)
 	ln.Recode()
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1Write(1)
-	}
+	c.energy.L1Writes++
 	return extra
 }
 
@@ -165,7 +152,5 @@ func (c *Cache) repairFrom(dst, src *Line, word int) {
 	if dst.ECC != nil {
 		dst.ECC[word/8] = ecc.EncodeSECDED(ecc.Word64(dst.Data, word))
 	}
-	if c.cfg.Meter != nil {
-		c.cfg.Meter.AddL1WordWrite(1)
-	}
+	c.energy.L1WordWrites++
 }

@@ -47,14 +47,9 @@ type DataCache interface {
 	// Store returns the latency a store holds the pipeline (1 cycle when
 	// buffered; more when a write-through buffer stalls).
 	Store(now uint64, addr uint64) uint64
-}
-
-// HitPredictor is an optional DataCache extension: when implemented, the
-// core uses it to enforce the MSHR limit (loads that would miss cannot
-// issue while all miss registers are busy).
-type HitPredictor interface {
 	// WouldHit reports whether a load of addr would hit without changing
-	// any cache state.
+	// any cache state. The core uses it to enforce the MSHR limit: a load
+	// that would miss cannot issue while all miss registers are busy.
 	WouldHit(addr uint64) bool
 }
 
@@ -775,12 +770,10 @@ func (c *Core) issue() bool {
 			if port < 0 {
 				continue
 			}
-			if c.cfg.MSHRs > 0 && c.mshrsFull() {
+			if c.cfg.MSHRs > 0 && c.mshrsFull() && !c.dcache.WouldHit(in.Addr) {
 				// A load that would miss cannot allocate a miss register.
-				if hp, ok := c.dcache.(HitPredictor); ok && !hp.WouldHit(in.Addr) {
-					c.stats.MSHRStalls++
-					continue
-				}
+				c.stats.MSHRStalls++
+				continue
 			}
 			lat = c.dcache.Load(c.now, in.Addr)
 			// The port is held for the L1-side check latency (capped at

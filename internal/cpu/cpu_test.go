@@ -28,6 +28,9 @@ func (f *fixedDCache) Store(now uint64, _ uint64) uint64 {
 	return f.storeLat
 }
 
+// WouldHit is always true: the fixed cache never stalls on MSHRs.
+func (f *fixedDCache) WouldHit(uint64) bool { return true }
+
 // perfectICache never misses.
 type perfectICache struct{}
 
@@ -306,6 +309,8 @@ func (o *orderTrackingDCache) Store(_ uint64, _ uint64) uint64 {
 	o.events = append(o.events, "store")
 	return 1
 }
+
+func (o *orderTrackingDCache) WouldHit(uint64) bool { return true }
 
 func TestDivNotPipelined(t *testing.T) {
 	// Back-to-back independent divides must serialize on the single

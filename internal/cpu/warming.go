@@ -12,8 +12,8 @@ const warmBatch = 256
 // RunWarming functionally executes the stream until `target` cumulative
 // committed instructions, updating every structure whose state carries
 // across sampling windows — instruction and data caches (and through them
-// replication state, decay counters, integrity codes, and the energy
-// meter), branch predictors, BTB, and RAS — while skipping out-of-order
+// replication state, decay counters, integrity codes, and energy
+// counts), branch predictors, BTB, and RAS — while skipping out-of-order
 // issue and timing entirely.
 //
 // The pipeline is first drained in place (commit/issue/dispatch with fetch

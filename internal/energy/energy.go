@@ -4,6 +4,12 @@
 // and SEC-DED computations expressed as a fraction of an L1 access (the
 // paper evaluates parity:ECC ratios of 15%:30% and 10%:30%).
 //
+// The events are counted where they happen: the ICR dL1 (core.Cache) and
+// the protected tier (tier.Protected) each keep a Counts beside their other
+// counters, and the L2 and memory demand traffic comes from their access
+// statistics. The simulator adds them up once a run ends and prices the
+// sum once with the run's Params.
+//
 // All values are parameters: the defaults are CACTI-3-class figures for the
 // Table 1 geometry (16KB 4-way L1, 256KB 4-way L2, 0.18um-era technology),
 // and every experiment reports *relative* energy, which is what the paper
@@ -108,99 +114,34 @@ func (c *Counts) Add(o Counts) {
 	c.MemWrites += o.MemWrites
 }
 
-// Meter accumulates events and evaluates them against a Params table.
-// The zero value is not useful; construct with NewMeter.
-type Meter struct {
-	params Params
-	counts Counts
+// L1Energy returns the L1 array energy of c in nJ.
+func (p Params) L1Energy(c Counts) float64 {
+	return float64(c.L1Reads)*p.L1Read +
+		float64(c.L1Writes)*p.L1Write +
+		float64(c.L1WordWrites)*p.L1WordWrite
 }
 
-// NewMeter returns a Meter using the given parameters.
-func NewMeter(p Params) *Meter {
-	return &Meter{params: p}
+// L2Energy returns the L2 array energy of c in nJ.
+func (p Params) L2Energy(c Counts) float64 {
+	return float64(c.L2Reads)*p.L2Read + float64(c.L2Writes)*p.L2Write
 }
 
-// Params returns the meter's energy parameters.
-func (m *Meter) Params() Params { return m.params }
-
-// Counts returns a snapshot of the accumulated event counts.
-func (m *Meter) Counts() Counts { return m.counts }
-
-// AddL1Read records n L1 read accesses.
-func (m *Meter) AddL1Read(n uint64) { m.counts.L1Reads += n }
-
-// AddL1Write records n full-line L1 write accesses.
-func (m *Meter) AddL1Write(n uint64) { m.counts.L1Writes += n }
-
-// AddL1WordWrite records n single-word L1 writes.
-func (m *Meter) AddL1WordWrite(n uint64) { m.counts.L1WordWrites += n }
-
-// AddL2Read records n L2 read accesses.
-func (m *Meter) AddL2Read(n uint64) { m.counts.L2Reads += n }
-
-// AddL2Write records n L2 write accesses.
-func (m *Meter) AddL2Write(n uint64) { m.counts.L2Writes += n }
-
-// AddParity records n parity computations/verifications.
-func (m *Meter) AddParity(n uint64) { m.counts.ParityOps += n }
-
-// AddECC records n SEC-DED computations/verifications.
-func (m *Meter) AddECC(n uint64) { m.counts.ECCOps += n }
-
-// AddRCacheRead records n duplication-cache probes.
-func (m *Meter) AddRCacheRead(n uint64) { m.counts.RCacheReads += n }
-
-// AddRCacheWrite records n duplication-cache deposits.
-func (m *Meter) AddRCacheWrite(n uint64) { m.counts.RCacheWrites += n }
-
-// AddMemRead records n memory-tier reads (demand fills and fetches).
-func (m *Meter) AddMemRead(n uint64) { m.counts.MemReads += n }
-
-// AddMemWrite records n memory-tier writes (write-backs and buffered
-// write-throughs).
-func (m *Meter) AddMemWrite(n uint64) { m.counts.MemWrites += n }
-
-// RCacheEnergy returns the duplication-cache energy in nJ.
-func (m *Meter) RCacheEnergy() float64 {
-	return float64(m.counts.RCacheReads)*m.params.RCacheRead +
-		float64(m.counts.RCacheWrites)*m.params.RCacheWrite
+// CheckEnergy returns the parity/ECC computation energy of c in nJ.
+func (p Params) CheckEnergy(c Counts) float64 {
+	unit := p.L1Read
+	return float64(c.ParityOps)*p.ParityFrac*unit +
+		float64(c.ECCOps)*p.ECCFrac*unit
 }
 
-// L1Energy returns the L1 array energy in nJ.
-func (m *Meter) L1Energy() float64 {
-	return float64(m.counts.L1Reads)*m.params.L1Read +
-		float64(m.counts.L1Writes)*m.params.L1Write +
-		float64(m.counts.L1WordWrites)*m.params.L1WordWrite
+// RCacheEnergy returns the duplication-cache energy of c in nJ.
+func (p Params) RCacheEnergy(c Counts) float64 {
+	return float64(c.RCacheReads)*p.RCacheRead +
+		float64(c.RCacheWrites)*p.RCacheWrite
 }
 
-// L2Energy returns the L2 array energy in nJ.
-func (m *Meter) L2Energy() float64 {
-	return float64(m.counts.L2Reads)*m.params.L2Read + float64(m.counts.L2Writes)*m.params.L2Write
-}
-
-// CheckEnergy returns the parity/ECC computation energy in nJ.
-func (m *Meter) CheckEnergy() float64 {
-	unit := m.params.L1Read
-	return float64(m.counts.ParityOps)*m.params.ParityFrac*unit +
-		float64(m.counts.ECCOps)*m.params.ECCFrac*unit
-}
-
-// MemEnergy returns the memory-tier energy in nJ (zero under the default
-// parameters, which price only the on-chip hierarchy).
-func (m *Meter) MemEnergy() float64 {
-	return float64(m.counts.MemReads)*m.params.MemRead +
-		float64(m.counts.MemWrites)*m.params.MemWrite
-}
-
-// Total returns the total dynamic energy (L1 + L2 + checks + r-cache +
-// memory tier) in nJ.
-func (m *Meter) Total() float64 {
-	return m.L1Energy() + m.L2Energy() + m.CheckEnergy() + m.RCacheEnergy() + m.MemEnergy()
-}
-
-// Reset zeroes the accumulated counts and installs new parameters, making
-// the meter indistinguishable from NewMeter(p) (arena reuse).
-func (m *Meter) Reset(p Params) {
-	m.params = p
-	m.counts = Counts{}
+// MemEnergy returns the memory-tier energy of c in nJ (zero under the
+// default parameters, which price only the on-chip hierarchy).
+func (p Params) MemEnergy(c Counts) float64 {
+	return float64(c.MemReads)*p.MemRead +
+		float64(c.MemWrites)*p.MemWrite
 }

@@ -7,28 +7,27 @@ import (
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMeterAccumulation(t *testing.T) {
-	p := Params{L1Read: 1, L1Write: 2, L2Read: 4, L2Write: 8, ParityFrac: 0.1, ECCFrac: 0.3}
-	m := NewMeter(p)
-	m.AddL1Read(10)
-	m.AddL1Write(5)
-	m.AddL2Read(3)
-	m.AddL2Write(2)
-	m.AddParity(100)
-	m.AddECC(50)
+func TestPricing(t *testing.T) {
+	p := Params{L1Read: 1, L1Write: 2, L2Read: 4, L2Write: 8, ParityFrac: 0.1, ECCFrac: 0.3,
+		RCacheRead: 0.5, RCacheWrite: 0.25, MemRead: 16, MemWrite: 32}
+	c := Counts{L1Reads: 10, L1Writes: 5, L2Reads: 3, L2Writes: 2, ParityOps: 100, ECCOps: 50,
+		RCacheReads: 4, RCacheWrites: 8, MemReads: 1, MemWrites: 2}
 
-	if got := m.L1Energy(); !almostEqual(got, 10*1+5*2) {
+	if got := p.L1Energy(c); !almostEqual(got, 10*1+5*2) {
 		t.Errorf("L1Energy = %g, want 20", got)
 	}
-	if got := m.L2Energy(); !almostEqual(got, 3*4+2*8) {
+	if got := p.L2Energy(c); !almostEqual(got, 3*4+2*8) {
 		t.Errorf("L2Energy = %g, want 28", got)
 	}
 	// Checks priced against L1Read: 100*0.1*1 + 50*0.3*1 = 25.
-	if got := m.CheckEnergy(); !almostEqual(got, 25) {
+	if got := p.CheckEnergy(c); !almostEqual(got, 25) {
 		t.Errorf("CheckEnergy = %g, want 25", got)
 	}
-	if got := m.Total(); !almostEqual(got, 20+28+25) {
-		t.Errorf("Total = %g, want 73", got)
+	if got := p.RCacheEnergy(c); !almostEqual(got, 4*0.5+8*0.25) {
+		t.Errorf("RCacheEnergy = %g, want 4", got)
+	}
+	if got := p.MemEnergy(c); !almostEqual(got, 1*16+2*32) {
+		t.Errorf("MemEnergy = %g, want 80", got)
 	}
 }
 
@@ -66,12 +65,9 @@ func TestCountsAdd(t *testing.T) {
 func TestECCCostsMoreThanParity(t *testing.T) {
 	// The paper's central energy argument: ECC verification costs more
 	// than parity per operation.
-	mp := NewMeter(DefaultParams())
-	me := NewMeter(DefaultParams())
-	mp.AddParity(1000)
-	me.AddECC(1000)
-	if mp.CheckEnergy() >= me.CheckEnergy() {
-		t.Errorf("parity energy %g should be below ECC energy %g",
-			mp.CheckEnergy(), me.CheckEnergy())
+	p := DefaultParams()
+	parity, ecc := p.CheckEnergy(Counts{ParityOps: 1000}), p.CheckEnergy(Counts{ECCOps: 1000})
+	if parity >= ecc {
+		t.Errorf("parity energy %g should be below ECC energy %g", parity, ecc)
 	}
 }

@@ -30,7 +30,7 @@ func softwareHints(ctx context.Context, o Options) (*Result, error) {
 				})
 			}
 		}
-		r.Hints = core.NewRangePolicy(ranges...)
+		r.Hints = ranges
 	}
 	reps, all, err := runArms(ctx, o, o.benchArm(icrPS(core.ReplStores), relaxed), o.benchArm(icrPS(core.ReplStores), exempt))
 	if err != nil {

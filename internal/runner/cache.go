@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -126,9 +125,8 @@ func (c *MemoryCache) Len() int {
 // per-tier hit counters: SourceDisk for a local store, SourceShard for a
 // remote one.
 type StoreCache struct {
-	st        store.Backend
-	tier      string
-	putErrors atomic.Uint64
+	st   store.Backend
+	tier string
 }
 
 // NewStoreCache wraps a persistent backend as a runner Cache layer.
@@ -150,18 +148,11 @@ func (c *StoreCache) Get(ctx context.Context, key Key) (*metrics.Report, string,
 	return rep, c.tier, nil
 }
 
-// Put persists the report, counting failures (the runner also counts them
-// and keeps the run alive — the report is already in hand).
+// Put persists the report. The runner counts a failure (Progress's
+// PutErrors) and keeps the run alive — the report is already in hand.
 func (c *StoreCache) Put(ctx context.Context, key Key, rep *metrics.Report) error {
-	if err := c.st.Put(ctx, key.String(), rep); err != nil {
-		c.putErrors.Add(1)
-		return err
-	}
-	return nil
+	return c.st.Put(ctx, key.String(), rep)
 }
-
-// PutErrors returns how many persists have failed since construction.
-func (c *StoreCache) PutErrors() uint64 { return c.putErrors.Load() }
 
 // Tiered layers caches fastest-first (memory, then disk, then shards). A
 // hit in a lower layer is promoted into every layer above it, so a disk

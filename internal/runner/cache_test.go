@@ -143,7 +143,7 @@ func TestStoreCachePutFailureIsNotFatal(t *testing.T) {
 	if err != nil || rep == nil {
 		t.Fatalf("run failed because persist failed: rep=%v err=%v", rep, err)
 	}
-	if got := sc.PutErrors(); got != 1 {
+	if got := r.Progress().Snapshot().PutErrors; got != 1 {
 		t.Errorf("PutErrors = %d, want 1", got)
 	}
 }

@@ -20,8 +20,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // KeyFor fingerprints a (machine, run) pair. The second result is false
 // when the pair cannot be fingerprinted — a behavioural input hides behind
-// an opaque value (a non-nil function hook, or a HintPolicy implementation
-// the encoding doesn't know) — in which case the run must not be memoized.
+// an opaque value (a non-nil cpu.Config function hook) — in which case the
+// run must not be memoized.
 func KeyFor(m config.Machine, r config.Run) (Key, bool) {
 	b, ok := config.AppendCanonical(make([]byte, 0, 1024), m, r)
 	if !ok {

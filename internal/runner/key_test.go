@@ -40,15 +40,15 @@ func mustKey(t *testing.T, m config.Machine, r config.Run) Key {
 func TestKeyForDeterministic(t *testing.T) {
 	m, r := baseInputs()
 	r.Repl.Distances = []int{32, 16}
-	r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 4096})
+	r.Hints = []core.AddrRange{{Start: 0, End: 4096}}
 
 	k1 := mustKey(t, m, r)
 
-	// Rebuild the run from scratch (fresh slice/policy allocations): the key
+	// Rebuild the run from scratch (fresh slice allocations): the key
 	// must depend on values, never on pointer identity.
 	m2, r2 := baseInputs()
 	r2.Repl.Distances = []int{32, 16}
-	r2.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 4096})
+	r2.Hints = []core.AddrRange{{Start: 0, End: 4096}}
 	if k2 := mustKey(t, m2, r2); k1 != k2 {
 		t.Errorf("identical inputs hashed differently:\n%s\n%s", k1, k2)
 	}
@@ -66,16 +66,13 @@ func TestKeyForGolden(t *testing.T) {
 	}
 }
 
-// hookFields are the func- and interface-typed inputs KeyFor handles
-// without hashing their values: a non-nil cpu.Config hook makes a run
-// non-memoizable, and Hints is fingerprinted per known policy
-// (TestKeyForNonMemoizableInputs, TestKeyForHintPolicies). A new one must
-// be pinned here once config.AppendCanonical refuses it when set (or
-// fingerprints it).
+// hookFields are the func-typed inputs KeyFor handles without hashing
+// their values: a non-nil cpu.Config hook makes a run non-memoizable
+// (TestKeyForNonMemoizableInputs). A new one must be pinned here once
+// config.AppendCanonical refuses it when set.
 var hookFields = map[string]bool{
 	"Machine.CPU.EachCycle": true,
 	"Machine.CPU.Halt":      true,
-	"Run.Hints":             true,
 }
 
 // TestKeyForFieldSensitivity walks every field of config.Machine and
@@ -190,35 +187,32 @@ func TestKeyForHintPolicies(t *testing.T) {
 	m, r := baseInputs()
 	kNil := mustKey(t, m, r)
 
-	r.Hints = core.ReplicateAll{}
-	kAll := mustKey(t, m, r)
-	if kAll == kNil {
-		t.Error("ReplicateAll must hash differently from nil hints")
-	}
-
-	r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 64, Hint: core.Hint{Replicate: false}})
+	exempt := core.AddrRange{Start: 0, End: 64, Hint: core.Hint{Replicate: false}}
+	r.Hints = []core.AddrRange{exempt}
 	kRange := mustKey(t, m, r)
-	if kRange == kNil || kRange == kAll {
-		t.Error("RangePolicy must hash differently from nil/ReplicateAll")
+	if kRange == kNil {
+		t.Error("hint ranges must hash differently from no hints")
 	}
 
-	r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 128, Hint: core.Hint{Replicate: false}})
+	r.Hints = []core.AddrRange{{Start: 0, End: 128, Hint: core.Hint{Replicate: false}}}
 	if k := mustKey(t, m, r); k == kRange {
 		t.Error("range bounds must affect the key")
 	}
+	r.Hints = []core.AddrRange{{Start: 0, End: 64, Hint: core.Hint{Replicate: true, Replicas: 2}}}
+	if k := mustKey(t, m, r); k == kRange {
+		t.Error("a range's hint must affect the key")
+	}
+	r.Hints = []core.AddrRange{exempt, {Start: 64, End: 128}}
+	if k := mustKey(t, m, r); k == kRange {
+		t.Error("the range count must affect the key")
+	}
 
-	// Same policy content in a fresh allocation: same key.
-	r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 64, Hint: core.Hint{Replicate: false}})
+	// Same ranges in a fresh allocation: same key.
+	r.Hints = []core.AddrRange{{Start: 0, End: 64, Hint: core.Hint{Replicate: false}}}
 	if k := mustKey(t, m, r); k != kRange {
-		t.Error("equal RangePolicy contents must produce equal keys")
+		t.Error("equal hint ranges must produce equal keys")
 	}
 }
-
-// opaqueHints is a HintPolicy implementation KeyFor has never heard of; its
-// behaviour cannot be fingerprinted, so runs carrying it must not memoize.
-type opaqueHints struct{}
-
-func (opaqueHints) Hint(uint64) core.Hint { return core.Hint{} }
 
 func TestKeyForNonMemoizableInputs(t *testing.T) {
 	cases := []struct {
@@ -230,12 +224,6 @@ func TestKeyForNonMemoizableInputs(t *testing.T) {
 		}},
 		{"Halt hook", func(m *config.Machine, r *config.Run) {
 			m.CPU.Halt = func() bool { return false }
-		}},
-		{"unknown hint policy", func(m *config.Machine, r *config.Run) {
-			r.Hints = opaqueHints{}
-		}},
-		{"nil RangePolicy", func(m *config.Machine, r *config.Run) {
-			r.Hints = (*core.RangePolicy)(nil)
 		}},
 	}
 	for _, tc := range cases {

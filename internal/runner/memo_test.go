@@ -77,7 +77,7 @@ func TestMemoMissOnFieldChange(t *testing.T) {
 		{"WriteThrough", func(m *config.Machine, r *config.Run) { r.WriteThrough = true }},
 		{"Fault.Prob", func(m *config.Machine, r *config.Run) { r.Fault.Prob = 1e-3 }},
 		{"Energy.ParityFrac", func(m *config.Machine, r *config.Run) { r.Energy.ParityFrac += 0.01 }},
-		{"Hints", func(m *config.Machine, r *config.Run) { r.Hints = core.ReplicateAll{} }},
+		{"Hints", func(m *config.Machine, r *config.Run) { r.Hints = []core.AddrRange{{End: 64}} }},
 		{"DupCacheKB", func(m *config.Machine, r *config.Run) { r.DupCacheKB = 2 }},
 		{"ScrubInterval", func(m *config.Machine, r *config.Run) { r.ScrubInterval = 100 }},
 		{"Prefetch", func(m *config.Machine, r *config.Run) { r.Prefetch = true }},
@@ -444,8 +444,8 @@ func TestMemoDisabled(t *testing.T) {
 	}
 }
 
-// TestMemoBypassForOpaqueInputs: runs whose behaviour hides behind a hook
-// or unknown policy execute every time rather than risking a wrong hit.
+// TestMemoBypassForOpaqueInputs: runs whose behaviour hides behind a
+// cpu.Config hook execute every time rather than risking a wrong hit.
 func TestMemoBypassForOpaqueInputs(t *testing.T) {
 	fn, calls := countingSim()
 	r := newTestRunner(t, Options{Simulate: fn})
@@ -457,7 +457,7 @@ func TestMemoBypassForOpaqueInputs(t *testing.T) {
 		}
 	}
 	m2, run2 := baseInputs()
-	run2.Hints = opaqueHints{}
+	m2.CPU.Halt = func() bool { return false }
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run(context.Background(), m2, run2); err != nil {
 			t.Fatal(err)

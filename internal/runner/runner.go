@@ -5,9 +5,9 @@
 // Guarantees:
 //
 //   - Determinism: each simulation is a pure function of its
-//     (config.Machine, config.Run) inputs — every run builds its own RNGs,
-//     caches, and meters — so results do not depend on goroutine
-//     scheduling, and batch results are returned in submission order.
+//     (config.Machine, config.Run) inputs — every run builds its own RNGs
+//     and caches — so results do not depend on goroutine scheduling, and
+//     batch results are returned in submission order.
 //     Output derived from a batch is byte-for-byte identical at any worker
 //     count.
 //   - Cancellation: Submit honours context cancellation and per-run

@@ -45,6 +45,12 @@ var busy atomic.Int32
 // none, 0 applies the gate.
 var forceAhead atomic.Int32
 
+// haltSet, when non-nil (in tests), is called once a cancelled run's
+// halt flag is set, so a test can hold its cancelling draw until the core
+// is certain to stop at its next poll. Set it only while no simulation
+// runs.
+var haltSet func()
+
 // pipelined reports whether a quota of n draws goes to a producer: at
 // least two batches, and a core to spare. The count is read once, when
 // the quota starts.

@@ -218,18 +218,25 @@ func TestAheadLifecycle(t *testing.T) {
 	}
 
 	// A sampled run's first warming quota is draws [0, 8600) and its
-	// second [10000, 18600). Warming is fast, so its budget is long
-	// enough that a cancel reaches the run before the budget does.
+	// second [10000, 18600).
 	sampled := r
-	sampled.Instructions = 1_000_000
 	sampled.Sample = config.SampleConfig{Period: 10_000}
 	// cancelled cancels r's context at its 5,000th draw, a draw of the
-	// kind warm says.
+	// kind warm says. The draw returns only once the run's halt flag is
+	// set, so the run stops there however late the host schedules the
+	// context's watcher.
 	cancelled := func(r config.Run, warm bool) func(*testing.T, *endingStream) {
 		return func(t *testing.T, s *endingStream) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			s.limit, s.at, s.onDraws = 1<<62, 5_000, cancel
+			halted := make(chan struct{})
+			haltSet = func() { close(halted) }
+			defer func() { haltSet = nil }()
+			s.limit, s.at = 1<<62, 5_000
+			s.onDraws = func() {
+				cancel()
+				<-halted
+			}
 			if _, err := newInstance(m, r).simulate(ctx, m, r, s); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err %v, want context.Canceled", err)
 			}

@@ -20,29 +20,27 @@ import (
 	"repro/internal/tier"
 )
 
-// instance is one assembled simulated machine: the full memory hierarchy,
-// energy meter, and core, reusable across runs of the same shape. The
-// workload generator and fault injector are per-run (they are cheap and
+// instance is one assembled simulated machine: the full memory hierarchy
+// and core, reusable across runs of the same shape. The workload
+// generator and fault injector are per-run (they are cheap and
 // seed-dependent); everything here is the expensive arena — cache line
 // arrays with their data/check-bit payloads, the RUU, predictor tables —
 // that used to be reallocated for every task the runner executed.
 //
 //icrvet:pooled the shape-keyed arena handed out by instancePool
 type instance struct {
-	// shape is the pool key ("" = not poolable, e.g. a run carrying a
-	// HintPolicy).
+	// shape is the pool key ("" = not poolable; see shapeOf).
 	shape string //icrvet:persistent the pool key itself: construction-determined, identical for every run sharing the instance
 
-	mem   *cache.Memory
-	l2    *cache.Cache    // plain timing L2; nil when the run protects the tier
-	tier  *tier.Protected // protected second tier; nil for single-tier shapes
-	il1   *cache.Cache
-	meter *energy.Meter
-	dups  *rcache.Cache
-	wbuf  *cache.WriteBuffer
-	dl1   *core.Cache
-	ctrl  *adapt.Controller // ICR-ADAPT runtime controller; nil for static shapes
-	core  *cpu.Core         //icrvet:persistent reset separately in simulate: core.Reset needs the per-run cpu.Config and generator
+	mem  *cache.Memory
+	l2   *cache.Cache    // plain timing L2; nil when the run protects the tier
+	tier *tier.Protected // protected second tier; nil for single-tier shapes
+	il1  *cache.Cache
+	dups *rcache.Cache
+	wbuf *cache.WriteBuffer
+	dl1  *core.Cache
+	ctrl *adapt.Controller // ICR-ADAPT runtime controller; nil for static shapes
+	core *cpu.Core         //icrvet:persistent reset separately in simulate: core.Reset needs the per-run cpu.Config and generator
 }
 
 // shapeOf fingerprints everything that determines an instance's
@@ -50,17 +48,12 @@ type instance struct {
 // per-run fields zeroed. Those fields are exactly the ones the instance's
 // reset absorbs: the benchmark and seed (fresh generator each run), the
 // instruction budget, fault injection at either tier (per-run injectors),
-// energy parameters (meter.Reset takes new ones), scrubbing and sampling
+// energy parameters (priced once the run ends), scrubbing and sampling
 // (per-run hooks), and the whole cpu.Config (core.Reset takes it
 // wholesale). Every other field is construction state, so a new knob
 // splits the pool until it is listed here: it costs reuse, never a wrong
-// arena. ok is false when the run cannot share an instance: a HintPolicy
-// is baked into the dl1 at construction and is an open interface, so
-// hinted runs always build fresh.
-func shapeOf(m config.Machine, r config.Run) (string, bool) {
-	if r.Hints != nil {
-		return "", false
-	}
+// arena. The shape is "" (not poolable) when the run cannot be encoded.
+func shapeOf(m config.Machine, r config.Run) string {
 	m.CPU = cpu.Config{}
 	r.Benchmark, r.Seed, r.Instructions = "", 0, 0
 	r.Fault, r.TwoTier.Fault = config.FaultConfig{}, config.FaultConfig{}
@@ -68,9 +61,9 @@ func shapeOf(m config.Machine, r config.Run) (string, bool) {
 	r.ScrubInterval = 0
 	r.Sample = config.SampleConfig{}
 	if b, ok := config.AppendCanonical(make([]byte, 0, 1024), m, r); ok {
-		return string(b), true
+		return string(b)
 	}
-	return "", false
+	return ""
 }
 
 // The dL1's write-buffer depth in write-through mode (§5.8), and the
@@ -83,7 +76,7 @@ const (
 // newInstance assembles a machine for the given shape-determining inputs,
 // mirroring what Simulate historically built inline.
 func newInstance(m config.Machine, r config.Run) *instance {
-	shape, _ := shapeOf(m, r)
+	shape := shapeOf(m, r)
 
 	// Memory hierarchy, bottom up. The L2 is unified: both L1s miss into
 	// it, as in Table 1. When the run protects the second tier, a
@@ -92,7 +85,6 @@ func newInstance(m config.Machine, r config.Run) *instance {
 	// port — and carries its own parity/ECC, decay replication, and
 	// cross-tier hooks.
 	mem := cache.NewMemory(m.MemLatency, m.DL1Block)
-	meter := energy.NewMeter(r.Energy)
 	var l2 *cache.Cache
 	var prot *tier.Protected
 	var l2level cache.Level
@@ -109,13 +101,12 @@ func newInstance(m config.Machine, r config.Run) *instance {
 			DecayWindow:   r.TwoTier.DecayWindow,
 			Next:          mem,
 			Mem:           mem,
-			Meter:         meter,
 		})
 		l2level = prot
 	} else {
 		l2 = cache.New(cache.Config{
 			Name: "l2", Size: m.L2Size, Assoc: m.L2Assoc, BlockSize: m.L2Block,
-			HitLatency: m.L2Latency, Policy: cache.WriteBack, Next: mem,
+			HitLatency: m.L2Latency, Next: mem,
 			// The L2 is single-banked: each access (demand fill, write-back,
 			// or write-buffer drain) occupies it for a few cycles, so heavy
 			// write-through traffic delays demand misses (§5.8).
@@ -125,7 +116,7 @@ func newInstance(m config.Machine, r config.Run) *instance {
 	}
 	il1 := cache.New(cache.Config{
 		Name: "il1", Size: m.IL1Size, Assoc: m.IL1Assoc, BlockSize: m.IL1Block,
-		HitLatency: m.IL1Latency, Policy: cache.WriteBack, Next: l2level,
+		HitLatency: m.IL1Latency, Next: l2level,
 	})
 
 	var dups *rcache.Cache
@@ -139,7 +130,6 @@ func newInstance(m config.Machine, r config.Run) *instance {
 		Repl:       r.Repl,
 		Next:       l2level,
 		Mem:        mem,
-		Meter:      meter,
 		Hints:      r.Hints,
 	}
 	if prot != nil && r.TwoTier.CrossTier {
@@ -173,7 +163,6 @@ func newInstance(m config.Machine, r config.Run) *instance {
 		l2:    l2,
 		tier:  prot,
 		il1:   il1,
-		meter: meter,
 		dups:  dups,
 		wbuf:  wbuf,
 		dl1:   dl1,
@@ -185,7 +174,7 @@ func newInstance(m config.Machine, r config.Run) *instance {
 // reset restores every pooled component to its post-construction state.
 // It runs on fresh instances too (where it is a cheap no-op beyond array
 // clears), so the pooled and unpooled paths execute identical code.
-func (in *instance) reset(r config.Run) {
+func (in *instance) reset() {
 	in.mem.Reset()
 	if in.tier != nil {
 		in.tier.Reset()
@@ -194,7 +183,6 @@ func (in *instance) reset(r config.Run) {
 	}
 	in.il1.Reset()
 	in.dl1.Reset()
-	in.meter.Reset(r.Energy)
 	if in.dups != nil {
 		in.dups.Reset()
 	}
@@ -215,7 +203,7 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 	defer busy.Add(-1)
 	stream := &aheadStream{src: src}
 	defer stream.close()
-	in.reset(r)
+	in.reset()
 
 	cpucfg := m.CPU
 	var hooks []func(uint64) uint64
@@ -273,7 +261,12 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 			return nil, err
 		}
 		var stop atomic.Bool
-		cancelWatch := context.AfterFunc(ctx, func() { stop.Store(true) })
+		cancelWatch := context.AfterFunc(ctx, func() {
+			stop.Store(true)
+			if haltSet != nil {
+				haltSet()
+			}
+		})
 		defer cancelWatch()
 		cpucfg.Halt = stop.Load
 	}
@@ -303,8 +296,9 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		}
 		return in.l2.Stats()
 	}()
-	rep := assemble(r, cstats, in.dl1.Stats(), in.il1.Stats(), lsStats, in.mem, in.meter, injector)
-	if tt := twoTierBlock(r, in, tierInjector); tt != nil {
+	counts := in.energyCounts(lsStats)
+	rep := assemble(r, cstats, in.dl1.Stats(), in.il1.Stats(), lsStats, in.mem, counts, injector)
+	if tt := twoTierBlock(r, in, counts, tierInjector); tt != nil {
 		rep.TwoTier = tt
 	}
 	if sampling != nil {
@@ -326,6 +320,22 @@ func (in *instance) simulate(ctx context.Context, m config.Machine, r config.Run
 		rep.Adaptive = in.ctrl.Stats()
 	}
 	return rep, nil
+}
+
+// energyCounts adds up the run's energy events: the dL1's and the tier's
+// own counts, and the L2 (ls) and memory demand traffic.
+func (in *instance) energyCounts(ls cache.Stats) energy.Counts {
+	c := in.dl1.EnergyCounts()
+	if in.tier != nil {
+		c.Add(in.tier.EnergyCounts())
+	}
+	c.Add(energy.Counts{
+		L2Reads:   ls.Reads + ls.Fetches,
+		L2Writes:  ls.Writes,
+		MemReads:  in.mem.Reads() + in.mem.Fetches(),
+		MemWrites: in.mem.Writes(),
+	})
+	return c
 }
 
 // injectHook builds a run's injector for one protected array — the dL1
@@ -352,7 +362,7 @@ func injectHook(target interface{ Inject(*fault.Injector) }, f config.FaultConfi
 // non-zero memory-tier energy pricing. Plain single-tier runs return nil
 // so their wire encoding stays byte-identical to older writers (the
 // equivalence goldens pin this).
-func twoTierBlock(r config.Run, in *instance, tierInjector *fault.Injector) *metrics.TwoTierStats {
+func twoTierBlock(r config.Run, in *instance, counts energy.Counts, tierInjector *fault.Injector) *metrics.TwoTierStats {
 	if !r.TwoTier.Enabled() && r.Energy.MemRead == 0 && r.Energy.MemWrite == 0 {
 		return nil
 	}
@@ -361,7 +371,7 @@ func twoTierBlock(r config.Run, in *instance, tierInjector *fault.Injector) *met
 		ExtraLatency: r.TwoTier.ExtraLatency,
 		MemReads:     in.mem.Reads() + in.mem.Fetches(),
 		MemWrites:    in.mem.Writes(),
-		EnergyMem:    in.meter.MemEnergy(),
+		EnergyMem:    r.Energy.MemEnergy(counts),
 	}
 	l1cross := in.dl1.CrossTierStats()
 	tt.L1CrossRepaired = l1cross.Repaired

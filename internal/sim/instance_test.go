@@ -3,7 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/adapt"
@@ -99,6 +99,25 @@ func identityMatrix() []config.Run {
 	r.TwoTier = config.TwoTier{Protect: core.ECCProt, ExtraLatency: 20}
 	runs = append(runs, r)
 
+	// Two hinted runs with different range sets: gzip's stream region
+	// exempted (the swhints policy), then also its hot region given two
+	// replicas. The hints are construction state, so each run must get
+	// an arena built with its own ranges, never the other's.
+	gzip, err := workload.ByName("gzip")
+	if err != nil {
+		panic(err)
+	}
+	layout := workload.Layout(gzip)
+	stream := core.AddrRange{Start: layout[0].Start, End: layout[0].End}
+	hot := core.AddrRange{Start: layout[1].Start, End: layout[1].End, Hint: core.Hint{Replicate: true, Replicas: 2}}
+	r = config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
+	r.Repl = repl
+	r.Repl.Distances = core.Power2Distances(sets, 2)
+	r.Hints = []core.AddrRange{stream}
+	runs = append(runs, r)
+	r.Hints = []core.AddrRange{stream, hot}
+	runs = append(runs, r)
+
 	for i := range runs {
 		runs[i].Instructions = 120_000
 	}
@@ -158,22 +177,57 @@ func TestPooledInstanceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShapeOf pins the poolability rules: hinted runs never pool, and any
-// construction-relevant knob must change the shape key.
+// TestPooledArenaOwnsItsHints: a pooled arena keeps its own copy of the
+// hint ranges, so a caller that rewrites its slice after a run cannot
+// change what a later run with the original ranges simulates.
+func TestPooledArenaOwnsItsHints(t *testing.T) {
+	m := config.Default()
+	var r config.Run
+	for _, ir := range identityMatrix() {
+		if ir.Hints != nil {
+			r = ir
+			break
+		}
+	}
+	want := freshReport(t, m, r)
+	orig := r.Hints
+	r.Hints = slices.Clone(orig)
+	if _, err := Simulate(m, r); err != nil {
+		t.Fatal(err)
+	}
+	r.Hints[0].End = r.Hints[0].Start // the caller reuses its slice
+	r.Hints = orig
+	rep, err := Simulate(m, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(rep); err != nil || string(got) != string(want) {
+		t.Fatalf("pooled hinted run diverged from the fresh-instance oracle (err %v)", err)
+	}
+}
+
+// TestShapeOf pins the poolability rules: any construction-relevant knob,
+// the hint ranges included, must change the shape key, and equal inputs
+// share one.
 func TestShapeOf(t *testing.T) {
 	m := config.Default()
 	base := config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
 
-	if _, ok := shapeOf(m, base); !ok {
+	s0 := shapeOf(m, base)
+	if s0 == "" {
 		t.Fatal("plain run should be poolable")
 	}
-	hinted := base
-	hinted.Hints = core.ReplicateAll{}
-	if _, ok := shapeOf(m, hinted); ok {
-		t.Error("hinted run must not be poolable")
+	hinted := func(end uint64) config.Run {
+		r := base
+		r.Hints = []core.AddrRange{{Start: 0, End: end}}
+		return r
 	}
-
-	s0, _ := shapeOf(m, base)
+	if shapeOf(m, hinted(64)) != shapeOf(m, hinted(64)) {
+		t.Error("equal hint ranges must give equal shapes")
+	}
+	if s := shapeOf(m, hinted(64)); s == shapeOf(m, hinted(128)) || s == s0 {
+		t.Error("different hint ranges must give different shapes")
+	}
 	mutants := []func(*config.Machine, *config.Run){
 		func(m *config.Machine, r *config.Run) { m.DL1Size *= 2 },
 		func(m *config.Machine, r *config.Run) { m.L2Latency++ },
@@ -200,7 +254,7 @@ func TestShapeOf(t *testing.T) {
 	for i, mut := range mutants {
 		mm, rr := m, base
 		mut(&mm, &rr)
-		if s, _ := shapeOf(mm, rr); s == s0 {
+		if shapeOf(mm, rr) == s0 {
 			t.Errorf("mutant %d did not change the shape key", i)
 		}
 	}
@@ -220,7 +274,7 @@ func TestShapeOf(t *testing.T) {
 	for i, mut := range same {
 		rr := base
 		mut(&rr)
-		if s, _ := shapeOf(m, rr); s != s0 {
+		if shapeOf(m, rr) != s0 {
 			t.Errorf("per-run mutant %d changed the shape key", i)
 		}
 	}
@@ -351,9 +405,7 @@ func TestPoolReuseAcrossNewKnobConfigs(t *testing.T) {
 			a.Instructions = 120_000
 			mb, b := ma, a
 			tc.mut(&mb, &b)
-			sa, okA := shapeOf(ma, a)
-			sb, okB := shapeOf(mb, b)
-			if !okA || !okB || sa != sb {
+			if sa := shapeOf(ma, a); sa == "" || sa != shapeOf(mb, b) {
 				t.Fatal("configs must share a pool shape for this test to bite")
 			}
 			wantA := freshReport(t, ma, a)
@@ -386,23 +438,6 @@ func TestPoolReuseAcrossNewKnobConfigs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSimulateRejectsNilRangePolicy pins the typed-nil guard: a Run whose
-// Hints interface holds a nil *core.RangePolicy is an error, not a panic
-// at the first replication trigger.
-func TestSimulateRejectsNilRangePolicy(t *testing.T) {
-	r := config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
-	r.Instructions = 2000
-	var p *core.RangePolicy
-	r.Hints = p
-	rep, err := Simulate(config.Default(), r)
-	if err == nil || rep != nil {
-		t.Fatalf("Simulate = (%v, %v), want a nil report and an error", rep, err)
-	}
-	if !strings.Contains(err.Error(), "RangePolicy") {
-		t.Errorf("error %q does not name the nil policy", err)
 	}
 }
 

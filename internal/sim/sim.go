@@ -1,6 +1,6 @@
 // Package sim assembles a complete simulated machine — workload generator,
 // out-of-order core, branch predictors, instruction L1, ICR data L1,
-// unified L2, memory, energy meter, and fault injector — runs it, and
+// unified L2, memory, and fault injector — runs it, and
 // produces a metrics.Report. This is the programmatic entry point every
 // experiment, example, and CLI tool uses.
 package sim
@@ -65,15 +65,12 @@ func SimulateContext(ctx context.Context, m config.Machine, r config.Run) (*metr
 		r.Energy = energy.DefaultParams()
 	}
 
-	shape, poolable := shapeOf(m, r)
-	inst := defaultPool.get(shape)
+	inst := defaultPool.get(shapeOf(m, r))
 	if inst == nil {
 		inst = newInstance(m, r)
 	}
 	rep, err := inst.simulate(ctx, m, r, gen)
-	if poolable {
-		defaultPool.put(inst)
-	}
+	defaultPool.put(inst)
 	return rep, err
 }
 
@@ -85,17 +82,9 @@ func assemble(
 	is cache.Stats,
 	ls cache.Stats,
 	mem *cache.Memory,
-	meter *energy.Meter,
+	counts energy.Counts,
 	injector *fault.Injector,
 ) *metrics.Report {
-	// Price the L2 and memory traffic now that the run is complete.
-	// (Memory costs default to zero, so single-tier reports are
-	// numerically unchanged.)
-	meter.AddL2Read(ls.Reads + ls.Fetches)
-	meter.AddL2Write(ls.Writes)
-	meter.AddMemRead(mem.Reads() + mem.Fetches())
-	meter.AddMemWrite(mem.Writes())
-
 	rep := &metrics.Report{
 		Benchmark:    r.Benchmark,
 		Scheme:       r.Scheme.Name(),
@@ -134,10 +123,10 @@ func assemble(
 		SilentWritebacks:      ds.SilentWritebacks,
 		VulnerableLineCycles:  ds.VulnerableLineCycles,
 
-		EnergyL1:     meter.L1Energy(),
-		EnergyL2:     meter.L2Energy(),
-		EnergyChecks: meter.CheckEnergy(),
-		EnergyRCache: meter.RCacheEnergy(),
+		EnergyL1:     r.Energy.L1Energy(counts),
+		EnergyL2:     r.Energy.L2Energy(counts),
+		EnergyChecks: r.Energy.CheckEnergy(counts),
+		EnergyRCache: r.Energy.RCacheEnergy(counts),
 	}
 	if injector != nil {
 		rep.ErrorsInjected = injector.Injected()

@@ -60,12 +60,6 @@ type Config struct {
 
 	// Mem holds architectural block content.
 	Mem *cache.Memory
-
-	// Meter, if non-nil, accumulates the tier's extra array traffic
-	// (replica installs, repair reads) and check computations. Demand
-	// accesses are priced post-run from CacheStats, exactly like the
-	// plain L2.
-	Meter *energy.Meter
 }
 
 // Stats counts the tier's reliability and replication events. The demand
@@ -109,6 +103,7 @@ type Protected struct {
 	portBusy uint64
 	stats    cache.Stats
 	tstats   Stats
+	energy   energy.Counts
 	crossBuf [8]byte
 }
 
@@ -152,6 +147,11 @@ func (t *Protected) TierStats() Stats {
 	s.InjectedFlips, s.InjectedIntoInvalid = t.lines.Injected()
 	return s
 }
+
+// EnergyCounts returns the tier's extra array traffic (replica installs,
+// repair reads) and check computations. Demand accesses are counted in
+// CacheStats, exactly like the plain L2.
+func (t *Protected) EnergyCounts() energy.Counts { return t.energy }
 
 // Access implements cache.Level.
 func (t *Protected) Access(now uint64, addr uint64, kind cache.Kind) uint64 {
@@ -229,20 +229,16 @@ func (t *Protected) refreshFromMem(ln *core.Line, now uint64) {
 	copy(ln.Data, t.cfg.Mem.PeekBlock(ln.BlockAddr))
 	ln.Recode()
 	ln.Dirty = true
-	if t.cfg.Meter != nil {
-		t.cfg.Meter.AddParity(1)
-		if ln.ECC != nil {
-			t.cfg.Meter.AddECC(1)
-		}
+	t.energy.ParityOps++
+	if ln.ECC != nil {
+		t.energy.ECCOps++
 	}
 	// The in-tier replica is updated in place; a copy parked in the L1 is
 	// stale and must be dropped.
 	if rep := t.findReplica(ln.BlockAddr); rep != nil {
 		t.lines.InstallReplica(rep, ln)
 		t.lines.Touch(rep, now)
-		if t.cfg.Meter != nil {
-			t.cfg.Meter.AddL2Write(1)
-		}
+		t.energy.L2Writes++
 	}
 	if ln.Spilled {
 		ln.Spilled = false
@@ -261,18 +257,11 @@ func (t *Protected) verifyRead(now uint64, ln *core.Line, off int) (extra uint64
 	word := off &^ 7
 
 	rep := t.findReplica(ln.BlockAddr)
-	useECC := t.cfg.Protect == core.ECCProt && rep == nil
-	if t.cfg.Meter != nil {
-		if useECC {
-			t.cfg.Meter.AddECC(1)
-		} else {
-			t.cfg.Meter.AddParity(1)
-		}
-	}
-
-	if useECC {
+	if t.cfg.Protect == core.ECCProt && rep == nil {
+		t.energy.ECCOps++
 		return core.ECCCheckLatency + t.verifyECC(now, ln, word)
 	}
+	t.energy.ParityOps++
 
 	if ecc.CheckParityLineRange(ln.Data, ln.Parity, word, 8) == ecc.OK {
 		return 0
@@ -280,17 +269,13 @@ func (t *Protected) verifyRead(now uint64, ln *core.Line, off int) (extra uint64
 	t.tstats.ErrorsDetected++
 
 	if rep != nil {
-		if t.cfg.Meter != nil {
-			t.cfg.Meter.AddL2Read(1)
-			t.cfg.Meter.AddParity(1)
-		}
+		t.energy.L2Reads++
+		t.energy.ParityOps++
 		if ecc.CheckParityLineRange(rep.Data, rep.Parity, word, 8) == ecc.OK {
 			copy(ln.Data[word:word+8], rep.Data[word:word+8])
 			ln.RecodeWord(word)
 			t.tstats.RecoveredByReplica++
-			if t.cfg.Meter != nil {
-				t.cfg.Meter.AddL2Write(1)
-			}
+			t.energy.L2Writes++
 			return 1
 		}
 	}
@@ -309,9 +294,7 @@ func (t *Protected) verifyRead(now uint64, ln *core.Line, off int) (extra uint64
 	}
 
 	if t.cfg.Protect == core.ECCProt {
-		if t.cfg.Meter != nil {
-			t.cfg.Meter.AddECC(1)
-		}
+		t.energy.ECCOps++
 		return 1 + t.verifyECC(now, ln, word)
 	}
 	return 1 + t.refetchFromMem(now, ln)
@@ -350,9 +333,7 @@ func (t *Protected) refetchFromMem(now uint64, ln *core.Line) (extra uint64) {
 	copy(ln.Data, t.cfg.Mem.PeekBlock(ln.BlockAddr))
 	ln.Dirty = false
 	ln.Recode()
-	if t.cfg.Meter != nil {
-		t.cfg.Meter.AddL2Write(1)
-	}
+	t.energy.L2Writes++
 	return extra
 }
 
@@ -417,10 +398,8 @@ func (t *Protected) replicate(primary *core.Line, now uint64) bool {
 		}
 		t.lines.InstallReplica(v, primary)
 		t.lines.Touch(v, now)
-		if t.cfg.Meter != nil {
-			t.cfg.Meter.AddL2Write(1)
-			t.cfg.Meter.AddParity(1)
-		}
+		t.energy.L2Writes++
+		t.energy.ParityOps++
 		return true
 	}
 	if t.cross != nil {
@@ -457,10 +436,8 @@ func (t *Protected) OfferReplica(now uint64, blockAddr uint64, data []byte) bool
 	}
 	t.lines.InstallGuest(v, blockAddr, data)
 	t.lines.Touch(v, now)
-	if t.cfg.Meter != nil {
-		t.cfg.Meter.AddL2Write(1)
-		t.cfg.Meter.AddParity(1)
-	}
+	t.energy.L2Writes++
+	t.energy.ParityOps++
 	t.tstats.Cross.HostedLines++
 	return true
 }
@@ -473,10 +450,8 @@ func (t *Protected) RepairWord(_ uint64, blockAddr uint64, off int, dst []byte) 
 	if !t.lines.RepairFromGuest(blockAddr, off, dst, &t.tstats.Cross) {
 		return 0, false
 	}
-	if t.cfg.Meter != nil {
-		t.cfg.Meter.AddL2Read(1)
-		t.cfg.Meter.AddParity(1)
-	}
+	t.energy.L2Reads++
+	t.energy.ParityOps++
 	return t.cfg.HitLatency + t.cfg.ExtraLatency + 1, true
 }
 
@@ -499,5 +474,6 @@ func (t *Protected) Reset() {
 	t.portBusy = 0
 	t.stats = cache.Stats{}
 	t.tstats = Stats{}
+	t.energy = energy.Counts{}
 	t.crossBuf = [8]byte{}
 }

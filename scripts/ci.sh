@@ -144,6 +144,9 @@ $GO test ./...
 # One iteration of each core benchmark, so their committed-count checks
 # (b.Fatalf on a run that commits the wrong number) run, not just compile.
 $GO test -run='^$' -bench=. -benchtime=1x ./internal/cpu
+# The draw-ahead lifecycle test, repeated: its cancelled cases must stop
+# where they cancel however the host schedules the context's watcher.
+$GO test -count=20 -run '^TestAheadLifecycle$' ./internal/sim
 
 # The perf module's own tests (its workload list against BENCHMARK.json,
 # the exact-IPC reference, the open-loop generator), which the root
